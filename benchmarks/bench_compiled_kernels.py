@@ -9,7 +9,8 @@ Two acceptance bars for the compiled engine's trace path:
   ``-k identity`` on a tiny shape);
 - **speedup**: at the paper's Table IV GEMV regime (1-bit weights,
   m = n = 4096, batch 1-2) the compiled trace beats the best existing
-  engine at its shipped defaults by >= 1.2x p50 on the fused step.
+  engine -- batch-invariant biqgemm, dense BLAS, or the non-invariant
+  biqgemm fast path -- by >= 1.2x p50 on the fused step.
 
 The rendered ``compiled_kernels`` experiment table lands in
 ``benchmarks/out/compiled_kernels.txt``.
@@ -55,7 +56,7 @@ def test_identity_fused_step_matches_unfused_reference(activation, batch):
 
 
 def test_identity_holds_on_strided_input():
-    """CI smoke: the gather trace must see through striding."""
+    """CI smoke: the native trace must see through striding."""
     rng = np.random.default_rng(4)
     m, n = 32, 48
     w = rng.standard_normal((m, n))
@@ -83,9 +84,9 @@ def test_gemv_small_batch_speedup_at_least_1_2x():
     """The speedup acceptance bar, measured at the full Table IV shape.
 
     ``speedup_vs_best`` compares the compiled trace against the best
-    existing engine at its shipped defaults (batch-invariant biqgemm,
-    dense BLAS) running the same fused step with a separate epilogue.
-    One re-measure absorbs scheduler noise.
+    existing engine (batch-invariant biqgemm, dense BLAS, and the
+    non-invariant biqgemm fast path) running the same fused step with a
+    separate epilogue.  One re-measure absorbs scheduler noise.
     """
     best = None
     for _ in range(2):

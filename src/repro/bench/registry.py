@@ -1046,9 +1046,11 @@ def compiled_kernels_rows(
     1-bit weights, GEMV/small-batch, output-heavy shapes -- where LUT
     query work is minimal (one bit plane) while dense BLAS still pays
     the full float weight stream.  For each batch this measures the
-    fused ``relu(W @ x + bias)`` step three ways: the compiled trace,
-    the biqgemm reference plus a separate bias/activation epilogue, and
-    dense BLAS plus the same epilogue.  Outputs are checked bit-identical
+    fused ``relu(W @ x + bias)`` step four ways: the compiled trace,
+    the biqgemm reference plus a separate bias/activation epilogue,
+    the non-invariant biqgemm fast path plus the epilogue, and dense
+    BLAS plus the same epilogue.  ``speedup_vs_best`` is against the
+    fastest of the other three.  Outputs are checked bit-identical
     against the batch-invariant loop-query reference; a final row
     records the modelled batch at which the planner would leave the
     compiled engine (the fusion crossover).
@@ -1102,8 +1104,7 @@ def compiled_kernels_rows(
         # plus the same epilogue chain the trace folds in.  biqgemm
         # ships batch-invariant by default -- that default IS the
         # unfused reference, so it is measured as-is; the non-invariant
-        # fast mode forfeits bit-identity and is reported as an
-        # informational column, never as the gated baseline.
+        # fast mode forfeits bit-identity but still counts as "best".
         want = relu(biq.matmul(x) + bias_col)
         got = compiled.matmul(x)
         identical = bool(np.array_equal(got, want)) and got.dtype == want.dtype
@@ -1131,7 +1132,7 @@ def compiled_kernels_rows(
                 "biqgemm_fast_p50_us": f50 * 1e6,
                 "dense_p50_us": d50 * 1e6,
                 "speedup_vs_biqgemm": b50 / c50,
-                "speedup_vs_best": min(b50, d50) / c50,
+                "speedup_vs_best": min(b50, d50, f50) / c50,
                 "req_per_s": 1.0 / c50,
                 "alloc_per_call_bytes": alloc["peak_new_bytes"],
             }
@@ -1166,11 +1167,11 @@ def compiled_kernels_experiment(quick: bool = False) -> list[Table]:
          "identical"],
         notes=[
             "shape to check: compiled >= 1.2x the best existing engine "
-            "at its shipped defaults at batch 1-2 on the paper's 1-bit "
+            "(fast path included) at batch 1-2 on the paper's 1-bit "
             "Table IV shapes, and bit-identical to the batch-invariant "
             "reference",
             "biq-fast = biqgemm with batch_invariant=False: not "
-            "bit-identical to the reference, shown for scale only",
+            "bit-identical to the reference; vs best counts it",
         ],
     )
     rows = compiled_kernels_rows(quick)

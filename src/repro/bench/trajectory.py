@@ -49,6 +49,7 @@ GATED_METRICS: dict[str, tuple[str, ...]] = {
     "compiled_kernels": (
         "speedup_vs_biqgemm_b1",
         "speedup_vs_biqgemm_b2",
+        "speedup_vs_best_b1",
         "identical_b1",
         "identical_b2",
     ),

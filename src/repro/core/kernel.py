@@ -290,68 +290,23 @@ class BiQGemm:
             "lookups": self._keys.m * g * batch * self.bits,
         }
 
-    def trace_plan(self, dtype) -> dict:
-        """Build-time specialization plan for one activation dtype.
+    def invariant_tiles(self, dtype) -> TileConfig:
+        """The batch-invariant tile schedule for one activation dtype.
 
-        The ``compiled`` engine (:mod:`repro.engine.compiled`) resolves
-        every per-call decision of :meth:`matmul` ahead of time and
-        replays them as a straight-line trace.  This hook is the
-        kernel-side half of that build step: it fixes the
-        batch-invariant tile schedule (tiles depend only on the dtype's
-        itemsize at the reference batch) and materializes, per
-        ``(row-tile, group-tile, bit-plane)``, the **contiguous** flat
-        gather index vector and the alpha column the query needs --
-        sharing this engine's immutable index/scale caches, so repeated
-        plans cost views, not copies.
-
-        Returns ``{"tiles": TileConfig, "keys_by_group": ndarray,
-        "group_tiles": [...]}`` where each group-tile entry is
-        ``(g_slice, g_len, row_tiles)`` and each row-tile entry is
-        ``(r_slice, rows, idxT_per_bit, alpha_per_bit)``.
-        ``idxT_per_bit[i]`` is the **group-major** contiguous
-        ``(g_len, rows)`` flat gather index matrix (so the gathered
-        block lands group-major and the sequential group fold runs over
-        contiguous slices); ``keys_by_group`` is the shared
-        ``(bits, groups, m)`` contiguous key cache for the wide-batch
-        per-group gather.  Everything is batch-independent; only the
-        runtime buffers (tables, gathers, accumulators) depend on the
-        batch.
+        Tiles depend only on the dtype's itemsize at the reference
+        batch, so every batch folds the same groups into each partial
+        sum.  The ``compiled`` engine's native kernel
+        (:mod:`repro.engine.compiled`) tiles with this too, which keeps
+        it bit-identical to :meth:`matmul` in batch-invariant mode.
         """
-        dtype = np.dtype(dtype)
         m, _ = self.shape
-        groups = self._keys.groups
-        tiles = choose_tiles(
+        return choose_tiles(
             m,
-            groups,
+            self._keys.groups,
             self.mu,
             self._INVARIANT_TILE_BATCH,
-            itemsize=dtype.itemsize,
+            itemsize=np.dtype(dtype).itemsize,
         )
-        alphas = self._alphas_for(dtype)
-        pre = self._flat_idx(tiles.tile_g)
-        group_tiles: list[tuple] = []
-        current: list | None = None
-        for r_sl, g_sl in iter_tiles(m, groups, tiles):
-            if current is None or current[0] != g_sl.start:
-                current = [g_sl.start, g_sl, g_sl.stop - g_sl.start, []]
-                group_tiles.append(current)
-            rows = r_sl.stop - r_sl.start
-            idx_t = tuple(
-                np.ascontiguousarray(pre[i, r_sl, g_sl].T)
-                for i in range(self.bits)
-            )
-            alpha = tuple(
-                alphas[i, r_sl, None] for i in range(self.bits)
-            )
-            current[3].append((r_sl, rows, idx_t, alpha))
-        return {
-            "tiles": tiles,
-            "keys_by_group": self._keys_by_group(),
-            "group_tiles": [
-                (g_sl, g_len, row_tiles)
-                for _, g_sl, g_len, row_tiles in group_tiles
-            ],
-        }
 
     # ------------------------------------------------------------------
     # multiplication
@@ -441,11 +396,12 @@ class BiQGemm:
         # and hence every output column, is identical whether a request
         # runs alone or coalesced into a micro-batch.
         if tiles is None:
-            tile_batch = (
-                self._INVARIANT_TILE_BATCH if self.batch_invariant else batch
-            )
-            tiles = choose_tiles(
-                m, groups, self.mu, tile_batch, itemsize=dtype.itemsize
+            tiles = (
+                self.invariant_tiles(dtype)
+                if self.batch_invariant
+                else choose_tiles(
+                    m, groups, self.mu, batch, itemsize=dtype.itemsize
+                )
             )
         if self.batch_invariant and query_impl == "auto":
             query_impl = "loop"

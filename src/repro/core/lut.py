@@ -41,7 +41,6 @@ from repro.core.keys import MAX_MU
 __all__ = [
     "sign_matrix",
     "reshape_input",
-    "reshape_plan",
     "build_table_reference",
     "build_tables_dp",
     "build_tables_gemm",
@@ -141,24 +140,6 @@ def reshape_input(
         return out
     padded = pad_axis(arr, mu, axis=0, value=0)
     return np.ascontiguousarray(padded.reshape(groups, mu, b))
-
-
-def reshape_plan(n: int, mu: int) -> dict:
-    """Build-time replace-phase decisions for an ``n``-row input.
-
-    The ``compiled`` engine resolves :func:`reshape_input`'s per-call
-    branching once at specialization time: ``{"groups", "padded",
-    "pad"}`` where ``padded = groups * mu`` is the row count after
-    zero-padding and ``pad`` the number of padding rows.  A C-contiguous
-    input with ``pad == 0`` reshapes to ``Xhat`` as a zero-copy view;
-    anything else is copied into a resident pre-zeroed buffer whose
-    padding rows are never rewritten.
-    """
-    check_positive_int(n, "n")
-    check_positive_int(mu, "mu", upper=MAX_MU)
-    groups = -(-n // mu)
-    padded = groups * mu
-    return {"groups": groups, "padded": padded, "pad": padded - n}
 
 
 def build_table_reference(x_sub: np.ndarray, mu: int | None = None) -> np.ndarray:

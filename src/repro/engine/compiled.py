@@ -2,35 +2,32 @@
 
 Every per-call decision :meth:`repro.core.kernel.BiQGemm.matmul` makes
 -- shape checks, reshape-vs-copy, tile selection, builder/query-path
-dispatch, gather-index arithmetic, alpha casting, dtype promotion --
-depends only on ``(m, n, bits, mu, dtype, batch)``, all of which are
-known ahead of the first call for a planned layer.  This module
-resolves them **once**, at specialization time, into a closed-over
-straight-line *trace* per ``(dtype, batch)``:
+dispatch, alpha casting, dtype promotion -- depends only on ``(m, n,
+bits, mu, dtype, batch)``, all of which are known ahead of the first
+call for a planned layer.  This module resolves them **once**, at
+specialization time, into a resident *trace* per ``(dtype, batch)``:
 
-- the batch-invariant tile schedule and per-tile contiguous gather
-  indices come from :meth:`BiQGemm.trace_plan` (shared, immutable);
-- all runtime buffers (padded input, tables, gathers, accumulators,
-  output) are resident on the trace, so steady-state calls allocate
-  nothing;
-- the gather layout is specialized to the batch: GEMV-like batches
-  (``<= 2``) gather each tile in one **group-major** flat take so the
-  sequential group fold runs over contiguous slices (measured ~2x over
-  the generic strided fold); wider batches keep the cache-friendly
-  per-group table gathers with pre-sliced contiguous key vectors.
-  Both fold the groups in the reference loop-query order, so every
-  output bit matches the unfused engine at every batch;
-- **epilogue fusion**: the layer bias and its following activation
-  (``relu``/``gelu``/``sigmoid``/``tanh``, discovered at ``compile()``
-  time) execute inside the query pass via ``out=``-aware ufunc
-  chaining, eliminating one activation-sized memory round-trip per
-  fused layer.
+- the trace fixes a :class:`repro.engine.native.Plan` for the native
+  LUT query kernel (``_lutq.c``): the batch-invariant tile schedule
+  (:meth:`BiQGemm.invariant_tiles`), the key matrix, the scales in the
+  activation dtype and the fused bias;
+- the table scratch and the output are resident on the trace, so a
+  steady-state call is one native call that allocates nothing;
+- the kernel folds every partial sum in the reference loop-query
+  order, so every output bit matches the unfused engine at every
+  batch;
+- **epilogue fusion**: the layer bias is added inside the native call
+  and the following activation (``relu``/``gelu``/``sigmoid``/
+  ``tanh``, discovered at ``compile()`` time) runs right after it via
+  ``out=``-aware ufunc chaining.
 
-Anything outside the specialized envelope -- an unseen dtype once the
-trace budget is spent, a batch above :data:`TRACE_MAX_BATCH`, a
-concurrent call racing for the resident buffers -- falls back to the
-inner batch-invariant :class:`BiQGemm` plus a generic epilogue, which
-is bit-identical by construction; the trace is purely a speed layer.
+Anything outside the specialized envelope -- a dtype the kernel does
+not compute in (float32 and float64 only), no native kernel on this
+host, an unseen shape once the trace budget is spent, a batch above
+:data:`TRACE_MAX_BATCH`, a concurrent call racing for the resident
+buffers -- falls back to the inner batch-invariant :class:`BiQGemm`
+plus a generic epilogue, which is bit-identical by construction; the
+trace is purely a speed layer.
 
 Registered as the seventh backend (``backend="compiled"``) with
 ``auto_candidate=False``: it is lossless but only enters a plan when a
@@ -48,7 +45,7 @@ import numpy as np
 
 from repro._util import check_matmul_out
 from repro.core.kernel import BiQGemm
-from repro.core.lut import build_tables_dp, reshape_plan
+from repro.engine import native
 from repro.engine.base import EngineBuildRequest
 from repro.engine.registry import EngineEntry, register_engine
 from repro.hw.costmodel import estimate_compiled
@@ -79,174 +76,74 @@ bound.
 
 
 class _Trace:
-    """One ``(dtype, batch)`` specialization: plan slices + buffers.
+    """One ``(dtype, batch)`` specialization run by the native kernel.
 
-    Holds *views* into the engine-wide :meth:`BiQGemm.trace_plan`
-    (immutable, shared across traces) and owns the resident runtime
-    buffers sized for this exact batch.  ``run`` is the straight-line
-    kernel: no shape checks, no dispatch, no allocation.
+    Fixes the kernel's :class:`~repro.engine.native.Plan` (shape, tile
+    width, pointers to the keys, scales and fused bias) and owns the
+    resident table scratch and output buffer sized for this exact
+    batch.  ``run`` is one native call: no shape checks, no dispatch,
+    no allocation.
     """
 
-    __slots__ = (
-        "engine",
-        "dtype",
-        "batch",
-        "group_tiles",
-        "keys_by_group",
-        "flat_gather",
-        "two_mu",
-        "bits",
-        "n",
-        "padded",
-        "groups",
-        "mu",
-        "tables",
-        "gath",
-        "acc",
-        "y",
-        "_xhat",
-    )
+    __slots__ = ("_kernel", "_plan", "_refs", "_y_addr", "tables", "y")
 
-    # GEMV-like batches gather each (row, group) tile in one flat
-    # group-major take; wider batches win with per-group table gathers
-    # (the flat gather's random rows thrash cache once rows carry
-    # several columns each).  Matches the inner kernel's measured
-    # crossover; both variants fold groups in the identical order.
-    _FLAT_GATHER_MAX_BATCH = 2
-
-    def __init__(self, engine: "CompiledKernelEngine", dtype, batch: int):
+    def __init__(
+        self, engine: "CompiledKernelEngine", dtype, batch: int, kernel
+    ):
         inner = engine._inner
-        self.engine = engine
-        self.dtype = np.dtype(dtype)
-        self.batch = int(batch)
-        plan = engine._plan_for(self.dtype)
-        self.group_tiles = plan["group_tiles"]
-        self.keys_by_group = plan["keys_by_group"]
-        self.flat_gather = self.batch <= self._FLAT_GATHER_MAX_BATCH
-        self.two_mu = 1 << inner.mu
-        self.bits = inner.bits
-        self.mu = inner.mu
+        dtype = np.dtype(dtype)
         m, n = inner.shape
-        rp = reshape_plan(n, inner.mu)
-        self.n = n
-        self.groups = rp["groups"]
-        self.padded = rp["padded"]
-        b = self.batch
-        # One table buffer per distinct group-tile width (full tile plus
-        # a possible remainder): the LUT-stationary schedule never needs
-        # two alive at once, but the two widths need their own shapes.
-        self.tables = {
-            g_len: np.empty((g_len, self.two_mu, b), self.dtype)
-            for _, g_len, _ in self.group_tiles
-        }
-        self.gath = {}
-        self.acc = {}
-        for _, g_len, row_tiles in self.group_tiles:
-            for _, rows, _, _ in row_tiles:
-                gkey = (g_len, rows) if self.flat_gather else rows
-                if gkey not in self.gath:
-                    shape = (
-                        (g_len, rows, b) if self.flat_gather else (rows, b)
-                    )
-                    self.gath[gkey] = np.empty(shape, self.dtype)
-                if rows not in self.acc:
-                    self.acc[rows] = np.empty((rows, b), self.dtype)
-        self.y = np.empty((m, b), self.dtype)
-        # Padded-input buffer, built lazily: aligned contiguous inputs
-        # reshape to Xhat as a zero-copy view and never need it.
-        self._xhat: np.ndarray | None = None
+        keys = np.ascontiguousarray(inner.key_matrix.keys)
+        alphas = np.ascontiguousarray(inner._alphas_for(dtype))
+        bias = engine._bias_col(dtype)
+        tile_g = inner.invariant_tiles(dtype).tile_g
+        self.tables = np.empty((tile_g, 1 << inner.mu, batch), dtype)
+        self.y = np.empty((m, batch), dtype)
+        self._y_addr = self.y.ctypes.data
+        # The plan holds raw pointers: keep every array it points into.
+        self._refs = (keys, alphas, bias)
+        self._kernel = kernel
+        self._plan = native.Plan(
+            m=m,
+            n=n,
+            batch=batch,
+            groups=keys.shape[2],
+            tile_g=tile_g,
+            mu=inner.mu,
+            bits=inner.bits,
+            fp64=int(dtype == np.float64),
+            key_bytes=keys.itemsize,
+            keys=keys.ctypes.data,
+            alphas=alphas.ctypes.data,
+            bias=None if bias is None else bias.ctypes.data,
+            tables=self.tables.ctypes.data,
+        )
 
     @property
     def nbytes(self) -> int:
-        total = self.y.nbytes
-        total += sum(a.nbytes for a in self.tables.values())
-        total += sum(a.nbytes for a in self.gath.values())
-        total += sum(a.nbytes for a in self.acc.values())
-        if self._xhat is not None:
-            total += self._xhat.nbytes
-        return total
-
-    def _xhat_for(self, arr: np.ndarray) -> np.ndarray:
-        """Resident Xhat copy for inputs the view path can't serve.
-
-        Zero-filled once at allocation; the data rows are overwritten
-        per call and the padding rows are never touched again, so the
-        zero padding :func:`reshape_input` guarantees holds for free.
-        """
-        xhat = self._xhat
-        if xhat is None:
-            xhat = np.zeros(
-                (self.groups, self.mu, self.batch), self.dtype
-            )
-            self._xhat = xhat
-        flat = xhat.reshape(self.padded, self.batch)
-        flat[: self.n] = arr
-        return xhat
+        return self.y.nbytes + self.tables.nbytes
 
     def run(
         self, arr: np.ndarray, y_dest: np.ndarray | None = None
     ) -> np.ndarray:
         """Execute the trace on ``(n, batch)`` input *arr*.
 
-        *y_dest*, when given, receives the pre-activation result
-        directly (it must be ``(m, batch)`` in the trace dtype and must
-        not alias *arr* -- the caller guarantees both); otherwise the
+        *arr* may be strided.  *y_dest*, when given, receives the
+        pre-activation result directly (it must be a C-contiguous
+        ``(m, batch)`` array in the trace dtype that does not alias
+        *arr* -- the caller guarantees all three); otherwise the
         resident ``y`` buffer is used.  Bias, when fused, is folded in;
         the activation epilogue is the engine's job (it may change
         dtype).
         """
-        if arr.shape[0] == self.padded and arr.flags.c_contiguous:
-            xhat = arr.reshape(self.groups, self.mu, self.batch)
+        if not arr.flags.aligned:
+            arr = arr.copy()
+        if y_dest is None:
+            y, y_addr = self.y, self._y_addr
         else:
-            xhat = self._xhat_for(arr)
-        y = self.y if y_dest is None else y_dest
-        y[...] = 0
-        bits = self.bits
-        keys_gt = self.keys_by_group
-        for g_sl, g_len, row_tiles in self.group_tiles:
-            tbl = self.tables[g_len]
-            build_tables_dp(xhat[g_sl], out=tbl)
-            if self.flat_gather:
-                flat = tbl.reshape(g_len * self.two_mu, self.batch)
-                for r_sl, rows, idx_t_bits, alpha_bits in row_tiles:
-                    gath = self.gath[(g_len, rows)]
-                    acc = self.acc[rows]
-                    for i in range(bits):
-                        # mode="clip" never clips (indices are in range
-                        # by construction); it skips the bounds-check
-                        # temporary.  Group-major gather: the fold below
-                        # adds contiguous (rows, b) slices in the
-                        # reference loop-query group order.
-                        np.take(
-                            flat, idx_t_bits[i], axis=0, out=gath,
-                            mode="clip",
-                        )
-                        acc[...] = 0
-                        for gi in range(g_len):
-                            np.add(acc, gath[gi], out=acc)
-                        np.multiply(acc, alpha_bits[i], out=acc)
-                        y[r_sl] += acc
-            else:
-                g0 = g_sl.start
-                for r_sl, rows, _, alpha_bits in row_tiles:
-                    gath = self.gath[rows]
-                    acc = self.acc[rows]
-                    for i in range(bits):
-                        acc[...] = 0
-                        for gi in range(g_len):
-                            np.take(
-                                tbl[gi],
-                                keys_gt[i, g0 + gi, r_sl],
-                                axis=0,
-                                out=gath,
-                                mode="clip",
-                            )
-                            np.add(acc, gath, out=acc)
-                        np.multiply(acc, alpha_bits[i], out=acc)
-                        y[r_sl] += acc
-        bias_col = self.engine._bias_col(self.dtype)
-        if bias_col is not None:
-            y += bias_col
+            y, y_addr = y_dest, y_dest.ctypes.data
+        if self._kernel(self._plan, arr.ctypes.data, *arr.strides, y_addr):
+            raise RuntimeError("native LUT query kernel rejected its plan")
         return y
 
 
@@ -255,7 +152,7 @@ class CompiledKernelEngine:
 
     Wraps a batch-invariant :class:`BiQGemm` (the correctness anchor
     and the fallback path) and serves hot calls through resident
-    straight-line traces (see the module docstring).  Satisfies the
+    native traces (see the module docstring).  Satisfies the
     :class:`repro.engine.base.MatmulEngine` protocol including
     ``matmul_into``.
 
@@ -314,8 +211,9 @@ class CompiledKernelEngine:
         else:
             self._activation_fn = None
         self.activation = activation
-        self._plans: dict[str, dict] = {}
-        self._traces: dict[tuple[str, int], _Trace] = {}
+        # (dtype, batch) -> trace; None marks a specialization the
+        # native kernel can't run here, served by the fallback.
+        self._traces: dict[tuple[str, int], _Trace | None] = {}
         self._bias_cols: dict[str, np.ndarray] = {}
         # One runner at a time owns the resident buffers; a concurrent
         # call on a shared engine takes the (bit-identical) fallback
@@ -394,13 +292,11 @@ class CompiledKernelEngine:
     # ------------------------------------------------------------------
     # specialization
     # ------------------------------------------------------------------
-    def _plan_for(self, dtype: np.dtype) -> dict:
-        key = dtype.str
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = self._inner.trace_plan(dtype)
-            self._plans[key] = plan
-        return plan
+    def _new_trace(self, dtype: np.dtype, batch: int) -> _Trace | None:
+        kernel = native.load() if dtype in native.DTYPES else None
+        if kernel is None:
+            return None
+        return _Trace(self, dtype, batch, kernel)
 
     def _bias_col(self, dtype: np.dtype) -> np.ndarray | None:
         """The fused bias as an ``(m, 1)`` column in *dtype*, cached."""
@@ -418,10 +314,12 @@ class CompiledKernelEngine:
     def specialize(self, batch: int, dtype) -> bool:
         """Build (or fetch) the trace for an exact ``(batch, dtype)``.
 
-        Returns True when a trace is resident afterwards; False when
-        the shape is outside the specialization envelope (batch too
-        large, trace budget spent) and calls at it will use the
-        fallback path.
+        Returns True when the specialization is recorded afterwards;
+        False when the shape is outside the specialization envelope
+        (batch too large, trace budget spent) and calls at it will use
+        the fallback path.  A recorded specialization holds native
+        buffers only when the native kernel serves *dtype* on this
+        host; otherwise its calls take the fallback too.
         """
         batch = int(batch)
         dtype = np.dtype(dtype)
@@ -433,7 +331,7 @@ class CompiledKernelEngine:
                 return True
             if len(self._traces) >= MAX_TRACES:
                 return False
-            self._traces[key] = _Trace(self, dtype, batch)
+            self._traces[key] = self._new_trace(dtype, batch)
             return True
 
     def specialization(self) -> dict:
@@ -458,14 +356,16 @@ class CompiledKernelEngine:
 
     @property
     def trace_count(self) -> int:
-        """Resident ``(dtype, batch)`` traces (observability)."""
+        """Recorded ``(dtype, batch)`` specializations (observability)."""
         with self._run_lock:
             return len(self._traces)
 
     def trace_nbytes(self) -> int:
         """Resident trace buffer bytes (observability)."""
         with self._run_lock:
-            return sum(t.nbytes for t in self._traces.values())
+            return sum(
+                t.nbytes for t in self._traces.values() if t is not None
+            )
 
     # ------------------------------------------------------------------
     # multiplication
@@ -518,10 +418,9 @@ class CompiledKernelEngine:
             locked = self._run_lock.acquire(blocking=False)
             if locked:
                 key = (arr.dtype.str, batch)
+                if key not in self._traces and len(self._traces) < MAX_TRACES:
+                    self._traces[key] = self._new_trace(arr.dtype, batch)
                 trace = self._traces.get(key)
-                if trace is None and len(self._traces) < MAX_TRACES:
-                    trace = _Trace(self, arr.dtype, batch)
-                    self._traces[key] = trace
         try:
             if trace is not None:
                 # Pre-activation result straight into the caller's
@@ -530,6 +429,7 @@ class CompiledKernelEngine:
                     res2 is not None
                     and self.activation is None
                     and res2.dtype == arr.dtype
+                    and res2.flags.c_contiguous
                 )
                 y = trace.run(arr, y_dest=res2 if direct else None)
             else:

@@ -605,7 +605,18 @@ def _default_collectors(registry: MetricsRegistry) -> None:
             "(engine, shape-bucket) keys with drift data",
         ).set(len(get_recorder()))
 
-    for fn in (plan_cache, engine_builds, workspaces, tracing, drift):
+    def native_kernel(reg: MetricsRegistry) -> None:
+        from repro.engine.native import status
+
+        reg.gauge(
+            "repro_native_kernel_loaded",
+            "1 when the compiled engine's native LUT query kernel is "
+            "loaded in this process",
+        ).set(1.0 if status()["loaded"] else 0.0)
+
+    for fn in (
+        plan_cache, engine_builds, workspaces, tracing, drift, native_kernel
+    ):
         registry.register_collector(fn)
 
 
@@ -615,8 +626,8 @@ _DEFAULT_LOCK = threading.Lock()
 
 def get_registry() -> MetricsRegistry:
     """The process-wide default registry (created on first use), with
-    the plan-cache / engine-build / workspace / tracing / drift
-    collectors pre-wired."""
+    the plan-cache / engine-build / workspace / tracing / drift /
+    native-kernel collectors pre-wired."""
     global _DEFAULT
     if _DEFAULT is None:
         with _DEFAULT_LOCK:

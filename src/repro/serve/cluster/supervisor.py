@@ -184,7 +184,8 @@ class Supervisor:
             "quarantines": 0,
             "releases": 0,
         }
-        # Heartbeat segment: float64[workers, 2] = [beat, busy_deadline].
+        # Heartbeat segment: float64[workers, 3] =
+        # [beat, busy_deadline, native_kernel_loaded].
         nbytes = workers * HEARTBEAT_FIELDS * 8
         self._hb_shm = shared_memory.SharedMemory(
             name=f"{shm_name}-hb", create=True, size=nbytes
@@ -269,6 +270,9 @@ class Supervisor:
                     "pid": h.pid if h is not None else None,
                     "alive": bool(h is not None and h.alive),
                     "generation": h.generation if h is not None else None,
+                    "native_kernel": bool(
+                        h is not None and h.alive and self._hb[i, 2] > 0.0
+                    ),
                 }
                 for i, h in enumerate(self._handles)
             ]
@@ -422,7 +426,7 @@ class Supervisor:
                 if not handle.proc.is_alive():
                     self._handle_death(handle, reason="exited")
                     continue
-                beat, busy = self._hb[handle.idx]
+                beat, busy = self._hb[handle.idx, :2]
                 if beat == 0.0:
                     continue  # not serving yet
                 stale = (now - beat) > cfg.heartbeat_timeout_s

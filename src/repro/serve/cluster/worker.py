@@ -14,6 +14,10 @@ supervisor escalates SIGTERM -> SIGKILL.  Long *legitimate* work is
 distinguished from a hang by the busy-deadline slot: before executing
 a job the worker posts ``now + job_budget_s`` there, and the
 supervisor defers staleness judgment until that deadline passes.
+The third slot says whether this worker loaded the native LUT query
+kernel (:mod:`repro.engine.native`), refreshed after warm-up and after
+every job, so ``/healthz`` can show a worker serving through the numpy
+fallback.
 
 Decode sequences live worker-side: ``prefill`` builds a KV cache in
 the worker's own arena and keeps it in a sequence table; ``step``
@@ -37,8 +41,9 @@ import numpy as np
 
 __all__ = ["worker_main", "HEARTBEAT_FIELDS"]
 
-#: Heartbeat layout: float64[workers, 2] -- [last_beat, busy_deadline].
-HEARTBEAT_FIELDS = 2
+#: Heartbeat layout: float64[workers, 3] --
+#: [last_beat, busy_deadline, native_kernel_loaded].
+HEARTBEAT_FIELDS = 3
 
 _POLL_SECONDS = 0.1
 
@@ -75,6 +80,7 @@ def worker_main(
     """Entry point for one worker process (spawn target)."""
     from repro.api.artifact import load_from_parts
     from repro.core.workspace import Workspace
+    from repro.engine.native import status as native_status
     from repro.resilience import faults
     from repro.serve.cluster import shm as shm_mod
     from repro.serve.cluster.ipc import UnknownSequence, encode_error
@@ -102,6 +108,7 @@ def worker_main(
 
             mark_batch_invariant(compiled.model)
         kv = Workspace(name=f"repro-worker-{name}-{idx}.kv")
+        beat[2] = float(native_status()["loaded"])
         conn.send(("ready", os.getpid()))
 
         while True:
@@ -181,6 +188,7 @@ def worker_main(
                 except (OSError, BrokenPipeError):
                     return
             finally:
+                beat[2] = float(native_status()["loaded"])
                 beat[1] = 0.0
                 beat[0] = time.time()
     finally:

@@ -13,7 +13,9 @@ dependencies, matching this repo's constraint):
   streamed JSON lines, one token per event (continuous batching across
   concurrent streams; see :mod:`repro.serve.sequences`)
 - ``GET /models``    registered models and versions
-- ``GET /healthz``   liveness + per-model worker state
+- ``GET /healthz``   liveness + per-model worker state + whether this
+  process (and, in cluster mode, how many live workers) loaded the
+  native LUT query kernel
 - ``GET /metrics``   telemetry snapshots (latency quantiles, batch
   sizes, LUT-amortization ratio, queue depth); Prometheus text
   exposition via ``/metrics?format=prometheus`` or ``Accept:
@@ -47,6 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.api.model import CompiledModel, QuantModel
+from repro.engine.native import status as native_status
 from repro.obs import runtime as _obs
 from repro.serve.batcher import Batcher, BatcherClosed, QueueFullError
 from repro.serve.pool import WorkerPool
@@ -894,6 +897,7 @@ class Server:
             "started": started,
             "models": len(runtimes),
             "workers_alive": workers,
+            "native_kernel": native_status(),
         }
         cluster = {}
         for name, runtime in runtimes.items():
@@ -905,6 +909,11 @@ class Server:
                 "alive": sum(1 for w in stats["workers"] if w["alive"]),
                 "workers": len(stats["workers"]),
                 "quarantined": stats["quarantined"],
+                # Live workers serving through the native LUT kernel;
+                # the rest take the numpy fallback.
+                "native_kernel": sum(
+                    1 for w in stats["workers"] if w["native_kernel"]
+                ),
             }
         if cluster:
             out["cluster"] = cluster

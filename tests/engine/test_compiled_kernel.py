@@ -1,8 +1,9 @@
 """Unit tests for the compiled engine (repro.engine.compiled).
 
 The engine's whole contract is "bit-identical to the batch-invariant
-reference, just faster": every path -- resident traces in both gather
-variants, the fallback beyond the specialization envelope, the kwargs
+reference, just faster": every path -- resident native traces at
+decode and wider batches, the fallback beyond the specialization
+envelope (float16 included), the kwargs
 opt-out, the ``out=`` spellings, restore from serialized state -- must
 reproduce the unfused reference bits exactly, for every fusible
 activation and float dtype.
@@ -72,8 +73,8 @@ class TestBitIdentity:
     @pytest.mark.parametrize(
         "dtype", [np.float64, np.float32, np.float16]
     )
-    # 1 and 2 take the flat group-major gather, 5 and 33 the per-group
-    # table gather -- both trace variants must match the reference.
+    # 1 and 2 run the kernel's constant-width paths, 5 and 33 its
+    # generic-width path; float16 always takes the fallback.
     @pytest.mark.parametrize("batch", [1, 2, 5, 33])
     def test_trace_matches_reference(
         self, weight, bias, reference, activation, dtype, batch, rng

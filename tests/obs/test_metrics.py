@@ -230,8 +230,19 @@ class TestDefaultRegistry:
             "repro_workspace_bytes_resident",
             "repro_trace_enabled",
             "repro_drift_enabled",
+            "repro_native_kernel_loaded",
         ):
             assert family in text
+
+    def test_native_kernel_gauge_tracks_loader(self, monkeypatch):
+        from repro.engine import native
+
+        for loaded in (False, True):
+            monkeypatch.setattr(
+                native, "status", lambda: {"loaded": loaded, "path": None}
+            )
+            text = get_registry().to_prometheus()
+            assert f"repro_native_kernel_loaded {int(loaded)}" in text
 
     def test_get_registry_is_a_singleton(self):
         assert get_registry() is get_registry()

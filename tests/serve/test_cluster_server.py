@@ -80,6 +80,16 @@ class TestClusterServe:
             assert health["status"] == "ok"
             assert health["cluster"]["enc"]["alive"] == 2
             assert health["cluster"]["enc"]["quarantined"] is None
+            # Workers report the native kernel through their heartbeat;
+            # the one that served the predict has loaded it if this
+            # host can build it.
+            from repro.engine import native
+
+            native_workers = health["cluster"]["enc"]["native_kernel"]
+            if native.load() is None:
+                assert native_workers == 0
+            else:
+                assert 1 <= native_workers <= 2
 
             snapshot = server.metrics()["models"]["enc"]["cluster"]
             assert snapshot["spawns"] >= 2

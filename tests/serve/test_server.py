@@ -122,6 +122,12 @@ class TestServerLifecycle:
             assert server.healthz()["status"] == "ok"
         assert server.healthz()["status"] == "unavailable"
 
+    def test_healthz_reports_native_kernel(self):
+        from repro.engine import native
+
+        server = Server()
+        assert server.healthz()["native_kernel"] == native.status()
+
     def test_predict_before_start_raises(self):
         server = Server()
         with pytest.raises(RuntimeError, match="not started"):
