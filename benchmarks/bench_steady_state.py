@@ -1,13 +1,13 @@
-"""Benchmark: zero-allocation steady state (workspace arenas).
+"""Benchmark: steady-state serving cost.
 
-Two acceptance bars for the workspace-arena execution path:
+Two acceptance bars:
 
-- **allocation**: after ``warmup()``, the BiQGemm flat-query hot loop
-  records zero tracked allocation events, and the model-level per-call
-  transient footprint drops versus the allocating path (this is the CI
-  smoke: run with ``-k alloc`` on a tiny shape);
+- **allocation**: after warmup, the BiQGemm flat-query hot loop served
+  from a warm :class:`~repro.core.workspace.Workspace` records zero
+  tracked allocation events (this is the CI smoke: run with
+  ``-k alloc`` on a tiny shape);
 - **latency**: small-batch (b <= 8) ``CompiledModel`` forward p50 is at
-  least 20% lower with arenas than on the allocating pre-arena path.
+  least 20% lower than on the seed query kernel.
 
 The rendered ``steady_state`` experiment table lands in
 ``benchmarks/out/steady_state.txt``.
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import write_artifact
-from repro.bench.registry import run_experiment, steady_state_rows
+from repro.bench.registry import run_experiment
 
 
 def test_alloc_engine_flat_query_is_allocation_free():
@@ -42,22 +42,13 @@ def test_alloc_engine_flat_query_is_allocation_free():
     assert report["alloc_events"] == 0, report
 
 
-def test_alloc_model_footprint_drops_with_arenas():
-    """CI smoke: arenas cut the per-call transient allocation bytes."""
-    rows = steady_state_rows(quick=True, batches=(1,), repeats=10)
-    model = next(r for r in rows if r["kind"] == "model")
-    assert model["on_alloc_bytes"] < model["off_alloc_bytes"], model
-    engine = next(r for r in rows if r["kind"] == "engine_flat")
-    assert engine["alloc_events"] == 0, engine
-
-
 def _seed_query_tile(
     self, y, q_tile, keys, alphas, r_sl, g_sl, query_impl,
     scratch=None, *, tile_width=None,
 ):
     """The pre-PR query tile, verbatim: fancy-index gathers and fresh
-    accumulators per (bit, tile).  Swapped in to measure this PR's
-    kernel + arena path against the path it replaced."""
+    accumulators per (bit, tile).  Swapped in to measure the current
+    kernel against the path it replaced."""
     tile_g = q_tile.shape[0]
     batch = q_tile.shape[2]
     rows = r_sl.stop - r_sl.start
@@ -88,9 +79,9 @@ def _seed_query_tile(
 
 
 def test_small_batch_p50_reduction_at_least_20_percent():
-    """The latency acceptance bar: arenas + the reworked query kernel
-    versus the pre-PR execution path (seed query tile, no arenas),
-    same model, same machine.  One re-measure absorbs scheduler noise.
+    """The latency acceptance bar: the reworked query kernel versus
+    the seed execution path (seed query tile), same model, same
+    machine.  One re-measure absorbs scheduler noise.
     """
     import time
 
@@ -132,11 +123,9 @@ def test_small_batch_p50_reduction_at_least_20_percent():
             x = rng.standard_normal((batch, dims[0]))
             try:
                 BiQGemm._query_tile = _seed_query_tile
-                compiled.workspaces_enabled = False
                 before = p50(x)
             finally:
                 BiQGemm._query_tile = current
-            compiled.workspaces_enabled = True
             after = p50(x)
             reductions.append((before - after) / before)
         best = max(reductions)

@@ -29,9 +29,9 @@ def check_matmul_out(
     x: np.ndarray,
     vector_in: bool,
 ) -> np.ndarray:
-    """Validate a ``matmul_into`` destination; returns its 2-D view.
+    """Validate a ``matmul(out=...)`` destination; returns its 2-D view.
 
-    The shared contract of every out-capable engine: exact ``(m,
+    The shared contract of the engines accepting ``out=``: exact ``(m,
     batch)`` shape (``(m,)`` accepted for vector input), exact compute
     dtype, writable, and no (possible) aliasing with the input -- the
     engines read *x* while accumulating into *out*.

@@ -46,7 +46,7 @@ from repro.api.planner import (
     layer_cost,
     plan_layers,
 )
-from repro.core.workspace import Workspace, use_workspace
+from repro.core.workspace import Workspace
 from repro.engine import QuantSpec, batch_bucket, batch_buckets
 from repro.obs import runtime as _obs
 from repro.nn.attention import MultiHeadAttention
@@ -533,21 +533,11 @@ class CompiledModel:
     request; ``cost_report()`` shows the planner's evidence;
     ``save(path)`` writes the v3 whole-model artifact.
 
-    **Workspace arenas.**  Compilation pre-sizes one
-    :class:`~repro.core.workspace.Workspace` per planned batch bucket
-    (the plan-cache boundaries the serving batcher coalesces toward);
-    every ``__call__`` then serves from the bucket's arena -- layer
-    activations, lookup tables and partial sums come from warm buffers
-    instead of fresh allocations, and the steady state allocates
-    (nearly) nothing.  Outputs handed back to the caller are copied out
-    of the arena, so results stay valid across requests.  Results are
-    bit-identical with arenas on or off; set ``workspaces_enabled =
-    False`` to fall back to allocate-per-call (the pre-arena path, used
-    by the steady-state benchmark as its baseline).  One arena serves
-    one request at a time: concurrent callers of the *same*
-    CompiledModel transparently overflow onto the allocating path --
-    serving replicas (:meth:`clone`) each own their arenas, so worker
-    threads never contend.
+    Every forward allocates its activations afresh, so a returned array
+    is the caller's to keep and concurrent calls on one handle are
+    safe; :meth:`clone` gives each serving worker its own layer
+    bookkeeping.  Only the KV caches :meth:`generate` opens live on a
+    long-lived arena (:meth:`_kv_workspace`).
     """
 
     def __init__(
@@ -557,50 +547,10 @@ class CompiledModel:
         self._plans = tuple(plans)
         self.batch_hint = int(batch_hint)
         self._generation = quant_model._compile_generation
-        self.workspaces_enabled = True
-        # One arena per planned batch bucket, pre-created for the
-        # buckets at or below the compile hint; larger serve batches
-        # add theirs on first use.
-        self._arenas: dict[int, Workspace] = {
-            bucket: Workspace(name=f"bucket{bucket}")
-            for bucket in batch_buckets(self.batch_hint)
-        }
-        self._arena_guard = threading.Lock()
-        self._forward_lock = threading.Lock()
         # Long-lived arena backing KV caches (created on first
         # generate(); never reset -- caches release blocks on close).
+        self._kv_guard = threading.Lock()
         self._kv: Workspace | None = None
-
-    def _arena_for(self, batch: int) -> Workspace:
-        """The arena serving *batch*-request calls (bucketed like the
-        plan cache, created on first use above the compile hint)."""
-        bucket = batch_bucket(max(1, int(batch)))
-        arena = self._arenas.get(bucket)
-        if arena is None:
-            with self._arena_guard:
-                arena = self._arenas.get(bucket)
-                if arena is None:
-                    arena = Workspace(name=f"bucket{bucket}")
-                    self._arenas[bucket] = arena
-        return arena
-
-    def workspace_stats(self) -> dict:
-        """Aggregated arena counters (hits/misses/bytes) plus the
-        per-bucket breakdown -- the ``/metrics`` workspace section."""
-        with self._arena_guard:
-            arenas = dict(self._arenas)
-        per_bucket = {
-            bucket: arena.stats() for bucket, arena in sorted(arenas.items())
-        }
-        totals = {
-            "hits": sum(s["hits"] for s in per_bucket.values()),
-            "misses": sum(s["misses"] for s in per_bucket.values()),
-            "bytes_resident": sum(
-                s["bytes_resident"] for s in per_bucket.values()
-            ),
-            "buffers": sum(s["buffers"] for s in per_bucket.values()),
-        }
-        return {**totals, "buckets": per_bucket}
 
     def _check_active(self) -> None:
         if self._generation != self._qm._compile_generation:
@@ -640,19 +590,17 @@ class CompiledModel:
 
         With *sample* -- one request without its batch axis, exactly
         what :meth:`repro.serve.Server.predict` receives -- the model
-        additionally runs one forward pass per pre-sized batch-bucket
-        arena (the sample tiled to the bucket's batch), so every
-        steady-state buffer is allocated up front and the first real
-        request already serves allocation-free.
+        additionally runs one forward pass per planned batch bucket up
+        to the compile hint (the sample tiled to the bucket's batch),
+        so per-shape state such as the ``compiled`` engine's traces is
+        specialized before the first real request.
         """
         self._check_active()
         for _, layer in self._qm.named_layers():
             layer.engine_for(self.batch_hint)
-        if sample is not None and self.workspaces_enabled:
+        if sample is not None:
             arr = np.asarray(sample)
-            with self._arena_guard:
-                buckets = sorted(self._arenas)
-            for bucket in buckets:
+            for bucket in batch_buckets(self.batch_hint):
                 batched = np.broadcast_to(
                     arr[None, ...], (bucket,) + arr.shape
                 )
@@ -676,11 +624,6 @@ class CompiledModel:
         and the output's unit batch axis is squeezed away, so a
         per-request serving path can hand vectors straight through
         without caller-side reshapes.
-
-        The forward runs inside the batch bucket's workspace arena
-        (see the class docstring); arena-owned results are copied out
-        before returning, so the caller's array survives the next
-        request's arena reset.
         """
         self._check_active()
         arr = np.asarray(x)
@@ -694,45 +637,18 @@ class CompiledModel:
                 "model.forward",
                 batch=int(arr.shape[0]) if arr.ndim else 1,
             ):
-                out = self._forward(arr, args, kwargs)
+                out = self.model(arr, *args, **kwargs)
         else:
-            out = self._forward(arr, args, kwargs)
+            out = self.model(arr, *args, **kwargs)
         if squeeze:
             out = np.asarray(out)
             return out[0] if out.ndim and out.shape[0] == 1 else out
         return out
 
-    def _forward(self, arr: np.ndarray, args: tuple, kwargs: dict):
-        workspace = None
-        locked = False
-        if self.workspaces_enabled:
-            # One arena serves one request at a time; a concurrent call
-            # on the same handle (replicas exist for that) just takes
-            # the allocating path instead of blocking or corrupting.
-            locked = self._forward_lock.acquire(blocking=False)
-            if locked:
-                workspace = self._arena_for(arr.shape[0] if arr.ndim else 1)
-        try:
-            if workspace is None:
-                return self.model(arr, *args, **kwargs)
-            workspace.reset()
-            with use_workspace(workspace):
-                out = self.model(arr, *args, **kwargs)
-            result = np.asarray(out)
-            if workspace.owns(result):
-                # The model's last layer wrote into the arena: hand the
-                # caller a copy that outlives the next reset.
-                return result.copy()
-            return out
-        finally:
-            if locked:
-                self._forward_lock.release()
-
     def _kv_workspace(self) -> Workspace:
-        """The long-lived KV arena (distinct from the per-request
-        arenas, which reset every forward -- a cache must never live on
-        one of those)."""
-        with self._arena_guard:
+        """The long-lived arena the KV caches of :meth:`generate` grow
+        on (never reset -- caches release their blocks on close)."""
+        with self._kv_guard:
             if self._kv is None:
                 self._kv = Workspace(name="kv")
             return self._kv
@@ -802,41 +718,23 @@ class CompiledModel:
                 f"ids, got shape {np.asarray(prompt).shape}"
             )
         sampler = Sampler(temperature=temperature, top_k=top_k, seed=seed)
-        kv = self._kv_workspace() if self.workspaces_enabled else None
         caches = model.init_cache(
-            workspace=kv, reserve=ids.shape[1] + max_new_tokens
+            workspace=self._kv_workspace(),
+            reserve=ids.shape[1] + max_new_tokens,
         )
-        # The scratch arena (scores, softmax partials) resets per call,
-        # exactly like _forward; the caches live on the kv arena above,
-        # which a reset never touches.  A concurrent forward holding the
-        # lock just means this decode allocates instead.
-        locked = self.workspaces_enabled and self._forward_lock.acquire(
-            blocking=False
-        )
-        arena = self._arena_for(1) if locked else None
 
         def run(label, fn, *args, **meta):
-            if arena is not None:
-                arena.reset()
             if _obs.TRACING:
                 from repro.obs.trace import span
 
                 with span(label, **meta):
-                    if arena is None:
-                        return fn(*args)
-                    with use_workspace(arena):
-                        return fn(*args)
-            if arena is None:
-                return fn(*args)
-            with use_workspace(arena):
-                return fn(*args)
+                    return fn(*args)
+            return fn(*args)
 
         out: list[int] = []
         try:
             logits = run("gen.prefill", model.prefill, ids, caches,
                          tokens=int(ids.shape[1]))
-            # Sample before the next reset: the logits may be
-            # arena-owned, and sample() reduces them to a plain int.
             token = sampler.sample(logits)
             out.append(token)
             while len(out) < max_new_tokens and token != eos_id:
@@ -845,8 +743,6 @@ class CompiledModel:
                 token = sampler.sample(logits)
                 out.append(token)
         finally:
-            if locked:
-                self._forward_lock.release()
             for cache in caches:
                 cache.close()
         return out
@@ -857,9 +753,7 @@ class CompiledModel:
 
         Returns ``(n, vocab)`` logits; each row is bit-identical to
         stepping that sequence alone (the batch-invariant contract --
-        see :meth:`generate`).  Runs inside the batch bucket's scratch
-        arena when free; results are copied out before the arena's next
-        reset, exactly like ``__call__``.
+        see :meth:`generate`).
         """
         self._check_active()
         model = self.model
@@ -868,23 +762,7 @@ class CompiledModel:
                 f"model {type(model).__name__!r} has no step_many(); "
                 "continuous batching needs a DecoderLM-style model"
             )
-        locked = self.workspaces_enabled and self._forward_lock.acquire(
-            blocking=False
-        )
-        arena = self._arena_for(len(tokens)) if locked else None
-        try:
-            if arena is None:
-                return model.step_many(tokens, cache_lists)
-            arena.reset()
-            with use_workspace(arena):
-                out = model.step_many(tokens, cache_lists)
-            result = np.asarray(out)
-            if arena.owns(result):
-                return result.copy()
-            return out
-        finally:
-            if locked:
-                self._forward_lock.release()
+        return model.step_many(tokens, cache_lists)
 
     def clone(self) -> "CompiledModel":
         """An independent serving replica sharing the compiled engines.
@@ -909,11 +787,7 @@ class CompiledModel:
         model = copy.deepcopy(self._qm.model, memo)
         named = [(name, memo[id(layer)]) for name, layer in named_src]
         qm = QuantModel(model, self._qm.config, named)
-        replica = CompiledModel(qm, list(self._plans), self.batch_hint)
-        # Fresh arenas (never shared -- that is the point of a replica);
-        # the enable/disable choice carries over.
-        replica.workspaces_enabled = self.workspaces_enabled
-        return replica
+        return CompiledModel(qm, list(self._plans), self.batch_hint)
 
     def replicate(self, n: int) -> list["CompiledModel"]:
         """*n* warmed serving replicas (see :meth:`clone`).

@@ -887,17 +887,16 @@ def steady_state_rows(
     batches: tuple[int, ...] | None = None,
     repeats: int | None = None,
 ) -> list[dict]:
-    """Zero-allocation steady state: arenas on vs off, p50 + alloc.
+    """Steady-state serving cost: model p50 + allocation, engine hot loop.
 
     Builds a BCQ MLP (the Table I substrate -- token count equals the
     request batch, the paper's GEMV decode regime), compiles it at the
     decode hint, and for each small batch measures the CompiledModel
-    forward twice: ``workspaces_enabled=False`` (the allocating
-    pre-arena path) and ``True`` (warm arenas).  Each row reports p50
-    latency for both modes, the per-call transient allocation footprint
-    (tracemalloc peak bytes), and the arena counters.  A final row
-    reports the engine-level criterion: tracked allocation events in
-    the warmed BiQGemm flat-query hot loop, which must be zero.
+    forward: p50 latency and the per-call transient allocation
+    footprint (tracemalloc peak bytes).  A final row reports the
+    engine-level criterion: tracked allocation events in the warmed
+    BiQGemm flat-query hot loop served from a
+    :class:`~repro.core.workspace.Workspace`, which must be zero.
     """
     import time
 
@@ -941,29 +940,15 @@ def steady_state_rows(
     rows: list[dict] = []
     for batch in batches:
         x = rng.standard_normal((batch, dims[0]))
-        compiled.workspaces_enabled = False
-        off_p50 = p50(x)
-        off_alloc = measure_hot_loop(
+        alloc = measure_hot_loop(
             lambda: compiled(x), warmups=2, repeats=3, min_alloc_bytes=1
         )
-        compiled.workspaces_enabled = True
-        on_p50 = p50(x)
-        on_alloc = measure_hot_loop(
-            lambda: compiled(x), warmups=2, repeats=3, min_alloc_bytes=1
-        )
-        stats = compiled.workspace_stats()
         rows.append(
             {
                 "kind": "model",
                 "batch": batch,
-                "off_p50_ms": off_p50 * 1e3,
-                "on_p50_ms": on_p50 * 1e3,
-                "p50_reduction": (off_p50 - on_p50) / off_p50,
-                "off_alloc_bytes": off_alloc["peak_new_bytes"],
-                "on_alloc_bytes": on_alloc["peak_new_bytes"],
-                "arena_bytes": stats["bytes_resident"],
-                "arena_hit_rate": stats["hits"]
-                / max(1, stats["hits"] + stats["misses"]),
+                "p50_ms": p50(x) * 1e3,
+                "alloc_bytes": alloc["peak_new_bytes"],
             }
         )
 
@@ -993,21 +978,18 @@ def steady_state_rows(
 
 
 def steady_state_experiment(quick: bool = False) -> list[Table]:
-    """Workspace arenas: allocation churn and small-batch p50, on vs
-    off (the zero-allocation steady-state claim, measured)."""
+    """Steady-state serving: small-batch p50 and allocation churn of
+    the CompiledModel forward, plus the zero-allocation engine loop."""
     table = Table(
-        "Steady state: CompiledModel forward with workspace arenas "
+        "Steady state: CompiledModel forward "
         "(BCQ MLP, 3-bit, mu=8, decode compile hint)",
-        ["batch", "p50 off ms", "p50 on ms", "reduction %",
-         "alloc/call off", "alloc/call on", "arena bytes", "hit %"],
+        ["batch", "p50 ms", "req/s", "alloc/call bytes"],
         notes=[
-            "shape to check: arenas cut per-call transient allocation "
-            "bytes several-fold and the flat-query engine hot loop "
-            "allocates nothing at all (events == 0)",
-            "off = workspaces_enabled=False: isolates the arena effect "
-            "on this build's kernel.  The >= 20% small-batch p50 "
-            "acceptance bar is measured against the pre-PR execution "
-            "path (seed query kernel, no arenas) by "
+            "shape to check: the flat-query engine hot loop served "
+            "from a warm Workspace allocates nothing at all "
+            "(events == 0)",
+            "the >= 20% small-batch p50 acceptance bar is measured "
+            "against the seed query kernel by "
             "benchmarks/bench_steady_state.py",
         ],
     )
@@ -1017,13 +999,9 @@ def steady_state_experiment(quick: bool = False) -> list[Table]:
             continue
         table.add_row(
             row["batch"],
-            row["off_p50_ms"],
-            row["on_p50_ms"],
-            100.0 * row["p50_reduction"],
-            row["off_alloc_bytes"],
-            row["on_alloc_bytes"],
-            row["arena_bytes"],
-            100.0 * row["arena_hit_rate"],
+            row["p50_ms"],
+            1e3 / row["p50_ms"],
+            row["alloc_bytes"],
         )
     engine_row = next(r for r in rows if r["kind"] == "engine_flat")
     table.notes.append(

@@ -45,7 +45,7 @@ _REPO_ROOT = Path(__file__).resolve().parents[3]
 #: same machine, bit-identity flags, and allocation-event counts are
 #: stable across runners; absolute microseconds are not.
 GATED_METRICS: dict[str, tuple[str, ...]] = {
-    "steady_state": ("engine_alloc_events", "alloc_ratio_b1"),
+    "steady_state": ("engine_alloc_events", "alloc_b1_bytes"),
     "compiled_kernels": (
         "speedup_vs_biqgemm_b1",
         "speedup_vs_biqgemm_b2",
@@ -103,18 +103,9 @@ def _steady_state_metrics(quick: bool) -> dict[str, float]:
     for row in rows:
         if row["kind"] == "model":
             b = row["batch"]
-            metrics[f"on_p50_b{b}_ms"] = row["on_p50_ms"]
-            metrics[f"off_p50_b{b}_ms"] = row["off_p50_ms"]
-            metrics[f"p50_reduction_b{b}"] = row["p50_reduction"]
-            metrics[f"alloc_on_b{b}_bytes"] = float(row["on_alloc_bytes"])
-            metrics[f"req_per_s_b{b}"] = 1e3 / row["on_p50_ms"]
-            if b == 1:
-                # Arena effectiveness as a host-portable ratio: warm
-                # arenas must keep the transient footprint well under
-                # the allocating path's.
-                metrics["alloc_ratio_b1"] = row["on_alloc_bytes"] / max(
-                    1, row["off_alloc_bytes"]
-                )
+            metrics[f"p50_b{b}_ms"] = row["p50_ms"]
+            metrics[f"alloc_b{b}_bytes"] = float(row["alloc_bytes"])
+            metrics[f"req_per_s_b{b}"] = 1e3 / row["p50_ms"]
         elif row["kind"] == "engine_flat":
             metrics["engine_alloc_events"] = float(row["alloc_events"])
     return metrics

@@ -22,8 +22,8 @@ online (per input batch)
 :mod:`repro.core.autotune` selects the LUT-unit ``mu``;
 :mod:`repro.core.profiling` provides the build/query/replace timers used
 to regenerate the paper's Fig. 8 plus the allocation counters;
-:mod:`repro.core.workspace` provides the scratch-buffer arenas that make
-the online phase allocation-free at steady state.
+:mod:`repro.core.workspace` provides the scratch-buffer arenas behind
+the KV caches and :meth:`BiQGemm.matmul`'s zero-allocation hot loop.
 """
 
 from repro.core.keys import KeyMatrix, encode_keys, decode_keys
@@ -42,7 +42,7 @@ from repro.core.serialize import save_engine, load_engine
 from repro.core.tiling import TileConfig, iter_tiles, lut_tile_bytes, choose_tiles
 from repro.core.autotune import analytic_mu, empirical_mu
 from repro.core.profiling import PhaseProfiler, measure_hot_loop
-from repro.core.workspace import Workspace, current_workspace, use_workspace
+from repro.core.workspace import Workspace
 
 __all__ = [
     "KeyMatrix",
@@ -67,7 +67,5 @@ __all__ = [
     "empirical_mu",
     "PhaseProfiler",
     "Workspace",
-    "current_workspace",
     "measure_hot_loop",
-    "use_workspace",
 ]

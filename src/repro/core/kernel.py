@@ -369,7 +369,7 @@ class BiQGemm:
         check_positive_int(threads, "threads", upper=256)
         # Call-scoped scratch (tables, gathers, accumulators, padded
         # input): released back to the arena when the call completes,
-        # so consecutive layers reuse the same cache-hot buffers.
+        # so consecutive calls reuse the same cache-hot buffers.
         scratch = CallScratch(workspace)
         with _phase(profiler, "replace"):
             arr = np.asarray(x)
@@ -457,22 +457,6 @@ class BiQGemm:
         if out is not None:
             return out
         return y[:, 0] if vector_in else y
-
-    def matmul_into(
-        self,
-        x: np.ndarray,
-        *,
-        out: np.ndarray | None = None,
-        workspace: Workspace | None = None,
-        **kwargs,
-    ) -> np.ndarray:
-        """The engine-protocol spelling of the workspace path.
-
-        Equivalent to ``matmul(x, out=out, workspace=workspace)``;
-        registered engines without this method are served through plain
-        :meth:`matmul` by the layer stack (transparent fallback).
-        """
-        return self.matmul(x, out=out, workspace=workspace, **kwargs)
 
     def __call__(self, x: np.ndarray, **kwargs) -> np.ndarray:
         """Alias for :meth:`matmul`."""

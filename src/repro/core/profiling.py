@@ -6,19 +6,18 @@ for tiling (*replace*).  :class:`PhaseProfiler` accumulates wall-clock
 time per phase across any number of kernel invocations and reports the
 same proportions Fig. 8 plots.
 
-The workspace-arena work (zero-allocation steady state) adds
-tracemalloc-backed **allocation counters**: with
-``track_allocations=True`` each phase also records the peak bytes
-allocated above its entry level, and counts the phase occurrences whose
-transient footprint exceeded ``min_alloc_bytes`` -- an *allocation
-event*.  A steady-state hot loop served entirely from a warm
-:class:`~repro.core.workspace.Workspace` records zero events;
+With ``track_allocations=True`` each phase also records, through
+tracemalloc, the peak bytes allocated above its entry level, and counts
+the phase occurrences whose transient footprint exceeded
+``min_alloc_bytes`` -- an *allocation event*.  A steady-state engine
+hot loop (:meth:`~repro.core.kernel.BiQGemm.matmul` served from a warm
+:class:`~repro.core.workspace.Workspace`) records zero events;
 benchmarks assert exactly that.  :func:`measure_hot_loop` is the
 standalone spelling for measuring any callable the same way.
 
 tracemalloc sees numpy array data (numpy registers its buffers with the
-tracemalloc domain), so these counters cover exactly the allocations
-the arenas exist to remove.  Peak tracking is process-global; run
+tracemalloc domain), so these counters cover every transient numpy
+buffer a call allocates.  Peak tracking is process-global; run
 allocation measurement single-threaded (as Fig. 8 does for time).
 """
 
@@ -88,7 +87,7 @@ def measure_hot_loop(
          "calls": repeats, "min_alloc_bytes": threshold}
 
     ``alloc_events == 0`` is the zero-allocation steady-state
-    criterion the workspace arenas target.
+    criterion the engine hot loop is gated on.
     """
     if warmups < 0 or repeats < 1:
         raise ValueError("warmups must be >= 0 and repeats >= 1")

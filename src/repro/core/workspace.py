@@ -1,11 +1,16 @@
-"""Workspace arenas: reusable scratch buffers for the online phase.
+"""Workspace arenas: reusable scratch buffers for long-lived state and
+the engine-level hot loop.
 
-BiQGEMM's deployment economics put all expensive work offline (key
-compilation); what remains online is the replace/build/query pipeline --
-yet a naive implementation re-allocates every padded input, lookup
-table, partial-sum accumulator and output buffer on every call.  At
-serving rates that allocation churn is the dominant per-call overhead
-this repo controls (the kernels themselves are numpy's).
+Two users keep an arena for the life of a process or a sequence:
+
+- the KV caches (:mod:`repro.gen.cache`, the serving sequence tables
+  and the cluster workers) grow per-layer key/value blocks on a
+  long-lived arena that is never reset -- caches release their blocks
+  on close;
+- :meth:`repro.core.kernel.BiQGemm.matmul` takes an optional
+  ``workspace=`` arena for its padded input, lookup tables, gathers and
+  accumulator, so a steady-state engine call loop performs no numpy
+  allocations (the gated ``engine_alloc_events == 0``).
 
 :class:`Workspace` is a shape/dtype-keyed arena with bump-pointer reset
 semantics:
@@ -13,40 +18,28 @@ semantics:
 - :meth:`Workspace.acquire` hands out a buffer for a ``(tag, shape,
   dtype)`` key.  The first request per key allocates (a **miss**);
   after :meth:`Workspace.reset`, repeat requests return the same
-  buffers in the same order (**hits**) -- so a steady-state request
-  loop performs zero numpy allocations after its first (warmup)
-  iteration.
-- :meth:`Workspace.reset` marks every buffer available again.  It is
-  the *request* boundary: buffers handed out since the last reset stay
-  valid (and mutually distinct) until the next one, which is what lets
-  layer ``k``'s output remain alive as layer ``k+1``'s input.
+  buffers in the same order (**hits**).
+- :meth:`Workspace.reset` marks every buffer available again; buffers
+  handed out since the last reset stay valid (and mutually distinct)
+  until the next one.
 - Buffers are never returned to the OS; :attr:`bytes_resident` is the
-  arena's footprint, exported to serving telemetry alongside the
-  hit/miss counters.
+  arena's footprint, exported to metrics alongside the hit/miss
+  counters.
 
 :class:`CallScratch` is the within-call companion: a tiny per-call (or
 per-worker-thread) cache so a tile loop that needs the same table /
 accumulator buffer for every tile acquires it from the arena exactly
 once per call instead of once per tile.
 
-:func:`use_workspace` / :func:`current_workspace` propagate an active
-arena down arbitrary model call stacks (a transformer's attention
-blocks do not thread kwargs through) via thread-local state: the layer
-machinery picks the workspace up without any model-code changes, and
-code that never touches workspaces sees ``None`` and allocates exactly
-as before.
-
-Thread model: one arena serves one request at a time (serving replicas
-each own one).  ``acquire`` itself is locked, so the *threaded* tile
-path of a single call may acquire worker-local buffers concurrently.
+Thread model: one arena serves one caller at a time.  ``acquire``
+itself is locked, so the *threaded* tile path of a single call may
+acquire worker-local buffers concurrently.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-from contextlib import contextmanager
-from typing import Iterator
 
 import numpy as np
 
@@ -54,15 +47,13 @@ __all__ = [
     "CallScratch",
     "Workspace",
     "aggregate_stats",
-    "current_workspace",
-    "use_workspace",
 ]
 
 _Key = tuple[str, tuple[int, ...], np.dtype]
 
 # Every live arena, for the process-wide metrics collector.  Weak so
-# registration never extends an arena's lifetime: a replica torn down
-# by the serving layer drops out of the aggregate on its own.
+# registration never extends an arena's lifetime: a closed sequence's
+# arena drops out of the aggregate on its own.
 _LIVE: "weakref.WeakSet[Workspace]" = weakref.WeakSet()
 _LIVE_LOCK = threading.Lock()
 
@@ -96,19 +87,17 @@ class Workspace:
     """Shape/dtype-keyed scratch-buffer arena with free lists and an
     explicit request-boundary reset.
 
-    Two lifetimes coexist within a request:
+    Two lifetimes coexist on one arena:
 
     - **call scratch** (lookup tables, gathered blocks, accumulators):
       dead the moment its kernel call returns.  Callers
       :meth:`release` these (usually via :meth:`CallScratch.close`),
-      putting them back on their free list LIFO -- so the next layer's
-      same-shaped scratch reuses the cache-hot buffer the previous
-      layer just warmed, matching (and beating) what malloc recycling
-      gives the allocating path.
-    - **request state** (layer activations, kernel outputs): must stay
-      alive, and mutually distinct, until the request completes.  These
-      are simply never released mid-request; :meth:`reset` reclaims
-      them at the boundary.
+      putting them back on their free list LIFO -- so the next call's
+      same-shaped scratch reuses the cache-hot buffer the previous one
+      just warmed.
+    - **held state** (kernel outputs, KV blocks): stays alive, and
+      distinct from every other buffer, until released or until
+      :meth:`reset`.
     """
 
     def __init__(self, name: str = "workspace"):
@@ -120,7 +109,6 @@ class Workspace:
         self._all: dict[_Key, list[np.ndarray]] = {}
         # id(buffer) -> key for buffers currently handed out.
         self._borrowed: dict[int, _Key] = {}
-        self._roots: set[int] = set()
         self.hits = 0
         self.misses = 0
         self._nbytes = 0
@@ -157,7 +145,6 @@ class Workspace:
             else:
                 buf = np.empty(key[1], dtype=key[2])
                 self._all.setdefault(key, []).append(buf)
-                self._roots.add(id(buf))
                 self._nbytes += buf.nbytes
                 self.misses += 1
             self._borrowed[id(buf)] = key
@@ -170,9 +157,8 @@ class Workspace:
         one -- e.g. the vector column a kernel returned) for reuse.
 
         The caller must be done reading and writing the whole
-        underlying buffer: the very next same-shaped acquire --
-        possibly another layer's, within the same request -- receives
-        it.  Arrays this arena does not currently lend out are
+        underlying buffer: the very next same-shaped acquire
+        receives it.  Arrays this arena does not currently lend out are
         ignored, so release is idempotent.
         """
         with self._lock:
@@ -187,7 +173,7 @@ class Workspace:
                 node = node.base
 
     def reset(self) -> None:
-        """Make every buffer available again (the request boundary).
+        """Make every buffer available again.
 
         Arrays handed out before the reset must no longer be read or
         written by their previous holders.
@@ -198,19 +184,6 @@ class Workspace:
                 free = self._free.setdefault(key, [])
                 free.clear()
                 free.extend(bufs)
-
-    def owns(self, arr: np.ndarray) -> bool:
-        """Whether *arr* is (a view of) a buffer of this arena.
-
-        Callers that hand arena-backed results across a request
-        boundary use this to know a defensive copy is required.
-        """
-        node = arr
-        while isinstance(node, np.ndarray):
-            if id(node) in self._roots:
-                return True
-            node = node.base
-        return False
 
     @property
     def bytes_resident(self) -> int:
@@ -300,33 +273,3 @@ class CallScratch:
             for buf in self._bufs.values():
                 self._ws.release(buf)
         self._bufs.clear()
-
-
-_ACTIVE = threading.local()
-
-
-def current_workspace() -> Workspace | None:
-    """The workspace active on this thread, or ``None``.
-
-    Layers consult this at call time; code that never enters
-    :func:`use_workspace` always sees ``None`` and keeps the
-    allocate-per-call behaviour.
-    """
-    return getattr(_ACTIVE, "workspace", None)
-
-
-@contextmanager
-def use_workspace(workspace: Workspace | None) -> Iterator[Workspace | None]:
-    """Make *workspace* the active arena for this thread's calls.
-
-    Nestable; the previous workspace (possibly ``None``) is restored on
-    exit.  Passing ``None`` explicitly disables any outer workspace for
-    the duration -- useful to fence off code that stashes arrays beyond
-    the request boundary.
-    """
-    previous = getattr(_ACTIVE, "workspace", None)
-    _ACTIVE.workspace = workspace
-    try:
-        yield workspace
-    finally:
-        _ACTIVE.workspace = previous

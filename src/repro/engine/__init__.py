@@ -39,7 +39,6 @@ from repro.engine.registry import (
     build_engine,
     engine_entry,
     lossless_engines,
-    out_capable_engines,
     register_engine,
     registered_engines,
     spec_candidates,
@@ -78,7 +77,6 @@ __all__ = [
     "dispatch",
     "engine_entry",
     "lossless_engines",
-    "out_capable_engines",
     "plan_backend",
     "plan_cache_stats",
     "plan_costs",

@@ -33,7 +33,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro._util import ceil_div, check_matmul_out, check_positive_int
+from repro._util import ceil_div, check_positive_int
 from repro.core.kernel import BiQGemm
 from repro.engine.base import EngineBuildRequest, QuantSpec
 from repro.engine.registry import EngineEntry, register_engine
@@ -142,7 +142,6 @@ register_engine(
         build=_build_biqgemm,
         cost=_cost_fn("biqgemm"),
         lossless=True,
-        supports_out=True,
         description="lookup-table GEMM over compiled keys (the paper)",
         export=_export_biqgemm,
         restore=_restore_biqgemm,
@@ -196,47 +195,6 @@ class DenseGemmEngine:
         out = self._weight_for(dtype) @ arr.astype(dtype, copy=False)
         return out[:, 0] if vector_in else out
 
-    def matmul_into(
-        self,
-        x: np.ndarray,
-        *,
-        out: np.ndarray | None = None,
-        workspace=None,
-    ) -> np.ndarray:
-        """BLAS GEMM straight into *out* (or a workspace buffer)."""
-        arr, vector_in = _as_cols(x, self._shape[1])
-        dtype = _float_dtype(arr)
-        m = self._shape[0]
-        batch = arr.shape[1]
-        if out is None:
-            if workspace is not None:
-                out = workspace.acquire("dense.out", (m, batch), dtype)
-                out2 = out
-            else:
-                out = np.empty((m, batch), dtype=dtype)
-                out2 = out
-            vector_out = vector_in
-        else:
-            out2 = check_matmul_out(out, m, batch, dtype, arr, vector_in)
-            vector_out = False
-        w = self._weight_for(dtype)
-        arr = arr.astype(dtype, copy=False)
-        if out2.flags.c_contiguous:
-            np.matmul(w, arr, out=out2)
-        else:
-            # BLAS reassociates (and slows down) for strided
-            # destinations; compute into a contiguous scratch and copy,
-            # keeping matmul_into bit-identical to ``w @ arr``.
-            if workspace is not None:
-                tmp = workspace.acquire("dense.tmp", (m, batch), dtype)
-            else:
-                tmp = np.empty((m, batch), dtype=dtype)
-            np.matmul(w, arr, out=tmp)
-            np.copyto(out2, tmp)
-            if workspace is not None:
-                workspace.release(tmp)
-        return out2[:, 0] if vector_out else out
-
     def op_counts(self, batch: int) -> dict[str, float]:
         check_positive_int(batch, "batch")
         m, n = self._shape
@@ -252,7 +210,6 @@ register_engine(
         build=lambda request: DenseGemmEngine(request.get_bcq()),
         cost=_cost_fn("dense"),
         lossless=True,
-        supports_out=True,
         description="dequantize once, dense BLAS GEMM",
         export=lambda engine: _bcq_state(engine.bcq),
         restore=lambda state: DenseGemmEngine(_bcq_from_state(state)),
@@ -293,38 +250,6 @@ class ContainerGemmEngine:
         out = out.astype(dtype, copy=False)
         return out[:, 0] if vector_in else out
 
-    def matmul_into(
-        self,
-        x: np.ndarray,
-        *,
-        out: np.ndarray | None = None,
-        workspace=None,
-    ) -> np.ndarray:
-        """sGEMM with the container planes and accumulator arena-backed."""
-        arr, vector_in = _as_cols(x, self._shape[1])
-        dtype = _float_dtype(arr)
-        m = self._shape[0]
-        batch = arr.shape[1]
-        acc = sgemm_container(
-            self._bcq.binary, arr, self._bcq.alphas, workspace=workspace
-        )
-        if out is None:
-            if workspace is not None:
-                out2 = workspace.acquire("container.out", (m, batch), dtype)
-            else:
-                out2 = np.empty((m, batch), dtype=dtype)
-            out = out2
-            vector_out = vector_in
-        else:
-            out2 = check_matmul_out(out, m, batch, dtype, arr, vector_in)
-            vector_out = False
-        # Same float64 accumulation as matmul, cast into the
-        # destination dtype on the way out (bit-identical).
-        np.copyto(out2, acc, casting="same_kind")
-        if workspace is not None:
-            workspace.release(acc)
-        return out2[:, 0] if vector_out else out
-
     def op_counts(self, batch: int) -> dict[str, float]:
         check_positive_int(batch, "batch")
         m, n = self._shape
@@ -341,7 +266,6 @@ register_engine(
         build=lambda request: ContainerGemmEngine(request.get_bcq()),
         cost=_cost_fn("container"),
         lossless=True,
-        supports_out=True,
         description="sGEMM: one binary weight per 32-bit container",
         export=lambda engine: _bcq_state(engine.bcq),
         restore=lambda state: ContainerGemmEngine(_bcq_from_state(state)),
@@ -390,53 +314,6 @@ class UnpackGemmEngine:
             out += alphas[i][:, None] * gemm_with_unpack(packed, arr)
         return out[:, 0] if vector_in else out
 
-    def matmul_into(
-        self,
-        x: np.ndarray,
-        *,
-        out: np.ndarray | None = None,
-        workspace=None,
-    ) -> np.ndarray:
-        """Per-plane unpack-and-multiply with arena-backed intermediates.
-
-        Algorithm 3's bit extraction still allocates internally (see
-        :func:`~repro.gemm.packed.gemm_with_unpack`); the float plane,
-        per-plane product and accumulator stop churning.
-        """
-        arr, vector_in = _as_cols(x, self._shape[1])
-        dtype = _float_dtype(arr)
-        m = self._shape[0]
-        batch = arr.shape[1]
-        arr = arr.astype(dtype, copy=False)
-        alphas = self._bcq.alphas.astype(dtype, copy=False)
-        if out is None:
-            if workspace is not None:
-                out2 = workspace.acquire(
-                    "unpack.out", (m, batch), dtype, zero=True
-                )
-            else:
-                out2 = np.zeros((m, batch), dtype=dtype)
-            out = out2
-            vector_out = vector_in
-        else:
-            out2 = check_matmul_out(out, m, batch, dtype, arr, vector_in)
-            out2[...] = 0
-            vector_out = False
-        if workspace is not None:
-            prod = workspace.acquire("unpack.prod", (m, batch), dtype)
-            scaled = workspace.acquire("unpack.scaled", (m, batch), dtype)
-        else:
-            prod = np.empty((m, batch), dtype=dtype)
-            scaled = np.empty((m, batch), dtype=dtype)
-        for i, packed in enumerate(self._packed):
-            gemm_with_unpack(packed, arr, out=prod, workspace=workspace)
-            np.multiply(alphas[i][:, None], prod, out=scaled)
-            out2 += scaled
-        if workspace is not None:
-            workspace.release(prod)
-            workspace.release(scaled)
-        return out2[:, 0] if vector_out else out
-
     def op_counts(self, batch: int) -> dict[str, float]:
         check_positive_int(batch, "batch")
         m, n = self._shape
@@ -457,7 +334,6 @@ register_engine(
         build=lambda request: UnpackGemmEngine(request.get_bcq()),
         cost=_cost_fn("unpack"),
         lossless=True,
-        supports_out=True,
         description="bit-packed planes, Algorithm 3 decode then BLAS",
         export=lambda engine: _bcq_state(engine.bcq),
         restore=lambda state: UnpackGemmEngine(_bcq_from_state(state)),

@@ -66,19 +66,13 @@ class MatmulEngine(Protocol):
     accumulation allows it (integer inputs are promoted to float64);
     see the adapters for the per-engine dtype notes.
 
-    Engines may additionally implement the **workspace path**::
-
-        matmul_into(x, *, out=None, workspace=None) -> np.ndarray
-
-    writing the product into a caller-provided ``out`` (which must not
-    alias ``x``) and drawing every scratch buffer from a
-    :class:`~repro.core.workspace.Workspace`, so a steady-state serving
-    loop performs no numpy allocations.  The method is optional --
-    :func:`~repro.engine.registry.out_capable_engines` lists the
-    backends that provide it (their registry entries set
-    ``supports_out=True``) and the layer stack falls back to plain
-    ``matmul`` transparently for the rest.  Results must be
-    bit-identical between the two paths.
+    ``matmul`` returns an array the caller owns: it stays valid across
+    later calls (the ``compiled`` engine copies out of its resident
+    trace buffers).  The one opt-in exception is
+    :meth:`repro.core.kernel.BiQGemm.matmul` given a
+    :class:`~repro.core.workspace.Workspace`: its result is borrowed
+    from that arena until the arena's next reset -- the engine-level
+    zero-allocation hot loop.
     """
 
     @property

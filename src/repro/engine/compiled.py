@@ -153,8 +153,7 @@ class CompiledKernelEngine:
     Wraps a batch-invariant :class:`BiQGemm` (the correctness anchor
     and the fallback path) and serves hot calls through resident
     native traces (see the module docstring).  Satisfies the
-    :class:`repro.engine.base.MatmulEngine` protocol including
-    ``matmul_into``.
+    :class:`repro.engine.base.MatmulEngine` protocol.
 
     Parameters
     ----------
@@ -375,7 +374,6 @@ class CompiledKernelEngine:
         x: np.ndarray,
         *,
         out: np.ndarray | None = None,
-        workspace=None,
         **kwargs,
     ) -> np.ndarray:
         """``activation(W_quantized @ x + bias)`` via a resident trace.
@@ -406,11 +404,6 @@ class CompiledKernelEngine:
         res2 = None
         if out is not None:
             res2 = check_matmul_out(out, m, batch, rdt, arr, vector_in)
-        elif workspace is not None:
-            # Workspace path without an explicit destination: serve the
-            # result from the arena (steady state allocates nothing),
-            # same contract as the other out-capable engines.
-            res2 = workspace.acquire("compiled.out", (m, batch), rdt)
 
         trace = None
         locked = False
@@ -433,7 +426,7 @@ class CompiledKernelEngine:
                 )
                 y = trace.run(arr, y_dest=res2 if direct else None)
             else:
-                y = self._inner.matmul(arr, workspace=workspace, **kwargs)
+                y = self._inner.matmul(arr, **kwargs)
                 bias_col = self._bias_col(y.dtype)
                 if bias_col is not None:
                     y += bias_col
@@ -446,17 +439,6 @@ class CompiledKernelEngine:
         if out is not None:
             return out
         return result[:, 0] if vector_in else result
-
-    def matmul_into(
-        self,
-        x: np.ndarray,
-        *,
-        out: np.ndarray | None = None,
-        workspace=None,
-        **kwargs,
-    ) -> np.ndarray:
-        """The engine-protocol spelling of the workspace path."""
-        return self.matmul(x, out=out, workspace=workspace, **kwargs)
 
     def __call__(self, x: np.ndarray, **kwargs) -> np.ndarray:
         return self.matmul(x, **kwargs)
@@ -572,7 +554,6 @@ register_engine(
         cost=_cost_compiled,
         lossless=True,
         auto_candidate=False,
-        supports_out=True,
         description=(
             "per-shape specialized BiQGEMM traces with a fused "
             "bias+activation epilogue"

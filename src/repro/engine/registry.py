@@ -44,7 +44,6 @@ __all__ = [
     "engine_build_counts",
     "engine_entry",
     "lossless_engines",
-    "out_capable_engines",
     "register_engine",
     "registered_engines",
     "spec_candidates",
@@ -87,13 +86,6 @@ class EngineEntry:
         rather than building from the shared BCQ state.  Layers use
         this to drop the float weight after quantization whenever no
         reachable backend needs it (the paper's deployment model).
-    supports_out:
-        True when engines built by this entry implement
-        ``matmul_into(x, out=..., workspace=...)`` -- the
-        zero-allocation serving path.  Engines without it are served
-        through plain ``matmul`` by the layer stack (allocating, but
-        numerically identical); the flag lets planners and tests reason
-        about the capability without building an engine.
     description:
         One line for docs and error messages.
     export / restore:
@@ -107,7 +99,6 @@ class EngineEntry:
     lossless: bool = True
     auto_candidate: bool = True
     needs_weight: bool = False
-    supports_out: bool = False
     description: str = ""
     export: ExportFn | None = None
     restore: RestoreFn | None = None
@@ -155,14 +146,6 @@ def lossless_engines() -> tuple[str, ...]:
             for name, e in _REGISTRY.items()
             if e.lossless and e.auto_candidate
         )
-    )
-
-
-def out_capable_engines() -> tuple[str, ...]:
-    """Backends whose engines implement the ``matmul_into`` workspace
-    path (the rest fall back to allocating ``matmul`` transparently)."""
-    return tuple(
-        sorted(name for name, e in _REGISTRY.items() if e.supports_out)
     )
 
 

@@ -41,9 +41,6 @@ def _check_x(packed: PackedBits, x: np.ndarray, n_expected: int) -> np.ndarray:
 def gemm_with_unpack(
     packed: PackedBits,
     x: np.ndarray,
-    *,
-    out: np.ndarray | None = None,
-    workspace=None,
 ) -> np.ndarray:
     """Unpack packed binary weights, then BLAS-multiply (correct result).
 
@@ -51,13 +48,6 @@ def gemm_with_unpack(
     last axis.  The unpack step is deliberately performed in full before
     the multiply, as a production GEMM would (paper Algorithm 3), so its
     cost is visible to the benchmarks.
-
-    *out* (shape ``(m, b)``, the computation dtype, no aliasing with
-    *x*) receives the product in place; *workspace* supplies the float
-    expansion of the unpacked plane.  Algorithm 3's bit extraction
-    itself still allocates its intermediate words -- unpacking per call
-    is this scenario's defining overhead (paper Fig. 9) and the
-    workspace path reduces, but cannot eliminate, its churn.
     """
     if not isinstance(packed, PackedBits):
         raise TypeError(f"expected PackedBits, got {type(packed).__name__}")
@@ -67,25 +57,8 @@ def gemm_with_unpack(
         )
     xm = _check_x(packed, x, packed.n)
     dtype = xm.dtype if np.issubdtype(xm.dtype, np.floating) else np.float64
-    signs = unpack_bits(packed)
-    if workspace is not None:
-        unpacked = workspace.acquire(
-            "unpack.plane", signs.shape, dtype
-        )
-        np.copyto(unpacked, signs, casting="unsafe")
-    else:
-        unpacked = signs.astype(dtype)
-    xc = xm.astype(dtype, copy=False)
-    try:
-        if out is None:
-            return unpacked @ xc
-        if np.may_share_memory(out, xm):
-            raise ValueError("out must not alias x")
-        np.matmul(unpacked, xc, out=out)
-        return out
-    finally:
-        if workspace is not None:
-            workspace.release(unpacked)
+    unpacked = unpack_bits(packed).astype(dtype)
+    return unpacked @ xm.astype(dtype, copy=False)
 
 
 def gemm_without_unpack(packed: PackedBits, x: np.ndarray) -> np.ndarray:

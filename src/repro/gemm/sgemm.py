@@ -43,8 +43,6 @@ def sgemm_container(
     binary: np.ndarray,
     x: np.ndarray,
     alphas: np.ndarray | None = None,
-    *,
-    workspace=None,
 ) -> np.ndarray:
     """Paper "sGEMM": binary weights stored one per 32-bit container.
 
@@ -53,13 +51,6 @@ def sgemm_container(
     describes) and multiplied with plain BLAS.  With ``alphas`` given,
     applies the per-row scales of each bit plane (Eq. 2); ``binary`` may
     be ``(m, n)`` or ``(bits, m, n)``.
-
-    *workspace* (a :class:`~repro.core.workspace.Workspace`) supplies
-    the per-plane container expansion, the per-plane product and the
-    float64 accumulator, so repeat calls stop re-allocating the
-    ``(m, n)`` container plane -- by far this scenario's largest
-    intermediate.  The result then lives in the arena: valid until the
-    workspace resets.
     """
     arr = check_binary(binary, "binary")
     if arr.ndim == 2:
@@ -83,32 +74,8 @@ def sgemm_container(
     if vector_in:
         xm = xm[:, None]
     dtype = np.result_type(xm.dtype, np.float32)
-    b = xm.shape[1]
-    if workspace is not None:
-        out = workspace.acquire("sgemm.acc", (m, b), np.float64, zero=True)
-        # The container plane is expanded straight into the compute
-        # dtype: signs are +-1, exact in every float width, and an
-        # f32-keyed buffer would force a full (m, n) astype copy per
-        # bit plane whenever the activations are float64.
-        plane = workspace.acquire("sgemm.plane", (m, n), dtype)
-        prod = workspace.acquire("sgemm.prod", (m, b), dtype)
-        scaled = workspace.acquire("sgemm.scaled", (m, b), np.float64)
-        xm_c = xm.astype(dtype, copy=False)
-        for i in range(bits):
-            # The 32-bit container expansion of this bit plane.
-            np.copyto(plane, arr[i], casting="unsafe")
-            np.matmul(plane, xm_c, out=prod)
-            np.multiply(alphas_arr[i][:, None], prod, out=scaled)
-            out += scaled
-        # Call-scoped scratch goes back to the arena; the accumulator
-        # is the caller's result and stays borrowed until they release
-        # it (or the workspace resets).
-        workspace.release(plane)
-        workspace.release(prod)
-        workspace.release(scaled)
-    else:
-        out = np.zeros((m, b), dtype=np.float64)
-        for i in range(bits):
-            containered = arr[i].astype(np.float32)  # the 32-bit container
-            out += alphas_arr[i][:, None] * (containered.astype(dtype) @ xm)
+    out = np.zeros((m, xm.shape[1]), dtype=np.float64)
+    for i in range(bits):
+        containered = arr[i].astype(np.float32)  # the 32-bit container
+        out += alphas_arr[i][:, None] * (containered.astype(dtype) @ xm)
     return out[:, 0] if vector_in else out

@@ -55,9 +55,8 @@ class KVCache:
     workspace:
         Optional :class:`~repro.core.workspace.Workspace` backing the
         blocks.  This must be a *long-lived* arena (e.g. the compiled
-        model's KV arena), never a per-request one: per-request arenas
-        are ``reset()`` at request boundaries, which would hand a live
-        sequence's history to another borrower.  Growth and
+        model's KV arena) that is never ``reset()``: a reset would hand
+        a live sequence's history to another borrower.  Growth and
         :meth:`close` use ``release()`` only, so many sequences share
         one arena safely.
     reserve:

@@ -38,7 +38,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro._util import check_positive_int
-from repro.core.workspace import current_workspace
 from repro.nn.functional import softmax
 from repro.nn.linear import QuantSpec, make_linear, split_builder_spec
 
@@ -62,7 +61,7 @@ def _fold_chunk(total: int, slice_elems: int) -> int:
     return max(1, min(total, FOLD_BUDGET_ELEMS // max(slice_elems, 1)))
 
 
-def attn_scores(q: np.ndarray, k: np.ndarray, *, out=None) -> np.ndarray:
+def attn_scores(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Unscaled attention scores ``q . k^T`` over the last axis.
 
     Shapes ``(..., heads, seq_q, head_dim)`` x ``(..., heads, seq_kv,
@@ -87,10 +86,7 @@ def attn_scores(q: np.ndarray, k: np.ndarray, *, out=None) -> np.ndarray:
         acc = prod[..., -1]
         if stop < d:
             acc = acc.copy()  # detach the carry so the chunk buffer frees
-    if out is None:
-        return np.ascontiguousarray(acc)
-    np.copyto(out, acc)
-    return out
+    return np.ascontiguousarray(acc)
 
 
 def attn_context(attn: np.ndarray, v: np.ndarray, *, out=None) -> np.ndarray:
@@ -257,19 +253,10 @@ class MultiHeadAttention:
             v_new = self._split(self.v_proj(q_in))[0]
             cache.append(k_new, v_new)
         k, v = cache.view()
-        workspace = current_workspace()
-        if workspace is not None:
-            scores = workspace.acquire(
-                "attn.scores", (self.heads, 1, k.shape[1]), np.float64
-            )
-            attn_scores(q, k, out=scores)
-        else:
-            scores = attn_scores(q, k)
+        scores = attn_scores(q, k)
         scores /= np.sqrt(self.head_dim)
         attn = softmax(scores, out=scores)
         ctx = attn_context(attn, v)  # (heads, 1, head_dim)
-        if workspace is not None:
-            workspace.release(scores)
         merged = ctx.transpose(1, 0, 2).reshape(1, 1, self.dim)
         return self.o_proj(merged)
 
@@ -304,21 +291,12 @@ class MultiHeadAttention:
             v_new = self._split(self.v_proj(q_in))
             for i, cache in enumerate(caches):
                 cache.append(k_new[i], v_new[i])
-        workspace = current_workspace()
         ctx = np.empty((n, self.heads, 1, self.head_dim))
         for i, cache in enumerate(caches):
             k, v = cache.view()
-            if workspace is not None:
-                scores = workspace.acquire(
-                    "attn.scores", (self.heads, 1, k.shape[1]), np.float64
-                )
-                attn_scores(q[i], k, out=scores)
-            else:
-                scores = attn_scores(q[i], k)
+            scores = attn_scores(q[i], k)
             scores /= np.sqrt(self.head_dim)
             attn = softmax(scores, out=scores)
             attn_context(attn, v, out=ctx[i])
-            if workspace is not None:
-                workspace.release(scores)
         merged = ctx.transpose(0, 2, 1, 3).reshape(n, 1, self.dim)
         return self.o_proj(merged)

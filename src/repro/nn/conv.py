@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro._util import check_positive_int
-from repro.core.workspace import current_workspace
 from repro.nn.linear import QuantLinear, QuantSpec, _coerce_spec
 
 __all__ = ["im2col", "conv2d_reference", "conv2d_gemm", "QuantConv2d"]
@@ -200,13 +199,7 @@ class QuantConv2d:
         return self._linear.planned_backend(batch)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Convolve NCHW input; returns NCHW output.
-
-        With an active :class:`~repro.core.workspace.Workspace` and an
-        engine implementing ``matmul_into``, the GEMM output comes from
-        the arena (the pixel-batch product is the conv's dominant
-        intermediate); im2col and the NCHW reshape keep their copies.
-        """
+        """Convolve NCHW input; returns NCHW output."""
         xa = np.asarray(x, dtype=np.float64)
         if xa.ndim != 4:
             raise ValueError(f"x must be NCHW, got shape {xa.shape}")
@@ -221,23 +214,7 @@ class QuantConv2d:
         cols = im2col(xa, self.kh, self.kw, stride=self.stride, pad=self.pad)
         pixels = cols.shape[1]
         if pixels:
-            engine = self._linear.engine_for(pixels)
-            workspace = current_workspace()
-            matmul_into = (
-                getattr(engine, "matmul_into", None)
-                if workspace is not None
-                else None
-            )
-            if matmul_into is not None:
-                out = matmul_into(
-                    cols,
-                    out=workspace.acquire(
-                        "conv.out", (self.out_channels, pixels), cols.dtype
-                    ),
-                    workspace=workspace,
-                )
-            else:
-                out = engine.matmul(cols)
+            out = self._linear.engine_for(pixels).matmul(cols)
         else:
             out = np.zeros((self.out_channels, 0))
         out = out.reshape(self.out_channels, n, oh, ow).transpose(1, 0, 2, 3)

@@ -31,8 +31,8 @@ def softmax(
 
     Promotes to float64.  With *out* (shape/dtype of the promoted
     input; may alias *x*) the result is written in place, so the
-    decode hot loop can route the attention probability matrix through
-    the active workspace arena instead of allocating per step.
+    decode hot loop normalizes the attention scores without another
+    allocation.
 
     The denominator is a strictly sequential left-fold sum (the last
     element of a running ``cumsum``), not ``np.sum``: numpy's pairwise
@@ -52,19 +52,10 @@ def softmax(
         out = _activation_out(arr, out)
     np.subtract(arr, arr.max(axis=axis, keepdims=True), out=out)
     np.exp(out, out=out)
-    from repro.core.workspace import current_workspace
-
-    workspace = current_workspace()
-    if workspace is not None:
-        scratch = workspace.acquire("softmax.cumsum", out.shape, out.dtype)
-    else:
-        scratch = np.empty_like(out)
-    np.cumsum(out, axis=axis, out=scratch)
+    scratch = np.cumsum(out, axis=axis)
     last = [slice(None)] * out.ndim
     last[axis] = slice(-1, None)
     out /= scratch[tuple(last)]
-    if workspace is not None:
-        workspace.release(scratch)
     return out
 
 

@@ -42,7 +42,6 @@ from dataclasses import fields, replace
 import numpy as np
 
 from repro._util import as_2d_float
-from repro.core.workspace import current_workspace
 from repro.obs import runtime as _obs
 from repro.engine import (
     AUTO_BACKEND,
@@ -231,16 +230,6 @@ class QuantLinear:
         self._shape = (int(w.shape[0]), int(w.shape[1]))
         self._engines: dict[str, MatmulEngine] = {}
         self._build_lock = threading.Lock()
-        self._bias_cache: dict[np.dtype, np.ndarray] = {}
-
-    def _bias_for(self, dtype: np.dtype) -> np.ndarray:
-        """The bias cast to *dtype*, cached (a per-call allocation on
-        the workspace path otherwise)."""
-        cached = self._bias_cache.get(dtype)
-        if cached is None:
-            cached = self.bias.astype(dtype, copy=False)
-            self._bias_cache[dtype] = cached
-        return cached
 
     @classmethod
     def from_engine(
@@ -277,7 +266,6 @@ class QuantLinear:
         obj._shape = (int(m), int(n))
         obj._engines = {spec.backend: engine}
         obj._build_lock = threading.Lock()
-        obj._bias_cache = {}
         return obj
 
     def with_spec(self, spec: QuantSpec) -> "QuantLinear":
@@ -315,7 +303,6 @@ class QuantLinear:
         obj._shape = self._shape
         obj._engines = {}
         obj._build_lock = threading.Lock()
-        obj._bias_cache = {}
         obj._batch_invariant = self._batch_invariant
         return obj
 
@@ -367,7 +354,6 @@ class QuantLinear:
         obj._shape = self._shape
         obj._engines = dict(self._engines)
         obj._build_lock = threading.Lock()
-        obj._bias_cache = {}
         obj._batch_invariant = self._batch_invariant
         return obj
 
@@ -498,18 +484,7 @@ class QuantLinear:
         return int(self.engine_for(self.spec.batch_hint or 1).weight_nbytes)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Apply to ``(..., n)`` activations; returns ``(..., m)``.
-
-        When a :class:`~repro.core.workspace.Workspace` is active
-        (:func:`repro.core.workspace.use_workspace` -- the
-        :class:`~repro.api.CompiledModel` serving path) and the engine
-        implements ``matmul_into``, the activation buffer comes from
-        the arena and the product is computed in place: the returned
-        array is arena-owned and valid until the workspace resets.
-        Engines without ``matmul_into`` (and all calls outside a
-        workspace) take the allocating path; both produce bit-identical
-        values.
-        """
+        """Apply to ``(..., n)`` activations; returns ``(..., m)``."""
         arr = np.asarray(x)
         if not np.issubdtype(arr.dtype, np.floating):
             arr = arr.astype(np.float64)
@@ -577,38 +552,10 @@ class QuantLinear:
             if getattr(engine, "fused_epilogue", False):
                 return out
             return _add_bias(out, self.bias)
-        workspace = current_workspace()
-        matmul_into = (
-            getattr(engine, "matmul_into", None)
-            if workspace is not None
-            else None
-        )
         if getattr(engine, "fused_epilogue", False):
             # Bias and activation already ran inside the engine's
             # epilogue; folding them again here would double-apply.
-            rdt = engine.result_dtype(cols.dtype)
-            if matmul_into is not None:
-                out_cols = workspace.acquire("linear.out", (m, tokens), rdt)
-                matmul_into(cols, out=out_cols, workspace=workspace, **kwargs)
-                return out_cols.T.reshape(lead + (m,))
             return engine.matmul(cols, **kwargs).T.reshape(lead + (m,))
-        if matmul_into is not None:
-            # The engine writes its natural C-contiguous (m, tokens)
-            # layout (fast row-slice accumulation); the bias fold then
-            # transposes into a (tokens, m) activation buffer, leaving
-            # the caller the same C-contiguous result layout -- and the
-            # same bits -- as the allocating path's ``out + bias``.
-            out_cols = workspace.acquire(
-                "linear.out", (m, tokens), cols.dtype
-            )
-            matmul_into(cols, out=out_cols, workspace=workspace, **kwargs)
-            if self.bias is not None:
-                act = workspace.acquire(
-                    "linear.act", (tokens, m), cols.dtype
-                )
-                np.add(out_cols.T, self._bias_for(cols.dtype), out=act)
-                return act.reshape(lead + (m,))
-            return out_cols.T.reshape(lead + (m,))
         out_cols = engine.matmul(cols, **kwargs)
         out = out_cols.T.reshape(lead + (m,))
         return _add_bias(out, self.bias)

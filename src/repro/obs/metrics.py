@@ -564,17 +564,20 @@ def _default_collectors(registry: MetricsRegistry) -> None:
 
         stats = aggregate_stats()
         reg.gauge(
-            "repro_workspace_arenas", "live workspace arenas"
+            "repro_workspace_arenas",
+            "live KV-cache and engine workspace arenas",
         ).set(stats["arenas"])
         reg.gauge(
             "repro_workspace_bytes_resident",
-            "bytes held by all live arenas",
+            "bytes held by live KV-cache and engine arenas",
         ).set(stats["bytes_resident"])
         reg.counter(
-            "repro_workspace_hits_total", "arena buffer reuses"
+            "repro_workspace_hits_total",
+            "KV-cache and engine arena buffer reuses",
         ).set(stats["hits"])
         reg.counter(
-            "repro_workspace_misses_total", "arena buffer allocations"
+            "repro_workspace_misses_total",
+            "KV-cache and engine arena buffer allocations",
         ).set(stats["misses"])
 
     def tracing(reg: MetricsRegistry) -> None:

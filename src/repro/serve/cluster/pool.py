@@ -2,7 +2,7 @@
 
 :class:`ClusterPool` is the process-pool drop-in for
 :class:`~repro.serve.pool.WorkerPool`: same constructor shape, same
-``start``/``stop``/``running``/``workspace_stats`` surface, same
+``start``/``stop``/``running`` surface, same
 batcher.  The difference is where batches execute -- one dispatcher
 thread per worker slot pulls coalesced batches from the existing
 :class:`~repro.serve.batcher.Batcher` and round-trips them to its
@@ -419,20 +419,6 @@ class ClusterPool:
             pass
 
     # -- observability -------------------------------------------------
-    def workspace_stats(self) -> dict:
-        """Worker arenas live out of process; report pool shape only
-        (same keys as :meth:`WorkerPool.workspace_stats` so the metrics
-        surface is uniform)."""
-        supervisor = self._supervisor
-        alive = supervisor.alive_count() if supervisor is not None else 0
-        return {
-            "hits": 0,
-            "misses": 0,
-            "bytes_resident": 0,
-            "buffers": 0,
-            "replicas": alive,
-        }
-
     def cluster_stats(self) -> dict:
         """Supervisor lifecycle counters + dispatch counters."""
         supervisor = self._supervisor

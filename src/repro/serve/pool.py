@@ -48,10 +48,10 @@ class WorkerPool:
         """Warm the engines, clone one replica per worker, start
         serving.
 
-        Each replica owns its workspace arenas
-        (:meth:`~repro.api.CompiledModel.clone` never shares them), so
-        worker threads reuse warm buffers without ever contending on --
-        or aliasing -- another worker's scratch.
+        Each replica owns its layer bookkeeping
+        (:meth:`~repro.api.CompiledModel.clone` shares only the
+        compiled engines and read-only parameters), so worker threads
+        never contend on another worker's build locks.
         """
         if self._threads:
             raise RuntimeError("worker pool is already started")
@@ -160,22 +160,6 @@ class WorkerPool:
             thread.join(timeout)
         self._threads = []
         self._replicas = []
-
-    def workspace_stats(self) -> dict:
-        """Arena counters summed over the pool's replicas.
-
-        Read alongside the LUT-amortization ratio: amortization says
-        whether requests share table builds, the hit rate says whether
-        the builds (and everything else) reuse warm memory.
-        """
-        stats = [r.workspace_stats() for r in self._replicas]
-        return {
-            "hits": sum(s["hits"] for s in stats),
-            "misses": sum(s["misses"] for s in stats),
-            "bytes_resident": sum(s["bytes_resident"] for s in stats),
-            "buffers": sum(s["buffers"] for s in stats),
-            "replicas": len(stats),
-        }
 
     @property
     def running(self) -> bool:

@@ -847,20 +847,13 @@ class Server:
         return self.store.models()
 
     def metrics(self) -> dict:
-        """Telemetry snapshot per model plus store-level counters.
-
-        Each model's snapshot carries a ``workspace`` section (arena
-        hit/miss and bytes-resident, summed over its worker replicas)
-        next to the LUT-amortization ratio, so batching efficiency and
-        steady-state memory reuse are observable together.
-        """
+        """Telemetry snapshot per model plus store-level counters."""
         with self._lock:
             runtimes = dict(self._runtimes)
             schedulers = dict(self._schedulers)
         models = {}
         for name, runtime in sorted(runtimes.items()):
             snapshot = runtime.telemetry.snapshot()
-            snapshot["workspace"] = runtime.pool.workspace_stats()
             cluster_stats = getattr(runtime.pool, "cluster_stats", None)
             if cluster_stats is not None:
                 snapshot["cluster"] = cluster_stats()

@@ -3,14 +3,8 @@
 import threading
 
 import numpy as np
-import pytest
 
-from repro.core.workspace import (
-    CallScratch,
-    Workspace,
-    current_workspace,
-    use_workspace,
-)
+from repro.core.workspace import CallScratch, Workspace
 
 
 class TestAcquireRelease:
@@ -87,15 +81,6 @@ class TestAcquireRelease:
         assert ws.bytes_resident == s["bytes_resident"]
         assert ws.buffer_count == 2
 
-    def test_owns_walks_view_chains(self):
-        ws = Workspace()
-        a = ws.acquire("t", (4, 6), np.float64)
-        assert ws.owns(a)
-        assert ws.owns(a.T)
-        assert ws.owns(a.reshape(2, 12)[0])
-        assert not ws.owns(np.zeros((4, 6)))
-        assert not ws.owns(a.copy())
-
     def test_thread_safety_of_acquire(self):
         ws = Workspace()
         got = []
@@ -142,48 +127,6 @@ class TestCallScratch:
         scratch = CallScratch(ws)
         a = scratch.acquire("t", (4,), np.float64)
         assert scratch.get("t", (4,), np.float64) is a
-
-
-class TestActiveWorkspace:
-    def test_default_is_none(self):
-        assert current_workspace() is None
-
-    def test_context_sets_and_restores(self):
-        ws = Workspace()
-        with use_workspace(ws) as active:
-            assert active is ws
-            assert current_workspace() is ws
-        assert current_workspace() is None
-
-    def test_nesting_and_explicit_none(self):
-        outer, inner = Workspace(), Workspace()
-        with use_workspace(outer):
-            with use_workspace(inner):
-                assert current_workspace() is inner
-            assert current_workspace() is outer
-            with use_workspace(None):
-                assert current_workspace() is None
-            assert current_workspace() is outer
-
-    def test_thread_local(self):
-        ws = Workspace()
-        seen = []
-
-        def worker():
-            seen.append(current_workspace())
-
-        with use_workspace(ws):
-            t = threading.Thread(target=worker)
-            t.start()
-            t.join()
-        assert seen == [None]
-
-    def test_restored_on_exception(self):
-        ws = Workspace()
-        with pytest.raises(RuntimeError):
-            with use_workspace(ws):
-                raise RuntimeError("boom")
-        assert current_workspace() is None
 
 
 class TestReleaseViews:

@@ -1,31 +1,20 @@
-"""Cross-backend tests for the ``matmul_into`` workspace path.
+"""``matmul(out=...)`` on the engines that accept a destination.
 
-The contract (see :class:`repro.engine.base.MatmulEngine`): engines may
-implement ``matmul_into(x, out=..., workspace=...)``; when they do, its
-results must be bit-identical to plain ``matmul``, the destination must
-be validated (shape, dtype, writability, no aliasing with the input),
-and with a warm :class:`~repro.core.workspace.Workspace` a steady-state
-call loop must stop allocating.  Engines without the method fall back
-transparently at the layer level.
+:class:`~repro.core.kernel.BiQGemm` and the ``compiled`` engine write
+into a caller-provided ``out`` (``BiQGemm`` also draws its scratch from
+an optional :class:`~repro.core.workspace.Workspace`).  Results must be
+bit-identical to the allocating call, and the destination is validated:
+shape, dtype, writability, no aliasing with the input.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.profiling import measure_hot_loop
-from repro.core.workspace import Workspace, use_workspace
-from repro.engine import (
-    EngineBuildRequest,
-    QuantSpec,
-    build_engine,
-    engine_entry,
-    out_capable_engines,
-    registered_engines,
-)
-from repro.nn.linear import QuantLinear
+from repro.core.workspace import Workspace
+from repro.engine import EngineBuildRequest, QuantSpec, build_engine
 
-OUT_BACKENDS = ("biqgemm", "dense", "container", "unpack", "compiled")
-FALLBACK_BACKENDS = ("xnor", "int8")
+OUT_BACKENDS = ("biqgemm", "compiled")
 
 
 @pytest.fixture(scope="module")
@@ -40,21 +29,6 @@ def _engine(weight, backend):
     return build_engine(backend, request)
 
 
-class TestCapabilityFlag:
-    def test_registry_flag_matches_method(self, weight):
-        for name in registered_engines():
-            engine = _engine(weight, name)
-            has_method = hasattr(engine, "matmul_into")
-            assert engine_entry(name).supports_out == has_method, name
-
-    def test_out_capable_listing(self):
-        assert set(out_capable_engines()) == set(OUT_BACKENDS)
-
-    def test_fallback_backends_lack_method(self, weight):
-        for name in FALLBACK_BACKENDS:
-            assert not hasattr(_engine(weight, name), "matmul_into")
-
-
 class TestParity:
     @pytest.mark.parametrize("backend", OUT_BACKENDS)
     @pytest.mark.parametrize(
@@ -65,20 +39,19 @@ class TestParity:
         x = rng.standard_normal((32, 5)).astype(dtype)
         expected = engine.matmul(x)
         out = np.empty((24, 5), dtype=expected.dtype)
-        got = engine.matmul_into(x, out=out)
+        got = engine.matmul(x, out=out)
         assert got is out
         assert np.array_equal(out, expected)
 
-    @pytest.mark.parametrize("backend", OUT_BACKENDS)
-    def test_workspace_matches_matmul_bitwise(self, weight, backend, rng):
-        engine = _engine(weight, backend)
+    def test_workspace_matches_matmul_bitwise(self, weight, rng):
+        engine = _engine(weight, "biqgemm")
         x = rng.standard_normal((32, 3)).astype(np.float32)
         expected = engine.matmul(x)
         ws = Workspace()
         for _ in range(3):  # reuse across calls stays exact
             ws.reset()
-            got = engine.matmul_into(x, workspace=ws)
-            assert np.array_equal(np.asarray(got), expected)
+            got = engine.matmul(x, workspace=ws)
+            assert np.array_equal(got, expected)
         assert ws.hits > 0
 
     @pytest.mark.parametrize("backend", OUT_BACKENDS)
@@ -88,8 +61,7 @@ class TestParity:
         x = big[::2]  # strided (32, 6)
         expected = engine.matmul(np.ascontiguousarray(x))
         out = np.empty((24, 6), dtype=np.float32)
-        ws = Workspace()
-        engine.matmul_into(x, out=out, workspace=ws)
+        engine.matmul(x, out=out)
         assert np.array_equal(out, expected)
 
     @pytest.mark.parametrize("backend", OUT_BACKENDS)
@@ -98,7 +70,7 @@ class TestParity:
         v = rng.standard_normal(32)
         expected = engine.matmul(v)
         out = np.empty(24, dtype=expected.dtype)
-        got = engine.matmul_into(v, out=out)
+        got = engine.matmul(v, out=out)
         assert got is out
         assert np.array_equal(out, expected)
 
@@ -108,8 +80,7 @@ class TestParity:
         x = rng.standard_normal((32, 4)).astype(np.float32)
         expected = engine.matmul(x)
         holder = np.empty((4, 24), dtype=np.float32)
-        got = engine.matmul_into(x, out=holder.T)
-        assert np.array_equal(np.asarray(got), expected)
+        engine.matmul(x, out=holder.T)
         assert np.array_equal(holder.T, expected)
 
 
@@ -119,21 +90,21 @@ class TestOutValidation:
         engine = _engine(weight, backend)
         x = rng.standard_normal((32, 4))
         with pytest.raises(ValueError, match="shape"):
-            engine.matmul_into(x, out=np.empty((24, 5)))
+            engine.matmul(x, out=np.empty((24, 5)))
 
     @pytest.mark.parametrize("backend", OUT_BACKENDS)
     def test_rejects_wrong_dtype(self, weight, backend, rng):
         engine = _engine(weight, backend)
         x = rng.standard_normal((32, 4)).astype(np.float32)
         with pytest.raises(ValueError, match="dtype"):
-            engine.matmul_into(x, out=np.empty((24, 4), dtype=np.float64))
+            engine.matmul(x, out=np.empty((24, 4), dtype=np.float64))
 
     @pytest.mark.parametrize("backend", OUT_BACKENDS)
     def test_rejects_aliasing_out(self, weight, backend, rng):
         engine = _engine(weight, backend)
         buf = rng.standard_normal((32, 32))
         with pytest.raises(ValueError, match="alias"):
-            engine.matmul_into(buf, out=buf[:24, :])
+            engine.matmul(buf, out=buf[:24, :])
 
     def test_rejects_readonly_out(self, weight, rng):
         engine = _engine(weight, "biqgemm")
@@ -141,29 +112,13 @@ class TestOutValidation:
         out = np.empty((24, 2))
         out.setflags(write=False)
         with pytest.raises(ValueError, match="writeable"):
-            engine.matmul_into(x, out=out)
-
-
-class TestLayerFallback:
-    @pytest.mark.parametrize("backend", FALLBACK_BACKENDS)
-    def test_layers_serve_non_out_backends_under_workspace(
-        self, weight, backend, rng
-    ):
-        layer = QuantLinear(
-            weight, spec=QuantSpec(bits=2, mu=4, backend=backend)
-        )
-        x = rng.standard_normal((3, 32))
-        expected = layer(x)
-        ws = Workspace()
-        with use_workspace(ws):
-            got = layer(x)
-        assert np.array_equal(np.asarray(got), np.asarray(expected))
+            engine.matmul(x, out=out)
 
 
 class TestZeroAllocation:
     def test_biqgemm_flat_query_steady_state_is_allocation_free(self, rng):
-        """The acceptance criterion: after warmup, the flat-query
-        BiQGemm hot loop performs zero tracked allocations."""
+        """After warmup, the flat-query BiQGemm hot loop served from a
+        warm workspace performs zero tracked allocations."""
         from repro.core.kernel import BiQGemm
         from repro.quant.bcq import bcq_quantize
 

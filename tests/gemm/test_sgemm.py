@@ -78,26 +78,3 @@ class TestSgemmContainer:
             sgemm_container(
                 random_binary(rng, (1, 1, 2, 2)), rng.standard_normal((2, 1))
             )
-
-
-class TestContainerWorkspace:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_workspace_path_bit_identical(self, rng, dtype):
-        from repro.core.workspace import Workspace
-        from tests.conftest import random_binary
-
-        binary = random_binary(rng, (2, 12, 20))
-        alphas = rng.uniform(0.5, 1.5, size=(2, 12))
-        x = rng.standard_normal((20, 3)).astype(dtype)
-        expected = sgemm_container(binary, x, alphas)
-        ws = Workspace()
-        for _ in range(2):
-            ws.reset()
-            got = sgemm_container(binary, x, alphas, workspace=ws)
-            assert np.array_equal(got, expected)
-        # the container plane is keyed in the compute dtype: repeat
-        # calls must not re-allocate it
-        misses = ws.misses
-        ws.reset()
-        sgemm_container(binary, x, alphas, workspace=ws)
-        assert ws.misses == misses

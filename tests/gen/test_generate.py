@@ -53,10 +53,13 @@ class TestGenerate:
         stopped = compiled.generate(PROMPT, 8, eos_id=reference[2])
         assert stopped == reference[:3]
 
-    def test_workspaces_off_is_bit_identical(self, compiled):
+    def test_repeat_on_warm_kv_arena_is_bit_identical(self, compiled):
+        """A second generate reuses the KV blocks the first released."""
         reference = compiled.generate(PROMPT, 8)
-        compiled.workspaces_enabled = False
+        kv = compiled._kv_workspace()
+        misses = kv.misses
         assert compiled.generate(PROMPT, 8) == reference
+        assert kv.misses == misses
 
     def test_prompt_shapes(self, compiled):
         flat = compiled.generate(PROMPT, 4)

@@ -110,9 +110,6 @@ class TestFoldHelpers:
         reference = self._reference(q, k)
         monkeypatch.setattr(attention, "FOLD_BUDGET_ELEMS", budget)
         assert np.array_equal(attention.attn_scores(q, k), reference)
-        out = np.empty_like(reference)
-        attention.attn_scores(q, k, out=out)
-        assert np.array_equal(out, reference)
 
     @pytest.mark.parametrize("budget", [1, 7, 1000])
     def test_context_bits_independent_of_chunking(

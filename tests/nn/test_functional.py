@@ -42,23 +42,6 @@ class TestSoftmax:
         assert result is x
         np.testing.assert_array_equal(x, reference)
 
-    def test_out_through_workspace_arena(self, rng):
-        from repro.core.workspace import Workspace, use_workspace
-
-        x = rng.standard_normal((4, 7))
-        reference = softmax(x)
-        ws = Workspace(name="softmax-test")
-        buf = ws.acquire("attn.probs", x.shape, np.float64)
-        try:
-            with use_workspace(ws):
-                result = softmax(x, out=buf)
-            assert result is buf
-            np.testing.assert_array_equal(buf, reference)
-            # The cumsum scratch came from the arena, not the heap.
-            assert ws.stats()["bytes_resident"] >= 2 * buf.nbytes
-        finally:
-            ws.release(buf)
-
     def test_out_shape_mismatch_rejected(self, rng):
         x = rng.standard_normal((4, 7))
         with pytest.raises(ValueError):

@@ -69,6 +69,25 @@ class TestDriftRecorder:
         drift.record_prediction("dense", 8, 16, 2, 1, 1.0)
         assert len(get_recorder()) == 1
 
+    def test_compile_records_each_pinned_plan_at_its_bucket(self, rng):
+        from repro.api import QuantConfig, quantize
+        from repro.api.model import QuantMLP
+        from repro.nn.linear import Linear
+
+        layers = [
+            Linear(rng.standard_normal((16, 24)), rng.standard_normal(16)),
+            Linear(rng.standard_normal((8, 16)), rng.standard_normal(8)),
+        ]
+        drift.enable(reset=True)
+        quantize(QuantMLP(layers), QuantConfig(bits=2, mu=4)).compile(
+            batch_hint=6
+        )
+        entries = get_recorder().snapshot()
+        assert {(e["m"], e["n"]) for e in entries if e["bucket"] == 8} == {
+            (16, 24),
+            (8, 16),
+        }
+
     def test_save_load_roundtrip(self, tmp_path):
         rec = DriftRecorder()
         rec.record_prediction("dense", 8, 8, 2, 1, 1.0, machine="pc")
