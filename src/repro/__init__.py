@@ -16,12 +16,13 @@ Public API overview
     Binary-coding quantization (1-bit, greedy and alternating multi-bit),
     uniform quantization, bit packing, and error metrics.
 ``repro.gemm``
-    Baseline engines: float BLAS GEMM, naive reference GEMM, packed GEMM
+    Baseline kernels: float BLAS GEMM, naive reference GEMM, packed GEMM
     with/without unpacking, and XNOR-popcount GEMM.
 ``repro.engine``
-    The unified engine registry (every backend behind one protocol) and
-    the cost-model dispatch planner that resolves ``backend="auto"``
-    per shape, batch and machine.
+    The unified engine registry (the serving backends ``biqgemm``,
+    ``compiled``, ``dense`` and ``int8`` behind one protocol) and the
+    cost-model dispatch planner that resolves ``backend="auto"`` per
+    shape, batch and machine.
 ``repro.hw``
     Simulated hardware substrate: the paper's Table III machine
     configurations, a roofline cost model, the Table II memory model and
@@ -34,7 +35,7 @@ Public API overview
     whole-model artifact (``repro.api.save`` / ``repro.api.load``).
 ``repro.nn``
     Inference-only DNN layers (linear, attention, Transformer, LSTM) that
-    can be backed by any of the matmul engines.
+    can be backed by any of the registered engines.
 ``repro.train``
     A tiny numpy training substrate used for the Table I accuracy proxy.
 ``repro.bench``

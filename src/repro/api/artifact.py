@@ -25,7 +25,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from repro.api.config import SPEC_FIELDS, QuantConfig
+from repro.api.config import SPEC_FIELDS, QuantConfig, drop_legacy_spec_fields
 from repro.api.model import CompiledModel, QuantMLP, QuantModel
 from repro.api.planner import LayerPlan
 from repro.core.serialize import load_model_artifact, save_model_artifact
@@ -278,6 +278,7 @@ def _spec_to_dict(spec: QuantSpec) -> dict:
 
 
 def _spec_from_dict(data: Mapping[str, Any]) -> QuantSpec:
+    data = drop_legacy_spec_fields(data)
     unknown = sorted(set(data) - set(SPEC_FIELDS))
     if unknown:
         raise ValueError(

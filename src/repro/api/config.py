@@ -32,12 +32,28 @@ from typing import Any, Mapping
 
 from repro.engine import QuantSpec, validate_spec
 
-__all__ = ["QuantConfig", "SPEC_FIELDS"]
+__all__ = ["QuantConfig", "SPEC_FIELDS", "drop_legacy_spec_fields"]
 
 SPEC_FIELDS: tuple[str, ...] = tuple(
     f.name for f in fields(QuantSpec)
 )
 """The per-layer knobs a config (and its overrides) can set."""
+
+# Spec fields that saved artifacts may still carry but QuantSpec no
+# longer has.  ``a_bits`` configured the removed ``xnor`` engine; every
+# v3 artifact saved before its removal records it in the config and in
+# each layer spec.
+_LEGACY_SPEC_FIELDS = frozenset({"a_bits"})
+
+
+def drop_legacy_spec_fields(data: Mapping[str, Any]) -> dict[str, Any]:
+    """*data* without the legacy spec fields older artifacts carry.
+
+    The one compatibility rule for loading saved configs and layer
+    specs: a legacy key is ignored, any other unknown key still fails
+    in the caller's validation.
+    """
+    return {k: v for k, v in data.items() if k not in _LEGACY_SPEC_FIELDS}
 
 
 def _check_override_table(
@@ -103,7 +119,6 @@ class QuantConfig:
     mu: int = 8
     method: str = "greedy"
     backend: str = "auto"
-    a_bits: int = 1
     machine: str = "pc"
     batch_hint: int | None = None
     planner: str = "model"
@@ -131,7 +146,6 @@ class QuantConfig:
             mu=self.mu,
             method=self.method,
             backend=self.backend,
-            a_bits=self.a_bits,
             machine=self.machine,
             batch_hint=self.batch_hint,
             planner=self.planner,
@@ -181,11 +195,19 @@ class QuantConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "QuantConfig":
-        """Inverse of :meth:`to_dict`; rejects unknown keys."""
+        """Inverse of :meth:`to_dict`; rejects unknown keys (legacy
+        spec fields, at top level and in overrides, are dropped)."""
         if not isinstance(data, Mapping):
             raise TypeError(
                 f"config data must be a mapping, got {type(data).__name__}"
             )
+        data = drop_legacy_spec_fields(data)
+        if isinstance(data.get("overrides"), Mapping):
+            data["overrides"] = {
+                pattern: drop_legacy_spec_fields(table)
+                if isinstance(table, Mapping) else table
+                for pattern, table in data["overrides"].items()
+            }
         known = set(SPEC_FIELDS) | {"overrides"}
         unknown = sorted(set(data) - known)
         if unknown:

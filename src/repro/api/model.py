@@ -488,7 +488,6 @@ class QuantModel:
                     bucket,
                     estimate.seconds,
                     mu=plan.spec.mu,
-                    a_bits=plan.spec.a_bits,
                     machine=plan.spec.machine
                     if isinstance(plan.spec.machine, str)
                     else getattr(plan.spec.machine, "name", "pc"),

@@ -6,16 +6,18 @@ matmul backend registers here behind one protocol, and the planner
 resolves ``backend="auto"`` per shape/batch/machine with the roofline
 cost model -- realising the paper's Section V observation that the
 best kernel is situational (BiQGEMM at small batch, BLAS at large).
+Only serving engines are registered; the paper's sGEMM,
+unpack-then-GEMM and XNOR kernels stay in :mod:`repro.gemm` as
+paper-bench baselines.
 
 - :mod:`repro.engine.base` -- :class:`MatmulEngine` protocol,
   :class:`QuantSpec`, :class:`EngineBuildRequest`;
 - :mod:`repro.engine.registry` -- string-keyed
   :class:`EngineEntry` registry with build/cost/serialize hooks;
-- :mod:`repro.engine.adapters` -- registrations for the six baseline
-  engines (``biqgemm``, ``dense``, ``container``, ``unpack``,
-  ``xnor``, ``int8``);
-- :mod:`repro.engine.compiled` -- the seventh engine: per-shape
-  specialized fused traces (``compiled``);
+- :mod:`repro.engine.adapters` -- registrations for ``biqgemm``,
+  ``dense`` and ``int8``;
+- :mod:`repro.engine.compiled` -- the fourth serving engine: per-shape
+  specialized fused traces over the native LUT kernel (``compiled``);
 - :mod:`repro.engine.dispatch` -- the planner, its plan cache, and
   the Fig. 10 crossover probe.
 
@@ -45,7 +47,7 @@ from repro.engine.registry import (
     weight_required,
 )
 from repro.engine import adapters as _adapters  # populate the registry
-from repro.engine import compiled as _compiled  # the seventh engine
+from repro.engine import compiled as _compiled  # the native LUT engine
 from repro.engine.dispatch import (
     batch_bucket,
     batch_buckets,

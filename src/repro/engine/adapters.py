@@ -1,7 +1,8 @@
-"""Registrations adapting every engine in the repo to the protocol.
+"""Registrations adapting the serving engines to the protocol.
 
 Importing this module (which ``repro.engine`` does) populates the
-registry with the six backends the paper's evaluation compares:
+registry with three of the four serving backends (the fourth,
+``compiled``, lives in :mod:`repro.engine.compiled`):
 
 ``biqgemm``
     :class:`repro.core.kernel.BiQGemm` -- satisfies the protocol
@@ -9,17 +10,16 @@ registry with the six backends the paper's evaluation compares:
 ``dense``
     Dequantize once, BLAS forever; numerically identical to
     ``biqgemm`` and its oracle in tests.
-``container``
-    The paper's sGEMM: one binary component per 32-bit container,
-    ``bits`` dense BLAS planes, no quantization benefit.
-``unpack``
-    Bit-packed planes decoded per call (paper Algorithm 3) then BLAS.
-``xnor``
-    XNOR-popcount with on-the-fly activation quantization (Eq. 3);
-    *lossy*, never an ``auto`` candidate.
 ``int8``
     Uniform fixed-point GEMM with dynamic activation quantization
     (Section II-A); *lossy*, never an ``auto`` candidate.
+
+The paper's other comparison kernels -- sGEMM with one binary weight
+per 32-bit container (:func:`repro.gemm.sgemm_container`), bit-packed
+unpack-then-GEMM (:func:`repro.gemm.gemm_with_unpack`, Algorithm 3)
+and XNOR-popcount (:class:`repro.gemm.XnorGemm`) -- are paper-bench
+baselines, not serving engines: in a host sweep sGEMM and unpack never
+beat ``dense``, and XNOR is lossy, so none is registered here.
 
 Dtype convention: every adapter returns results in the input's
 floating dtype (integer/bool inputs promote to float64), matching
@@ -33,25 +33,15 @@ from typing import Mapping
 
 import numpy as np
 
-from repro._util import ceil_div, check_positive_int
+from repro._util import check_positive_int
 from repro.core.kernel import BiQGemm
 from repro.engine.base import EngineBuildRequest, QuantSpec
 from repro.engine.registry import EngineEntry, register_engine
 from repro.gemm.int8 import Int8Gemm
-from repro.gemm.packed import gemm_with_unpack, unpack_flop_count
-from repro.gemm.sgemm import sgemm_container
-from repro.gemm.xnor import XnorGemm
 from repro.hw.costmodel import estimate_backend
 from repro.quant.bcq import BCQTensor
-from repro.quant.packing import pack_bits
 
-__all__ = [
-    "ContainerGemmEngine",
-    "DenseGemmEngine",
-    "Int8MatmulEngine",
-    "UnpackGemmEngine",
-    "XnorMatmulEngine",
-]
+__all__ = ["DenseGemmEngine", "Int8MatmulEngine"]
 
 
 def _float_dtype(x: np.ndarray) -> np.dtype:
@@ -84,7 +74,6 @@ def _cost_fn(backend: str):
             b,
             bits=spec.bits,
             mu=spec.mu,
-            a_bits=spec.a_bits,
         )
 
     return cost
@@ -213,211 +202,6 @@ register_engine(
         description="dequantize once, dense BLAS GEMM",
         export=lambda engine: _bcq_state(engine.bcq),
         restore=lambda state: DenseGemmEngine(_bcq_from_state(state)),
-    )
-)
-
-
-# ----------------------------------------------------------------------
-# container -- the paper's sGEMM scenario
-# ----------------------------------------------------------------------
-class ContainerGemmEngine:
-    """Binary components stored one per 32-bit container, plain BLAS."""
-
-    backend_name = "container"
-
-    def __init__(self, bcq: BCQTensor):
-        self._bcq = bcq
-        self._shape = bcq.shape
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._shape
-
-    @property
-    def bcq(self) -> BCQTensor:
-        """The quantization this engine was compiled from."""
-        return self._bcq
-
-    @property
-    def weight_nbytes(self) -> int:
-        bits, m, n = self._bcq.binary.shape
-        return bits * m * n * 4 + self._bcq.alphas.nbytes
-
-    def matmul(self, x: np.ndarray) -> np.ndarray:
-        arr, vector_in = _as_cols(x, self._shape[1])
-        dtype = _float_dtype(arr)
-        out = sgemm_container(self._bcq.binary, arr, self._bcq.alphas)
-        out = out.astype(dtype, copy=False)
-        return out[:, 0] if vector_in else out
-
-    def op_counts(self, batch: int) -> dict[str, float]:
-        check_positive_int(batch, "batch")
-        m, n = self._shape
-        return {"flops": 2.0 * m * n * batch * self._bcq.bits}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        m, n = self._shape
-        return f"ContainerGemmEngine(m={m}, n={n}, bits={self._bcq.bits})"
-
-
-register_engine(
-    EngineEntry(
-        name="container",
-        build=lambda request: ContainerGemmEngine(request.get_bcq()),
-        cost=_cost_fn("container"),
-        lossless=True,
-        description="sGEMM: one binary weight per 32-bit container",
-        export=lambda engine: _bcq_state(engine.bcq),
-        restore=lambda state: ContainerGemmEngine(_bcq_from_state(state)),
-    )
-)
-
-
-# ----------------------------------------------------------------------
-# unpack -- bit-packed planes decoded per call (Algorithm 3)
-# ----------------------------------------------------------------------
-class UnpackGemmEngine:
-    """Bit-packed weight planes unpacked per call then BLAS-multiplied.
-
-    The accumulator is allocated in the input's floating dtype, so
-    float32 activations are *not* silently upcast to float64 (the other
-    engines already preserved dtype; this one historically did not).
-    """
-
-    backend_name = "unpack"
-
-    def __init__(self, bcq: BCQTensor):
-        self._bcq = bcq
-        self._shape = bcq.shape
-        self._packed = [pack_bits(bcq.binary[i]) for i in range(bcq.bits)]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._shape
-
-    @property
-    def bcq(self) -> BCQTensor:
-        """The quantization this engine was compiled from."""
-        return self._bcq
-
-    @property
-    def weight_nbytes(self) -> int:
-        return sum(p.nbytes for p in self._packed) + self._bcq.alphas.nbytes
-
-    def matmul(self, x: np.ndarray) -> np.ndarray:
-        arr, vector_in = _as_cols(x, self._shape[1])
-        dtype = _float_dtype(arr)
-        arr = arr.astype(dtype, copy=False)
-        alphas = self._bcq.alphas.astype(dtype, copy=False)
-        out = np.zeros((self._shape[0], arr.shape[1]), dtype=dtype)
-        for i, packed in enumerate(self._packed):
-            out += alphas[i][:, None] * gemm_with_unpack(packed, arr)
-        return out[:, 0] if vector_in else out
-
-    def op_counts(self, batch: int) -> dict[str, float]:
-        check_positive_int(batch, "batch")
-        m, n = self._shape
-        bits = self._bcq.bits
-        return {
-            "flops": 2.0 * m * n * batch * bits,
-            "unpack_ops": float(bits * unpack_flop_count(m, n)),
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        m, n = self._shape
-        return f"UnpackGemmEngine(m={m}, n={n}, bits={self._bcq.bits})"
-
-
-register_engine(
-    EngineEntry(
-        name="unpack",
-        build=lambda request: UnpackGemmEngine(request.get_bcq()),
-        cost=_cost_fn("unpack"),
-        lossless=True,
-        description="bit-packed planes, Algorithm 3 decode then BLAS",
-        export=lambda engine: _bcq_state(engine.bcq),
-        restore=lambda state: UnpackGemmEngine(_bcq_from_state(state)),
-    )
-)
-
-
-# ----------------------------------------------------------------------
-# xnor -- bit-logic GEMM with quantized activations (lossy)
-# ----------------------------------------------------------------------
-class XnorMatmulEngine:
-    """XNOR-popcount GEMM with the activation bit width bound at build.
-
-    Lossy: activations are greedily binary-coded per call (paper Eq. 3),
-    so ``auto`` never selects it -- it must be requested explicitly.
-    """
-
-    backend_name = "xnor"
-
-    def __init__(self, bcq: BCQTensor, *, a_bits: int = 1):
-        check_positive_int(a_bits, "a_bits", upper=8)
-        self._bcq = bcq
-        self._a_bits = a_bits
-        self._inner = XnorGemm(bcq.binary, bcq.alphas)
-        self._shape = bcq.shape
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._shape
-
-    @property
-    def bcq(self) -> BCQTensor:
-        """The quantization this engine was compiled from."""
-        return self._bcq
-
-    @property
-    def a_bits(self) -> int:
-        """Activation bit planes quantized per call."""
-        return self._a_bits
-
-    @property
-    def weight_nbytes(self) -> int:
-        return self._inner.weight_nbytes
-
-    def matmul(self, x: np.ndarray) -> np.ndarray:
-        arr = np.asarray(x)
-        dtype = _float_dtype(arr)
-        out = self._inner.matmul(arr, a_bits=self._a_bits)
-        return out.astype(dtype, copy=False)
-
-    def op_counts(self, batch: int) -> dict[str, float]:
-        check_positive_int(batch, "batch")
-        m, n = self._shape
-        words = float(self._bcq.bits) * self._a_bits * m * ceil_div(n, 64) * batch
-        return {
-            "word_ops": 3.0 * words,
-            "act_quant_ops": 4.0 * self._a_bits * n * batch,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        m, n = self._shape
-        return (
-            f"XnorMatmulEngine(m={m}, n={n}, bits={self._bcq.bits}, "
-            f"a_bits={self._a_bits})"
-        )
-
-
-def _export_xnor(engine: XnorMatmulEngine) -> dict:
-    return {**_bcq_state(engine.bcq), "a_bits": int(engine.a_bits)}
-
-
-register_engine(
-    EngineEntry(
-        name="xnor",
-        build=lambda request: XnorMatmulEngine(
-            request.get_bcq(), a_bits=request.spec.a_bits
-        ),
-        cost=_cost_fn("xnor"),
-        lossless=False,
-        description="XNOR-popcount GEMM, activations quantized per call",
-        export=_export_xnor,
-        restore=lambda state: XnorMatmulEngine(
-            _bcq_from_state(state), a_bits=int(state["a_bits"])
-        ),
     )
 )
 

@@ -3,10 +3,8 @@
 The paper's central observation (Section V, Table IV, Fig. 10) is that
 *which* kernel wins depends on shape, batch size, bit width and
 hardware: BiQGEMM dominates the small-batch GEMV-like regime while a
-tuned BLAS overtakes it at large batch, XNOR needs quantized
-activations, packed GEMM pays for unpacking, and so on.  To let one
-system hold all of those engines behind a single seam, this module
-defines:
+tuned BLAS overtakes it at large batch.  To let one system hold the
+serving engines behind a single seam, this module defines:
 
 :class:`MatmulEngine`
     The structural protocol: compile-once weight state, a ``matmul``
@@ -45,10 +43,7 @@ __all__ = [
 AUTO_BACKEND = "auto"
 """Sentinel backend name resolved by the dispatch planner."""
 
-Backend = Literal[
-    "auto", "biqgemm", "xnor", "unpack", "container", "dense", "int8",
-    "compiled",
-]
+Backend = Literal["auto", "biqgemm", "compiled", "dense", "int8"]
 
 
 @runtime_checkable
@@ -110,8 +105,6 @@ class QuantSpec:
         Engine selection: any name registered in
         :mod:`repro.engine.registry`, or ``"auto"`` to let the
         cost-model planner choose per shape/batch/machine.
-    a_bits:
-        Activation bits for the ``xnor`` backend (ignored elsewhere).
     machine:
         :data:`~repro.hw.machine.MACHINES` key the ``"auto"`` planner
         prices candidates on (ignored for concrete backends).
@@ -136,7 +129,6 @@ class QuantSpec:
     mu: int = 8
     method: str = "greedy"
     backend: Backend = "biqgemm"
-    a_bits: int = 1
     machine: str = "pc"
     batch_hint: int | None = None
     planner: Literal["model", "autotune"] = "model"

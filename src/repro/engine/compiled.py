@@ -29,7 +29,7 @@ buffers -- falls back to the inner batch-invariant :class:`BiQGemm`
 plus a generic epilogue, which is bit-identical by construction; the
 trace is purely a speed layer.
 
-Registered as the seventh backend (``backend="compiled"``) with
+Registered as ``backend="compiled"`` with
 ``auto_candidate=False``: it is lossless but only enters a plan when a
 caller extends the candidate list explicitly -- the fusion planning
 pass in :meth:`repro.api.QuantModel.compile` does, for layers whose

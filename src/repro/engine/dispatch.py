@@ -129,9 +129,6 @@ class _PlanKey:
     n: int
     bits: int
     mu: int
-    # a_bits only matters when xnor is in the candidate set, but a
-    # stale hit there silently picks a lossy engine -- key on it.
-    a_bits: int
     bucket: int
     # The full (frozen, hashable) machine config, not just its name:
     # custom or modified configs must never share a cache line with the
@@ -232,7 +229,6 @@ def plan_backend(
         n=n,
         bits=spec.bits,
         mu=spec.mu,
-        a_bits=spec.a_bits,
         bucket=batch_bucket(batch_hint),
         machine=mc,
         planner=spec.planner,
@@ -287,7 +283,6 @@ def plan_backend(
                     key.bucket,
                     estimate.seconds,
                     mu=spec.mu,
-                    a_bits=spec.a_bits,
                     machine=machine_key,
                 )
     else:

@@ -1,7 +1,8 @@
 """String-keyed registry of matmul engines.
 
-Every backend this repo implements registers here exactly once (the
-registrations live in :mod:`repro.engine.adapters`), carrying:
+Every serving backend registers here exactly once -- ``biqgemm``,
+``dense`` and ``int8`` in :mod:`repro.engine.adapters`, ``compiled`` in
+:mod:`repro.engine.compiled` -- carrying:
 
 - a **build** function compiling an engine from an
   :class:`~repro.engine.base.EngineBuildRequest`;
@@ -11,8 +12,8 @@ registrations live in :mod:`repro.engine.adapters`), carrying:
   candidates by;
 - a **lossless** flag: whether the engine computes the exact BCQ
   product (Eq. 2).  ``backend="auto"`` only considers lossless engines,
-  so the planner never silently trades accuracy for speed (``xnor`` and
-  ``int8`` quantize activations and must be chosen explicitly);
+  so the planner never silently trades accuracy for speed (``int8``
+  quantizes activations and must be chosen explicitly);
 - optional **export/restore** hooks used by
   :mod:`repro.core.serialize` to round-trip compiled engines.
 
@@ -20,7 +21,9 @@ The registry is the extension seam for future backends: registering a
 new entry makes it buildable through :class:`~repro.nn.linear.QuantLinear`,
 plannable through :func:`repro.engine.dispatch.plan_backend`, coverable
 by the cross-backend parity tests, and serializable -- with no changes
-to the nn layer.
+to the nn layer.  The paper's sGEMM, unpack-then-GEMM and XNOR kernels
+(:mod:`repro.gemm`) are deliberately *not* registered: they are
+paper-bench baselines, not serving engines.
 """
 
 from __future__ import annotations

@@ -423,26 +423,6 @@ def estimate_int8_gemm(
     )
 
 
-def _scale_planes(est: CostEstimate, planes: int) -> CostEstimate:
-    """Replicate a per-plane estimate over *planes* bit planes.
-
-    Compute, traffic and op counts scale linearly (the plane loop reruns
-    the kernel); the fixed per-call overhead is paid once.
-    """
-    compute = est.compute_seconds * planes
-    memory = est.memory_seconds * planes
-    return CostEstimate(
-        seconds=max(compute, memory) + est.overhead_seconds,
-        compute_seconds=compute,
-        memory_seconds=memory,
-        overhead_seconds=est.overhead_seconds,
-        ops=est.ops * planes,
-        bytes=est.bytes * planes,
-        bound="compute" if compute >= memory else "memory",
-        detail={**est.detail, "planes": float(planes)},
-    )
-
-
 def estimate_backend(
     backend: str,
     machine: MachineConfig,
@@ -452,27 +432,25 @@ def estimate_backend(
     *,
     bits: int = 3,
     mu: int = 8,
-    a_bits: int = 1,
     threads: int = 1,
     fuse: str | None = None,
 ) -> CostEstimate:
-    """Price one multiply of a *layer-level* backend (QuantSpec names).
+    """Price one multiply of a *serving* backend (QuantSpec names).
 
     Unlike :func:`estimate`, whose keys are the raw kernel families,
     this maps the backend names a :class:`~repro.engine.base.QuantSpec`
     selects -- the names the engine registry and dispatch planner use --
-    onto the cost functions above, with the per-bit-plane loops the
-    layer implementations actually run:
+    onto the cost functions above:
 
     - ``biqgemm``: Eq. 8 with *bits* key planes sharing tables;
     - ``compiled``: the specialized trace (no key decode, reduced
       overhead, optional fused epilogue priced by *fuse*);
     - ``dense``: one dequantized-weight BLAS GEMM;
-    - ``container``: *bits* sGEMM planes (one 32-bit container per
-      binary weight, paper Fig. 9);
-    - ``unpack``: *bits* planes of Algorithm 3 decode + BLAS GEMM;
-    - ``xnor``: XNOR-popcount at ``bits x a_bits`` planes;
     - ``int8``: dynamic-quantization INT8 GEMM.
+
+    The paper's sGEMM, unpack-then-GEMM and XNOR baselines are not
+    serving backends; price them directly with :func:`estimate_gemm`,
+    :func:`estimate_packed_gemm` and :func:`estimate_xnor`.
     """
     check_positive_int(bits, "bits", upper=8)
     if backend == "biqgemm":
@@ -483,31 +461,11 @@ def estimate_backend(
         )
     if backend == "dense":
         return estimate_gemm(machine, m, n, b, threads=threads)
-    if backend == "container":
-        per_plane = estimate_gemm(machine, m, n, b, threads=threads)
-        return _scale_planes(per_plane, bits)
-    if backend == "unpack":
-        per_plane = estimate_packed_gemm(
-            machine,
-            m,
-            n,
-            b,
-            scenario="with_unpack",
-            weight_bits=1,
-            threads=threads,
-            engine="blas",
-        )
-        return _scale_planes(per_plane, bits)
-    if backend == "xnor":
-        return estimate_xnor(
-            machine, m, n, b, w_bits=bits, a_bits=a_bits, threads=threads
-        )
     if backend == "int8":
         return estimate_int8_gemm(machine, m, n, b, threads=threads)
     raise ValueError(
         f"unknown backend {backend!r}; expected one of "
-        "['biqgemm', 'compiled', 'container', 'dense', 'int8', 'unpack', "
-        "'xnor']"
+        "['biqgemm', 'compiled', 'dense', 'int8']"
     )
 
 

@@ -141,9 +141,7 @@ class QuantConv2d:
     no conv-specific code.
 
     ``spec`` accepts a :class:`~repro.nn.linear.QuantSpec` or a
-    :class:`~repro.api.QuantConfig` (its base spec); the historical
-    bare-kwarg form (``QuantConv2d(w, bits=2, backend="auto")``) keeps
-    working through the deprecation adapter.
+    :class:`~repro.api.QuantConfig` (its base spec).
     """
 
     def __init__(
@@ -154,9 +152,8 @@ class QuantConv2d:
         stride: int = 1,
         pad: int = 0,
         spec: QuantSpec | None = None,
-        **legacy_kwargs,
     ):
-        spec = _coerce_spec(spec, legacy_kwargs)
+        spec = _coerce_spec(spec)
         wa = np.asarray(weight, dtype=np.float64)
         if wa.ndim != 4:
             raise ValueError(f"weight must be OIHW, got shape {wa.shape}")

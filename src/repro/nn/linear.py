@@ -4,24 +4,21 @@
 quantizes its weight with BCQ at construction and forwards its product
 to whatever engine the :mod:`repro.engine` registry resolves for its
 :class:`~repro.engine.base.QuantSpec` -- by name (``"biqgemm"``,
-``"xnor"``, ``"unpack"``, ``"container"``, ``"dense"``, ``"int8"``, or
-anything registered later), or via the cost-model planner with
-``backend="auto"``.  With ``auto`` and no ``batch_hint``, the layer
-re-plans per call from the observed batch, so a single layer serves
-the GEMV decode regime on BiQGEMM and large-batch scoring on dense
-BLAS, exactly the situational-winner behaviour of the paper's
-Section V; compiled engines are cached per backend, and plans come
-from the process-wide plan cache.
+``"compiled"``, ``"dense"``, ``"int8"``, or anything registered later),
+or via the cost-model planner with ``backend="auto"``.  With ``auto``
+and no ``batch_hint``, the layer re-plans per call from the observed
+batch, so a single layer serves the GEMV decode regime on BiQGEMM and
+large-batch scoring on dense BLAS, exactly the situational-winner
+behaviour of the paper's Section V; compiled engines are cached per
+backend, and plans come from the process-wide plan cache.  The paper's
+sGEMM, unpack-then-GEMM and XNOR kernels are paper-bench baselines in
+:mod:`repro.gemm`, not serving engines, so no layer runs them.
 
-Three spellings select the quantization behaviour, newest first:
-
-- a :class:`~repro.api.QuantConfig` (model-level defaults; per-layer
-  glob overrides apply when the layer is built through
-  :func:`repro.api.quantize`);
-- a :class:`~repro.engine.base.QuantSpec` via ``spec=``;
-- bare keyword arguments (``bits=3, backend="auto"``) -- the historical
-  per-layer API, kept working through an adapter that emits a
-  deprecation note.
+``spec=`` selects the quantization behaviour: a
+:class:`~repro.engine.base.QuantSpec`, or a
+:class:`~repro.api.QuantConfig` (model-level defaults; per-layer glob
+overrides apply when the layer is built through
+:func:`repro.api.quantize`).
 
 Layer convention: activations are row vectors, ``y = x @ W^T + bias``
 with ``x`` shaped ``(..., n)`` and ``W`` shaped ``(m, n)``.  Internally
@@ -36,8 +33,7 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -66,8 +62,6 @@ __all__ = [
     "split_builder_spec",
 ]
 
-_SPEC_FIELD_NAMES = tuple(f.name for f in fields(QuantSpec))
-
 # Sentinel for pin_backend(fuse=...): "leave the spec's fuse as is".
 _KEEP = object()
 
@@ -95,36 +89,14 @@ def _add_bias(out: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
     return out + bias.astype(out.dtype, copy=False)
 
 
-def _coerce_spec(spec, kwargs: dict) -> QuantSpec:
-    """Resolve the three accepted spellings to one ``QuantSpec``.
+def _coerce_spec(spec) -> QuantSpec:
+    """Resolve the accepted ``spec`` spellings to one ``QuantSpec``.
 
     ``spec`` may be a :class:`QuantSpec`, a
     :class:`~repro.api.QuantConfig` (its base spec is used -- per-layer
     overrides need the named-model path, :func:`repro.api.quantize`),
-    or ``None``.  Bare keyword arguments are the historical per-layer
-    API; they still work but emit a deprecation note pointing at
-    ``QuantConfig``.
+    or ``None`` (the default spec).
     """
-    if kwargs:
-        if spec is not None:
-            raise TypeError(
-                "pass either spec=/config or bare quantization kwargs, "
-                "not both"
-            )
-        unknown = sorted(set(kwargs) - set(_SPEC_FIELD_NAMES))
-        if unknown:
-            raise TypeError(
-                f"unknown quantization keyword(s) {unknown}; expected a "
-                f"subset of {sorted(_SPEC_FIELD_NAMES)}"
-            )
-        warnings.warn(
-            "per-layer quantization kwargs (bits=..., backend=...) are "
-            "deprecated; pass spec=QuantSpec(...) or quantize the whole "
-            "model with repro.api.QuantConfig",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return QuantSpec(**kwargs)
     if spec is None:
         return QuantSpec()
     if isinstance(spec, QuantSpec):
@@ -202,9 +174,7 @@ class QuantLinear:
     ``dequantized`` reconstructs the effective weight for analysis.
 
     Besides ``spec=QuantSpec(...)``, the constructor accepts a
-    :class:`~repro.api.QuantConfig` (its base spec) and, for backward
-    compatibility, bare kwargs (``QuantLinear(w, bits=3,
-    backend="auto")``) with a deprecation note.
+    :class:`~repro.api.QuantConfig` (its base spec).
     """
 
     def __init__(
@@ -213,9 +183,8 @@ class QuantLinear:
         bias: np.ndarray | None = None,
         *,
         spec: QuantSpec | None = None,
-        **legacy_kwargs,
     ):
-        spec = _coerce_spec(spec, legacy_kwargs)
+        spec = _coerce_spec(spec)
         w = as_2d_float(weight, "weight")
         self.bias = _check_bias(bias, w.shape[0])
         validate_spec(spec)
@@ -622,7 +591,6 @@ class QuantLinear:
                 rec_tokens,
                 seconds,
                 mu=self.spec.mu,
-                a_bits=self.spec.a_bits,
                 machine=self.spec.machine
                 if isinstance(self.spec.machine, str)
                 else getattr(self.spec.machine, "name", "pc"),
@@ -659,7 +627,6 @@ def make_linear(
     bias: np.ndarray | None = None,
     *,
     spec: QuantSpec | None = None,
-    **legacy_kwargs,
 ):
     """Factory: dense :class:`Linear` when *spec* is None, else
     :class:`QuantLinear`.
@@ -667,9 +634,8 @@ def make_linear(
     Model builders take this as their injection point so a whole network
     can be flipped between float execution, a pinned engine, or
     cost-model auto-dispatch with one argument.  *spec* also accepts a
-    :class:`~repro.api.QuantConfig`; bare quantization kwargs take the
-    deprecated-adapter path through :class:`QuantLinear`.
+    :class:`~repro.api.QuantConfig`.
     """
-    if spec is None and not legacy_kwargs:
+    if spec is None:
         return Linear(weight, bias)
-    return QuantLinear(weight, bias, spec=spec, **legacy_kwargs)
+    return QuantLinear(weight, bias, spec=spec)

@@ -114,38 +114,23 @@ class Seq2SeqTransformer:
         bos: int = 1,
         eos: int = 2,
         max_len: int = 16,
-        use_cache: bool = True,
     ) -> np.ndarray:
         """Greedy autoregressive decoding.
 
         Returns generated ids ``(batch, <=max_len)`` including the BOS
         column; rows stop extending (repeat EOS) once EOS is emitted.
 
-        By default each row decodes incrementally against per-layer KV
-        caches (:class:`repro.gen.KVCache`): the self-attention prefix
-        and the projected encoder memory are computed once, so every
-        new token costs one GEMV sweep instead of re-running the whole
-        prefix -- the batch-1 regime the paper's kernels target.
-        ``use_cache=False`` runs the legacy per-prefix recompute loop
-        (deprecated; kept as the O(t^2) reference)."""
+        Each row decodes incrementally against per-layer KV caches
+        (:class:`repro.gen.KVCache`): the self-attention prefix and the
+        projected encoder memory are computed once, so every new token
+        costs one GEMV sweep instead of re-running the whole prefix --
+        the batch-1 regime the paper's kernels target."""
         check_positive_int(max_len, "max_len")
         for tok, name in ((bos, "bos"), (eos, "eos")):
             if not 0 <= tok < self.vocab_size:
                 raise ValueError(f"{name}={tok} outside vocabulary")
         ids = self._check_ids(src_ids)
         memory = self.encode(ids)
-        if not use_cache:
-            import warnings
-
-            warnings.warn(
-                "greedy_decode(use_cache=False) re-runs the whole target "
-                "prefix per emitted token and is deprecated; the cached "
-                "path is the supported decode loop",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return self._greedy_recompute(memory, ids.shape[0], bos, eos,
-                                          max_len)
         rows = [
             self._greedy_row(memory[i : i + 1], bos, eos, max_len)
             for i in range(ids.shape[0])
@@ -200,21 +185,6 @@ class Seq2SeqTransformer:
             for cache in (*self_caches, *cross_caches):
                 cache.close()
         return tokens
-
-    def _greedy_recompute(
-        self, memory: np.ndarray, batch: int, bos: int, eos: int, max_len: int
-    ) -> np.ndarray:
-        out = np.full((batch, 1), bos, dtype=np.int64)
-        finished = np.zeros(batch, dtype=bool)
-        for _ in range(max_len - 1):
-            logits = self.decode_step(out, memory)
-            nxt = logits.argmax(axis=1)
-            nxt = np.where(finished, eos, nxt)
-            out = np.concatenate([out, nxt[:, None]], axis=1)
-            finished |= nxt == eos
-            if finished.all():
-                break
-        return out
 
     # ------------------------------------------------------------------
     def _check_ids(self, ids: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Cost-model drift telemetry: predicted vs. measured engine cost.
 
 The planner (:func:`repro.engine.dispatch.plan_backend`,
-:func:`repro.api.planner.plan_layers`) chooses among seven engines by a
+:func:`repro.api.planner.plan_layers`) chooses among the engines by a
 roofline cost model.  That model is a *prediction*; this module records
 it next to reality so the question "where does the planner's ranking
 disagree with measured wall time" has a standing answer instead of a
@@ -64,20 +64,18 @@ class _Entry:
         "bits",
         "bucket",
         "mu",
-        "a_bits",
         "machine",
         "predicted_s",
         "measured",
     )
 
-    def __init__(self, backend, m, n, bits, bucket, mu, a_bits, machine):
+    def __init__(self, backend, m, n, bits, bucket, mu, machine):
         self.backend = backend
         self.m = m
         self.n = n
         self.bits = bits
         self.bucket = bucket
         self.mu = mu
-        self.a_bits = a_bits
         self.machine = machine
         self.predicted_s: float | None = None
         self.measured = Histogram(window=MEASURE_WINDOW)
@@ -90,7 +88,6 @@ class _Entry:
             "bits": self.bits,
             "bucket": self.bucket,
             "mu": self.mu,
-            "a_bits": self.a_bits,
             "machine": self.machine,
             "predicted_s": self.predicted_s,
             "measured_count": self.measured.count,
@@ -107,13 +104,13 @@ class DriftRecorder:
         self._lock = threading.Lock()
         self._entries: dict[tuple, _Entry] = {}
 
-    def _entry(self, backend, m, n, bits, bucket, mu, a_bits, machine):
+    def _entry(self, backend, m, n, bits, bucket, mu, machine):
         key = (backend, int(m), int(n), int(bits), int(bucket))
         entry = self._entries.get(key)
         if entry is None:
             entry = _Entry(
                 backend, int(m), int(n), int(bits), int(bucket),
-                int(mu), int(a_bits), str(machine),
+                int(mu), str(machine),
             )
             self._entries[key] = entry
         return entry
@@ -128,7 +125,6 @@ class DriftRecorder:
         seconds: float,
         *,
         mu: int = 8,
-        a_bits: int = 32,
         machine: str = "pc",
     ) -> None:
         """Store the cost model's predicted seconds for a candidate.
@@ -139,7 +135,7 @@ class DriftRecorder:
         model is deterministic per key, so repeats are identical anyway.
         """
         with self._lock:
-            entry = self._entry(backend, m, n, bits, bucket, mu, a_bits, machine)
+            entry = self._entry(backend, m, n, bits, bucket, mu, machine)
             entry.predicted_s = float(seconds)
 
     def record_measurement(
@@ -152,7 +148,6 @@ class DriftRecorder:
         seconds: float,
         *,
         mu: int = 8,
-        a_bits: int = 32,
         machine: str = "pc",
     ) -> None:
         """Record the measured wall time of one real matmul call.
@@ -162,7 +157,7 @@ class DriftRecorder:
         """
         bucket = batch_bucket(batch)
         with self._lock:
-            entry = self._entry(backend, m, n, bits, bucket, mu, a_bits, machine)
+            entry = self._entry(backend, m, n, bits, bucket, mu, machine)
             entry.measured.record(float(seconds))
 
     # -- reading -------------------------------------------------------

@@ -51,7 +51,6 @@ def _backfill_predictions(groups: dict) -> None:
             spec = QuantSpec(
                 bits=bits,
                 mu=int(sample.get("mu", 8)),
-                a_bits=int(sample.get("a_bits", 32)),
                 machine=str(sample.get("machine", "pc")),
             )
             costs = plan_costs(
@@ -86,7 +85,6 @@ def build_report(entries: list[dict], *, backfill: bool = True) -> dict:
             "measured_count": int(entry.get("measured_count", 0)),
             "measured_p50_s": entry.get("measured_p50_s"),
             "mu": entry.get("mu", 8),
-            "a_bits": entry.get("a_bits", 32),
             "machine": entry.get("machine", "pc"),
         }
         groups.setdefault(_group_key(entry), {})[entry["backend"]] = cell
@@ -249,7 +247,7 @@ def demo_sweep(
             for name, estimate in costs.items():
                 recorder.record_prediction(
                     name, m, n, bits, bucket, estimate.seconds,
-                    mu=spec.mu, a_bits=spec.a_bits, machine=spec.machine,
+                    mu=spec.mu, machine=spec.machine,
                 )
             x = rng.standard_normal((n, batch)).astype(np.float32)
             for name in costs:
@@ -261,7 +259,6 @@ def demo_sweep(
                     recorder.record_measurement(
                         name, m, n, bits, batch,
                         time.perf_counter() - start,
-                        mu=spec.mu, a_bits=spec.a_bits,
-                        machine=spec.machine,
+                        mu=spec.mu, machine=spec.machine,
                     )
     return recorder.snapshot()

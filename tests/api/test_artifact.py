@@ -62,7 +62,7 @@ class TestV3RoundTrip:
 
     def test_mixed_backend_model_round_trips(self, rng, tmp_path):
         """Every registered lossless backend payload in one artifact."""
-        backends = ("biqgemm", "dense", "container", "unpack")
+        backends = ("biqgemm", "compiled", "dense")
         layers = [
             QuantLinear(
                 rng.standard_normal((6, 8)),
@@ -84,18 +84,12 @@ class TestV3RoundTrip:
         expected = [layer(x) for layer in compiled.model]
         save(compiled, tmp_path / "mixed.npz")
         reloaded = load(tmp_path / "mixed.npz")
-        assert list(reloaded.plans.values()) == [
-            "biqgemm", "dense", "container", "unpack"
-        ]
+        assert list(reloaded.plans.values()) == list(backends)
         for layer, want in zip(reloaded.model, expected):
             assert np.array_equal(layer(x), want)
 
     def test_lossy_backends_round_trip_when_named(self, rng, tmp_path):
         layers = [
-            QuantLinear(
-                rng.standard_normal((6, 16)),
-                spec=QuantSpec(bits=2, backend="xnor", a_bits=4),
-            ),
             QuantLinear(
                 rng.standard_normal((6, 16)),
                 spec=QuantSpec(backend="int8"),
@@ -303,7 +297,7 @@ class TestOlderFormatsKeepWorking:
     def test_v2_registry_round_trip(self, rng, tmp_path):
         layer = QuantLinear(
             rng.standard_normal((6, 8)),
-            spec=QuantSpec(bits=2, mu=4, backend="unpack"),
+            spec=QuantSpec(bits=2, mu=4, backend="dense"),
         )
         engine = layer.engine_for(1)
         path = tmp_path / "v2.npz"
@@ -312,3 +306,75 @@ class TestOlderFormatsKeepWorking:
             assert int(data["format_version"]) == 2
         x = rng.standard_normal((8, 3))
         assert np.array_equal(load_engine(path).matmul(x), engine.matmul(x))
+
+
+class TestLegacyManifests:
+    """v3 artifacts saved while the ``container``, ``unpack`` and
+    ``xnor`` engines were registered: their ``a_bits`` spec field is
+    ignored, and a layer pinned to a removed engine fails clearly."""
+
+    def _resave(self, compiled, path, edit):
+        save(compiled, path)
+        manifest, arrays = load_model_artifact(path)
+        edit(manifest)
+        save_model_artifact(path, manifest=manifest, arrays=arrays)
+
+    def test_a_bits_is_ignored_and_outputs_are_bit_identical(
+        self, rng, tmp_path
+    ):
+        compiled = _compiled_encoder()
+        x = rng.standard_normal((1, 4, 32))
+        expected = compiled(x)
+
+        def add_a_bits(manifest):
+            manifest["config"]["a_bits"] = 1
+            manifest["config"]["overrides"]["ffn.*"]["a_bits"] = 1
+            for entry in manifest["layers"]:
+                entry["spec"]["a_bits"] = 1
+
+        path = tmp_path / "legacy.npz"
+        self._resave(compiled, path, add_a_bits)
+        reloaded = load(path)
+        assert reloaded.config == compiled.config
+        assert reloaded.plans == compiled.plans
+        assert np.array_equal(reloaded(x), expected)
+
+    def test_other_unknown_spec_fields_still_fail(self, tmp_path):
+        def add_to_layer(manifest):
+            manifest["layers"][0]["spec"]["w_bits"] = 3
+
+        def add_to_config(manifest):
+            manifest["config"]["w_bits"] = 3
+
+        for edit, message in (
+            (add_to_layer, "unknown spec field"),
+            (add_to_config, "unknown QuantConfig field"),
+        ):
+            path = tmp_path / f"{edit.__name__}.npz"
+            self._resave(_compiled_encoder(), path, edit)
+            with pytest.raises(ValueError, match=message):
+                load(path)
+
+    @pytest.mark.parametrize("backend", ["container", "unpack", "xnor"])
+    def test_removed_backend_raises_naming_it(self, rng, tmp_path, backend):
+        layer = QuantLinear(
+            rng.standard_normal((6, 8)),
+            spec=QuantSpec(bits=2, mu=4, backend="dense"),
+        )
+        config = QuantConfig(bits=2, mu=4, backend="dense")
+        compiled = quantize([layer], config).compile()
+
+        def pin_removed(manifest):
+            entry = manifest["layers"][0]
+            entry["backend"] = entry["planned_backend"] = backend
+            entry["spec"]["backend"] = backend
+            entry["spec"]["a_bits"] = 1
+
+        path = tmp_path / "removed.npz"
+        self._resave(compiled, path, pin_removed)
+        with pytest.raises(ValueError) as info:
+            load(path)
+        message = str(info.value)
+        assert repr(backend) in message
+        assert "['biqgemm', 'compiled', 'dense', 'int8']" in message
+        assert "corrupted" not in message

@@ -218,30 +218,34 @@ class TestBuildersAcceptConfig:
 
 
 class TestLegacyKwargs:
-    def test_quantlinear_kwargs_still_work_with_note(self, rng):
-        w = rng.standard_normal((6, 9))
-        with pytest.deprecated_call():
-            layer = QuantLinear(w, bits=3, backend="auto")
-        assert layer.spec == QuantSpec(bits=3, backend="auto")
-        x = rng.standard_normal((2, 9))
-        assert np.allclose(layer(x), x @ layer.dequantized().T, atol=1e-8)
+    """The bare-kwarg spelling (``QuantLinear(w, bits=3)``) is gone:
+    layers take ``spec=QuantSpec | QuantConfig | None`` only."""
+
+    def test_quantlinear_bare_kwargs_rejected(self, rng):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            QuantLinear(rng.standard_normal((6, 9)), bits=3, backend="auto")
 
     def test_kwargs_and_spec_together_rejected(self, rng):
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             QuantLinear(
                 rng.standard_normal((4, 4)), bits=2, spec=QuantSpec()
             )
 
     def test_unknown_kwarg_rejected(self, rng):
-        with pytest.raises(TypeError, match="unknown quantization keyword"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             QuantLinear(rng.standard_normal((4, 4)), bitz=2)
 
-    def test_conv_kwargs_still_work(self, rng):
+    def test_conv_bare_kwargs_rejected(self, rng):
         from repro.nn import QuantConv2d
 
-        with pytest.deprecated_call():
-            conv = QuantConv2d(rng.standard_normal((2, 1, 2, 2)), bits=2)
-        assert conv.spec.bits == 2
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            QuantConv2d(rng.standard_normal((2, 1, 2, 2)), bits=2)
+
+    def test_make_linear_bare_kwargs_rejected(self, rng):
+        from repro.nn.linear import make_linear
+
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            make_linear(rng.standard_normal((4, 4)), bits=2)
 
 
 class TestBiasDtype:

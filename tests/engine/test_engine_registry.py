@@ -24,16 +24,15 @@ def request_2bit(rng):
 
 
 class TestRegistryContents:
-    def test_all_six_engines_registered(self):
-        expected = {"biqgemm", "xnor", "unpack", "container", "dense", "int8"}
-        assert expected <= set(registered_engines())
+    def test_exactly_the_serving_engines_registered(self):
+        assert set(registered_engines()) == {
+            "biqgemm", "compiled", "dense", "int8",
+        }
 
     def test_lossless_subset(self):
-        lossless = set(lossless_engines())
-        assert {"biqgemm", "dense", "container", "unpack"} <= lossless
-        # Engines that quantize activations must never be auto candidates.
-        assert "xnor" not in lossless
-        assert "int8" not in lossless
+        # int8 quantizes activations and compiled only enters plans
+        # through explicit candidate lists: neither is an auto default.
+        assert lossless_engines() == ("biqgemm", "dense")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -56,9 +55,7 @@ class TestRegistryContents:
 
 
 class TestProtocolConformance:
-    @pytest.mark.parametrize("backend", [
-        "biqgemm", "xnor", "unpack", "container", "dense", "int8",
-    ])
+    @pytest.mark.parametrize("backend", ["biqgemm", "dense", "int8"])
     def test_engine_satisfies_protocol(self, request_2bit, backend):
         engine = build_engine(backend, request_2bit)
         assert isinstance(engine, MatmulEngine)
@@ -67,17 +64,13 @@ class TestProtocolConformance:
         counts = engine.op_counts(4)
         assert counts and all(v > 0 for v in counts.values())
 
-    @pytest.mark.parametrize("backend", [
-        "biqgemm", "xnor", "unpack", "container", "dense", "int8",
-    ])
+    @pytest.mark.parametrize("backend", ["biqgemm", "dense", "int8"])
     def test_vector_input_gives_vector_output(self, rng, request_2bit, backend):
         engine = build_engine(backend, request_2bit)
         out = engine.matmul(rng.standard_normal(16))
         assert out.shape == (10,)
 
-    @pytest.mark.parametrize("backend", [
-        "biqgemm", "xnor", "unpack", "container", "dense", "int8",
-    ])
+    @pytest.mark.parametrize("backend", ["biqgemm", "dense", "int8"])
     def test_rejects_wrong_inner_dim(self, rng, request_2bit, backend):
         engine = build_engine(backend, request_2bit)
         with pytest.raises(ValueError):
@@ -133,8 +126,9 @@ class TestBuildRequest:
         first = req.get_bcq()
         assert req.get_bcq() is first
         dense = build_engine("dense", req)
-        cont = build_engine("container", req)
-        assert dense.bcq is cont.bcq is first
+        build_engine("biqgemm", req)
+        assert dense.bcq is first
+        assert req.get_bcq() is first
 
     def test_needs_weight_or_bcq(self):
         with pytest.raises(ValueError, match="weight or a BCQTensor"):

@@ -24,7 +24,7 @@ M, N, B = 12, 24, 6
 
 @pytest.fixture()
 def compiled(rng):
-    spec = QuantSpec(bits=2, mu=4, a_bits=4)
+    spec = QuantSpec(bits=2, mu=4)
     request = EngineBuildRequest(
         spec=spec, weight=rng.standard_normal((M, N))
     )

@@ -12,20 +12,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.engine import registered_engines
 from repro.gen.cache import MIN_BUCKET
 from repro.gen.model import DecoderLM
 from repro.nn.linear import QuantSpec
 from repro.nn.transformer import TransformerConfig
 
-BACKENDS = [
-    "biqgemm",
-    "dense",
-    "container",
-    "unpack",
-    "xnor",
-    "int8",
-    "compiled",
-]
+BACKENDS = registered_engines()
 
 CONFIG = TransformerConfig(dim=32, heads=4, ff_dim=64, layers=2)
 VOCAB = 50

@@ -28,9 +28,7 @@ class TestLinear:
 
 
 class TestQuantLinear:
-    @pytest.mark.parametrize(
-        "backend", ["biqgemm", "container", "unpack", "dense"]
-    )
+    @pytest.mark.parametrize("backend", ["biqgemm", "compiled", "dense"])
     def test_backends_match_dequantized_product(self, rng, backend):
         w = rng.standard_normal((10, 16))
         spec = QuantSpec(bits=3, mu=4, backend=backend)
@@ -44,7 +42,7 @@ class TestQuantLinear:
         x = rng.standard_normal((4, 12))
         outs = [
             QuantLinear(w, spec=QuantSpec(bits=2, mu=4, backend=b))(x)
-            for b in ("biqgemm", "container", "unpack", "dense")
+            for b in ("biqgemm", "compiled", "dense")
         ]
         for other in outs[1:]:
             assert np.allclose(outs[0], other, atol=1e-8)
@@ -56,18 +54,6 @@ class TestQuantLinear:
         x = rng.standard_normal((2, 9))
         no_bias = QuantLinear(w, spec=QuantSpec(bits=2, mu=4))(x)
         assert np.allclose(layer(x), no_bias + bias, atol=1e-10)
-
-    def test_xnor_backend_runs_and_approximates(self, rng):
-        w = rng.standard_normal((12, 32))
-        layer = QuantLinear(
-            w, spec=QuantSpec(bits=3, mu=8, backend="xnor", a_bits=4)
-        )
-        x = rng.standard_normal((6, 32))
-        out = layer(x)
-        ref = x @ layer.dequantized().T
-        # Activation quantization adds error; it must still correlate.
-        corr = np.corrcoef(out.ravel(), ref.ravel())[0, 1]
-        assert corr > 0.95
 
     def test_3d_input(self, rng):
         layer = QuantLinear(rng.standard_normal((4, 6)), spec=QuantSpec(bits=2, mu=2))
@@ -87,11 +73,11 @@ class TestQuantLinear:
         assert errs[2] < errs[1] < errs[0]
 
     def test_weight_nbytes_ordering(self, rng):
-        # Deployed bytes: biqgemm keys << container floats.
+        # Deployed bytes: 2-bit biqgemm keys << dense float32 weights.
         w = rng.standard_normal((32, 64))
         biq = QuantLinear(w, spec=QuantSpec(bits=2, mu=8, backend="biqgemm"))
-        cont = QuantLinear(w, spec=QuantSpec(bits=2, mu=8, backend="container"))
-        assert biq.weight_nbytes < cont.weight_nbytes / 8
+        dense = QuantLinear(w, spec=QuantSpec(bits=2, mu=8, backend="dense"))
+        assert biq.weight_nbytes < dense.weight_nbytes / 8
 
     def test_rejects_unknown_backend(self, rng):
         with pytest.raises(ValueError, match="backend"):
@@ -249,13 +235,6 @@ class TestAutoBackend:
         source = inspect.getsource(linear_module)
         assert "backend ==" not in source
         assert "elif" not in source
-
-    def test_float32_not_upcast_by_unpack(self, rng):
-        """Dtype satellite: the unpack accumulator follows the input."""
-        w = rng.standard_normal((8, 12))
-        layer = QuantLinear(w, spec=QuantSpec(bits=2, mu=4, backend="unpack"))
-        out = layer(rng.standard_normal((3, 12)).astype(np.float32))
-        assert out.dtype == np.float32
 
     def test_zero_token_input(self, rng):
         """Empty batches must flow through without planning or crashing."""

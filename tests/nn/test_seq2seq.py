@@ -91,6 +91,33 @@ class TestGreedyDecode:
         with pytest.raises(ValueError, match="bos"):
             model.greedy_decode(src, bos=99)
 
+    def test_cached_decode_matches_full_recompute_argmax_chain(self):
+        # The reference re-runs the whole decoder over each row's prefix
+        # (decode_step) and takes the argmax.  Seed 3 is one where the
+        # untrained model's rows diverge, so with eos=2 some rows stop
+        # at their first token while another runs on.
+        model = Seq2SeqTransformer(CFG, 16, np.random.default_rng(3))
+        src = np.random.default_rng(5).integers(0, 16, size=(3, 6))
+        bos, eos, max_len = 1, 2, 10
+        memory = model.encode(src)
+        chains = []
+        for i in range(src.shape[0]):
+            chain = [bos]
+            while len(chain) < max_len and chain[-1] != eos:
+                logits = model.decode_step(
+                    np.array([chain]), memory[i : i + 1]
+                )
+                chain.append(int(np.argmax(logits)))
+            chains.append(chain)
+        lengths = [len(chain) for chain in chains]
+        assert min(lengths) < max(lengths), "no row hit EOS early"
+        assert any(c[-1] == eos and len(c) < max_len for c in chains)
+        expected = np.full((len(chains), max(lengths)), eos, dtype=np.int64)
+        for i, chain in enumerate(chains):
+            expected[i, : len(chain)] = chain
+        out = model.greedy_decode(src, bos=bos, eos=eos, max_len=max_len)
+        assert np.array_equal(out, expected)
+
 
 class TestValidation:
     def test_rejects_small_vocab(self):

@@ -50,11 +50,11 @@ class TestDriftRecorder:
 
     def test_snapshot_orders_by_shape_then_engine(self):
         rec = DriftRecorder()
-        rec.record_prediction("unpack", 16, 8, 3, 1, 1.0)
         rec.record_prediction("dense", 16, 8, 3, 1, 1.0)
+        rec.record_prediction("biqgemm", 16, 8, 3, 1, 1.0)
         rec.record_prediction("dense", 8, 8, 3, 1, 1.0)
         keys = [(e["m"], e["backend"]) for e in rec.snapshot()]
-        assert keys == [(8, "dense"), (16, "dense"), (16, "unpack")]
+        assert keys == [(8, "dense"), (16, "biqgemm"), (16, "dense")]
 
     def test_module_level_helpers_are_noop_while_disabled(self):
         drift.record_prediction("dense", 8, 8, 2, 1, 1.0)
@@ -117,7 +117,6 @@ def _entry(backend, *, predicted=None, p50=None, count=0,
         "bits": bits,
         "bucket": bucket,
         "mu": 8,
-        "a_bits": 32,
         "machine": "pc",
         "predicted_s": predicted,
         "measured_count": count,
@@ -130,7 +129,7 @@ class TestBuildReport:
         report = build_report(
             [
                 _entry("dense", predicted=1e-4, p50=1e-4, count=5),
-                _entry("unpack", predicted=2e-4, p50=3e-4, count=5),
+                _entry("biqgemm", predicted=2e-4, p50=3e-4, count=5),
             ],
             backfill=False,
         )
@@ -143,13 +142,13 @@ class TestBuildReport:
 
     def test_disagreement_ranks_by_regret(self):
         entries = [
-            # Shape A: planner picks dense, but unpack measures 2x
+            # Shape A: planner picks dense, but biqgemm measures 2x
             # faster -> regret 2.0.
             _entry("dense", predicted=1e-4, p50=2e-4, count=5, m=64),
-            _entry("unpack", predicted=3e-4, p50=1e-4, count=5, m=64),
+            _entry("biqgemm", predicted=3e-4, p50=1e-4, count=5, m=64),
             # Shape B: agreement.
             _entry("dense", predicted=1e-4, p50=1e-4, count=5, m=128),
-            _entry("unpack", predicted=2e-4, p50=5e-4, count=5, m=128),
+            _entry("biqgemm", predicted=2e-4, p50=5e-4, count=5, m=128),
         ]
         report = build_report(entries, backfill=False)
         assert report["summary"] == {"shapes": 2, "disagreements": 1}
@@ -164,7 +163,7 @@ class TestBuildReport:
         report = build_report(
             [
                 _entry("dense", p50=1e-4, count=3, m=64, n=64),
-                _entry("unpack", p50=2e-4, count=3, m=64, n=64),
+                _entry("biqgemm", p50=2e-4, count=3, m=64, n=64),
             ],
             backfill=True,
         )
@@ -187,14 +186,14 @@ class TestBuildReport:
         report = build_report(
             [
                 _entry("dense", predicted=1e-4, p50=2e-4, count=5),
-                _entry("unpack", predicted=3e-4, p50=1e-4, count=5),
+                _entry("biqgemm", predicted=3e-4, p50=1e-4, count=5),
             ],
             backfill=False,
         )
         text = format_report(report)
         assert "DISAGREES" in text
         assert "regret 2.00x" in text
-        assert "dense" in text and "unpack" in text
+        assert "dense" in text and "biqgemm" in text
 
     def test_format_report_top_limits_rows(self):
         entries = [
