@@ -1,6 +1,6 @@
-"""Benchmark: per-shape specialized fused kernels (compiled engine).
+"""Benchmark: the compiled engine's native fused kernel.
 
-Two acceptance bars for the compiled engine's trace path:
+Two acceptance bars for the compiled engine's native path:
 
 - **identity**: the fused ``act(W @ x + bias)`` step is bit-identical
   to the unfused reference -- the batch-invariant biqgemm matmul
@@ -8,7 +8,7 @@ Two acceptance bars for the compiled engine's trace path:
   activation and small batch (this is the CI smoke: run with
   ``-k identity`` on a tiny shape);
 - **speedup**: at the paper's Table IV GEMV regime (1-bit weights,
-  m = n = 4096, batch 1-2) the compiled trace beats the best existing
+  m = n = 4096, batch 1-2) the compiled engine beats the best existing
   engine -- batch-invariant biqgemm, dense BLAS, or the non-invariant
   biqgemm fast path -- by >= 1.2x p50 on the fused step.
 
@@ -56,7 +56,7 @@ def test_identity_fused_step_matches_unfused_reference(activation, batch):
 
 
 def test_identity_holds_on_strided_input():
-    """CI smoke: the native trace must see through striding."""
+    """CI smoke: the native kernel must see through striding."""
     rng = np.random.default_rng(4)
     m, n = 32, 48
     w = rng.standard_normal((m, n))
@@ -83,7 +83,7 @@ def test_identity_holds_on_strided_input():
 def test_gemv_small_batch_speedup_at_least_1_2x():
     """The speedup acceptance bar, measured at the full Table IV shape.
 
-    ``speedup_vs_best`` compares the compiled trace against the best
+    ``speedup_vs_best`` compares the compiled engine against the best
     existing engine (batch-invariant biqgemm, dense BLAS, and the
     non-invariant biqgemm fast path) running the same fused step with a
     separate epilogue.  One re-measure absorbs scheduler noise.

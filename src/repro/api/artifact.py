@@ -339,14 +339,6 @@ def export_parts(
             "spec": _spec_to_dict(layer.spec),
             "has_bias": layer.bias is not None,
         }
-        specialization = getattr(engine, "specialization", None)
-        if specialization is not None:
-            # Engines that specialize per (batch, dtype) -- "compiled"
-            # -- persist their trace plan, so load() rehydrates the
-            # kernels warmup() built instead of re-planning them.
-            plan_dict = specialization()
-            if plan_dict.get("batches"):
-                entry_dict["specialization"] = plan_dict
         entries.append(entry_dict)
     manifest = {
         "repro_version": __version__,
@@ -436,11 +428,9 @@ def load_from_parts(
                 f"payload has shape {tuple(engine.shape)}, manifest says "
                 f"({entry_data['m']}, {entry_data['n']})"
             )
-        specialization = entry_data.get("specialization")
-        if specialization is not None:
-            prebuild = getattr(engine, "prebuild", None)
-            if prebuild is not None:
-                prebuild(specialization)
+        # Artifacts written before the compiled engine ran one native
+        # plan per dtype carry a per-layer "specialization" entry (its
+        # resident batch traces); there is nothing left to prebuild.
         layer = QuantLinear.from_engine(engine, spec=spec, bias=bias)
         layers_by_path[entry_data["path"]] = layer
         named.append((entry_data["path"], layer))

@@ -440,15 +440,19 @@ class QuantModel:
         returned :class:`CompiledModel` is superseded and refuses to
         serve (quantize a fresh model to hold two compilations live).
 
-        **Fusion planning.**  Layers the model graph follows with a
-        fusible activation (:func:`_fusion_sites`) are additionally
-        priced with the ``"compiled"`` engine's fused epilogue in the
-        candidate pool; where it wins, the layer is pinned with
-        ``spec.fuse`` set and the forward pass skips its separate
-        activation step.  Fused and unfused execution are bit-identical
-        -- but the activation now runs *inside* the layer call, so
-        step-by-step hooks observing intermediate tensors may see the
-        reordering.
+        **Native kernel.**  ``"auto"`` layers are planned with the
+        ``"compiled"`` engine among the candidates, so every layer the
+        planner puts on the LUT runs the native kernel (or, on a host
+        without a C compiler, its bit-identical numpy fallback); layers
+        where ``"dense"`` is cheaper stay dense.
+
+        **Fusion planning.**  A layer planned onto ``"compiled"`` that
+        the model graph follows with a fusible activation
+        (:func:`_fusion_sites`) is pinned with ``spec.fuse`` set, and
+        the forward pass skips its separate activation step.  Fused and
+        unfused execution are bit-identical -- but the activation now
+        runs *inside* the layer call, so step-by-step hooks observing
+        intermediate tensors may see the reordering.
         """
         hint = (
             batch_hint
@@ -591,8 +595,9 @@ class CompiledModel:
         what :meth:`repro.serve.Server.predict` receives -- the model
         additionally runs one forward pass per planned batch bucket up
         to the compile hint (the sample tiled to the bucket's batch),
-        so per-shape state such as the ``compiled`` engine's traces is
-        specialized before the first real request.
+        so lazily built state -- the native kernel library, each
+        ``compiled`` engine's per-dtype plan, the shared table scratch
+        -- exists before the first real request.
         """
         self._check_active()
         for _, layer in self._qm.named_layers():

@@ -80,42 +80,28 @@ def plan_layers(
     *planner* / *machine* override the config for this pass only (the
     ``CompiledModel.compile(planner="autotune")`` path).
 
+    An ``"auto"`` layer is priced once, with the native ``"compiled"``
+    engine added to the lossless candidates.  Its price is never above
+    ``"biqgemm"``'s, so it is the LUT engine of every compiled layer.
     *fusions* maps layer names to the activation that follows them in
-    the model graph (:meth:`QuantModel.compile`'s fusion planning
-    pass).  An ``"auto"`` layer at a fusion site is priced twice: once
-    with the fused ``"compiled"`` engine in the candidate pool and once
-    without.  The fused spec sticks only when ``"compiled"`` actually
-    wins -- otherwise the decision among the lossless engines is
-    unchanged by the extra candidate, so the default plan is reused
-    verbatim and no layer regresses from having been considered for
-    fusion.
+    the model graph (:meth:`QuantModel.compile`'s fusion planning pass);
+    a layer planned onto ``"compiled"`` there gets ``spec.fuse`` set.
     """
     check_positive_int(batch_hint, "batch_hint")
     fusions = fusions or {}
+    candidates = lossless_engines() + ("compiled",)
     plans: list[LayerPlan] = []
     for name, m, n in shapes:
         spec = _effective_spec(
             config.spec_for(name), planner=planner, machine=machine
         )
         if spec.backend == AUTO_BACKEND:
+            backend = plan_backend(
+                m, n, spec=spec, batch_hint=batch_hint, candidates=candidates
+            )
             act = fusions.get(name)
-            if act is not None and spec.fuse is None:
-                trial = replace(spec, fuse=act)
-                backend = plan_backend(
-                    m,
-                    n,
-                    spec=trial,
-                    batch_hint=batch_hint,
-                    candidates=lossless_engines() + ("compiled",),
-                )
-                if backend == "compiled":
-                    spec = trial
-                else:
-                    backend = plan_backend(
-                        m, n, spec=spec, batch_hint=batch_hint
-                    )
-            else:
-                backend = plan_backend(m, n, spec=spec, batch_hint=batch_hint)
+            if backend == "compiled" and act is not None and spec.fuse is None:
+                spec = replace(spec, fuse=act)
         else:
             backend = spec.backend
         plans.append(

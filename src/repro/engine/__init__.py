@@ -16,8 +16,9 @@ paper-bench baselines.
   :class:`EngineEntry` registry with build/cost/serialize hooks;
 - :mod:`repro.engine.adapters` -- registrations for ``biqgemm``,
   ``dense`` and ``int8``;
-- :mod:`repro.engine.compiled` -- the fourth serving engine: per-shape
-  specialized fused traces over the native LUT kernel (``compiled``);
+- :mod:`repro.engine.compiled` -- the fourth serving engine: BiQGEMM
+  on the native LUT kernel with a fused epilogue (``compiled``), the
+  LUT engine of every layer :meth:`repro.api.QuantModel.compile` plans;
 - :mod:`repro.engine.dispatch` -- the planner, its plan cache, and
   the Fig. 10 crossover probe.
 

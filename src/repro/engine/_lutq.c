@@ -19,11 +19,23 @@
  *                  y  += acc * alpha_i
  *   epilogue     y += bias
  *
- * Rows are blocked (several independent accumulator chains in flight)
- * and loops are interchanged freely, but each (row, bit, column) sum is
- * still a left fold in group order.  The build must not contract
- * multiply-adds or reassociate: it is compiled with
- * -ffp-contract=off and without -ffast-math.
+ * Rows are blocked (several independent accumulator chains in flight),
+ * columns are processed a chunk at a time and loops are interchanged
+ * freely, but each (row, bit, column) sum is still a left fold in group
+ * order, so the result depends neither on the batch nor on the chunking.
+ * The build must not contract multiply-adds or reassociate: it is
+ * compiled with -ffp-contract=off and without -ffast-math.
+ *
+ * Column chunks.  The batch is cut into chunks of LUTQ_CHUNK_F32 or
+ * LUTQ_CHUNK_F64 columns (the last one narrower), and each chunk runs
+ * the whole tile schedule on its own.  The table scratch therefore
+ * holds tile_g * 2^mu * chunk entries whatever the batch is
+ * (lutq_scratch_bytes).  The widths were measured on 3-bit, mu=8
+ * layers of 128-1024 columns, x86-64 baseline ISA: against one chunk
+ * as wide as the batch, 32 float columns took 0.70-0.85x the time at
+ * batches 33-64, and 4 double columns 0.5-0.85x at batches 5-64.
+ * Narrower float chunks and wider double chunks were slower, and one
+ * shared width of 8 was slower than either.
  *
  * The file instantiates itself: the first pass defines the shared
  * plan struct and includes this file once per (float type, key type)
@@ -36,17 +48,18 @@
 #include <stdint.h>
 #include <string.h>
 
-#define LUTQ_MAX_BATCH 64 /* = repro.engine.compiled.TRACE_MAX_BATCH */
+#define LUTQ_CHUNK_F32 32 /* float columns per chunk (measured) */
+#define LUTQ_CHUNK_F64 4  /* double columns per chunk (measured) */
 #define LUTQ_MAX_MU 16    /* = repro.core.keys.MAX_MU */
 #define LUTQ_ROWS 4       /* output rows whose folds run interleaved */
 
-/* Everything about a call except the input and the output: fixed when
- * the engine specializes a (dtype, batch) trace.  Mirrored by
- * repro.engine.native.Plan; the arrays are owned by the Python trace. */
+/* Everything about a layer's calls in one dtype: fixed once per engine
+ * and dtype, read-only afterwards, so concurrent calls may share it.
+ * Mirrored by repro.engine.native.Plan; the arrays are owned by the
+ * Python engine. */
 typedef struct {
     int64_t m;           /* output rows */
     int64_t n;           /* input rows (unpadded) */
-    int64_t batch;       /* columns, 1..LUTQ_MAX_BATCH */
     int64_t groups;      /* ceil(n / mu) */
     int64_t tile_g;      /* groups per LUT-stationary tile */
     int32_t mu;          /* LUT unit, 1..LUTQ_MAX_MU */
@@ -56,49 +69,68 @@ typedef struct {
     const void *keys;    /* (bits, m, groups) C order */
     const void *alphas;  /* (bits, m) C order, float type */
     const void *bias;    /* (m,) float type, or NULL */
-    void *tables;        /* (tile_g, 2^mu, batch) scratch, float type */
 } lutq_plan;
+
+static int lutq_valid(const lutq_plan *p)
+{
+    return p->m >= 1 && p->n >= 1 && p->mu >= 1 && p->mu <= LUTQ_MAX_MU
+        && p->bits >= 1 && p->groups == (p->n + p->mu - 1) / p->mu
+        && p->tile_g >= 1 && (p->fp64 == 0 || p->fp64 == 1)
+        && (p->key_bytes == 1 || p->key_bytes == 2);
+}
+
+/* Bytes of table scratch one call on *p* needs, at any batch; -1 for a
+ * plan outside the kernel's envelope. */
+int64_t lutq_scratch_bytes(const lutq_plan *p)
+{
+    if (!lutq_valid(p))
+        return -1;
+    return (p->tile_g << p->mu)
+        * (p->fp64 ? LUTQ_CHUNK_F64 * (int64_t)sizeof(double)
+                   : LUTQ_CHUNK_F32 * (int64_t)sizeof(float));
+}
 
 #define LUTQ_CAT_(a, b) a##_##b
 #define LUTQ_CAT(a, b) LUTQ_CAT_(a, b)
 
 #define LUTQ_T float
 #define LUTQ_K uint8_t
+#define LUTQ_CHUNK LUTQ_CHUNK_F32
 #define LUTQ_SUFFIX f32_u8
 #include "_lutq.c"
 #define LUTQ_T float
 #define LUTQ_K uint16_t
+#define LUTQ_CHUNK LUTQ_CHUNK_F32
 #define LUTQ_SUFFIX f32_u16
 #include "_lutq.c"
 #define LUTQ_T double
 #define LUTQ_K uint8_t
+#define LUTQ_CHUNK LUTQ_CHUNK_F64
 #define LUTQ_SUFFIX f64_u8
 #include "_lutq.c"
 #define LUTQ_T double
 #define LUTQ_K uint16_t
+#define LUTQ_CHUNK LUTQ_CHUNK_F64
 #define LUTQ_SUFFIX f64_u16
 #include "_lutq.c"
 
 /* y (m, batch), C order, in the plan's float type; x (n, batch) read
- * through byte strides.  Returns 0, or -1 for a plan outside the
- * kernel's envelope (nothing is written then). */
-int lutq_run(const lutq_plan *p, const char *x, int64_t stride_row,
-             int64_t stride_col, void *y)
+ * through byte strides; tables is lutq_scratch_bytes(p) of scratch,
+ * aligned for the float type.  Returns 0, or -1 for a plan or batch
+ * outside the kernel's envelope (nothing is written then). */
+int lutq_run(const lutq_plan *p, int64_t batch, void *tables,
+             const char *x, int64_t stride_row, int64_t stride_col, void *y)
 {
-    if (p->m < 1 || p->n < 1 || p->batch < 1 || p->batch > LUTQ_MAX_BATCH
-        || p->mu < 1 || p->mu > LUTQ_MAX_MU || p->bits < 1
-        || p->groups != (p->n + p->mu - 1) / p->mu || p->tile_g < 1)
+    if (batch < 1 || !lutq_valid(p))
         return -1;
     if (p->fp64 && p->key_bytes == 1)
-        lutq_run_f64_u8(p, x, stride_row, stride_col, y);
-    else if (p->fp64 && p->key_bytes == 2)
-        lutq_run_f64_u16(p, x, stride_row, stride_col, y);
-    else if (!p->fp64 && p->key_bytes == 1)
-        lutq_run_f32_u8(p, x, stride_row, stride_col, y);
-    else if (!p->fp64 && p->key_bytes == 2)
-        lutq_run_f32_u16(p, x, stride_row, stride_col, y);
+        lutq_run_f64_u8(p, batch, tables, x, stride_row, stride_col, y);
+    else if (p->fp64)
+        lutq_run_f64_u16(p, batch, tables, x, stride_row, stride_col, y);
+    else if (p->key_bytes == 1)
+        lutq_run_f32_u8(p, batch, tables, x, stride_row, stride_col, y);
     else
-        return -1;
+        lutq_run_f32_u16(p, batch, tables, x, stride_row, stride_col, y);
     return 0;
 }
 
@@ -115,102 +147,127 @@ static inline T FN(xval)(const lutq_plan *p, const char *x, int64_t sr,
     return row < p->n ? *(const T *)(x + row * sr + col * sc) : (T)0;
 }
 
-/* Algorithm 1 for groups [g0, g0 + g_len): tables[g][key][col].
- * Inlined with a constant b for batches 1 and 2 (see lutq_run). */
+/* Algorithm 1 for groups [g0, g0 + g_len) of one column chunk of width
+ * w: tables[g][key][col].  Inlined with a constant w for the widths of
+ * lutq_run's switch. */
 static inline __attribute__((always_inline)) void
-FN(build)(const lutq_plan *p, const char *x, int64_t sr, int64_t sc,
-          int64_t g0, int64_t g_len, const int64_t b)
+FN(build)(const lutq_plan *p, T *tables, const char *x, int64_t sr,
+          int64_t sc, int64_t g0, int64_t g_len, const int64_t w)
 {
     const int mu = p->mu;
     const int64_t entries = (int64_t)1 << mu;
     const int64_t top = entries >> 1;
-    T two[LUTQ_MAX_BATCH];
+    T two[LUTQ_CHUNK];
     for (int64_t g = 0; g < g_len; ++g) {
-        T *t = (T *)p->tables + g * entries * b;
+        T *t = tables + g * entries * w;
         const int64_t row0 = (g0 + g) * mu;
-        for (int64_t c = 0; c < b; ++c)
+        for (int64_t c = 0; c < w; ++c)
             t[c] = -FN(xval)(p, x, sr, sc, row0, c);
         for (int j = 1; j < mu; ++j)
-            for (int64_t c = 0; c < b; ++c)
+            for (int64_t c = 0; c < w; ++c)
                 t[c] = t[c] - FN(xval)(p, x, sr, sc, row0 + j, c);
         for (int s = 0; s < mu - 1; ++s) {
             const int64_t half = (int64_t)1 << s;
-            for (int64_t c = 0; c < b; ++c)
+            for (int64_t c = 0; c < w; ++c)
                 two[c] = (T)2 * FN(xval)(p, x, sr, sc, row0 + mu - 1 - s, c);
             for (int64_t k = 0; k < half; ++k)
-                for (int64_t c = 0; c < b; ++c)
-                    t[(half + k) * b + c] = t[k * b + c] + two[c];
+                for (int64_t c = 0; c < w; ++c)
+                    t[(half + k) * w + c] = t[k * w + c] + two[c];
         }
         for (int64_t k = 0; k < top; ++k)
-            for (int64_t c = 0; c < b; ++c)
-                t[(top + k) * b + c] = -t[(top - 1 - k) * b + c];
+            for (int64_t c = 0; c < w; ++c)
+                t[(top + k) * w + c] = -t[(top - 1 - k) * w + c];
     }
 }
 
-/* Query rows [r, r + nr) of one group tile into y, all bit planes.
- * Inlined with a constant nr and (for batches 1 and 2) a constant b, so
- * the nr * b accumulators live in registers and their independent
- * folds overlap in the pipeline. */
+/* Query rows [r, r + nr) of one group tile into the chunk's columns of
+ * y (row stride ldy), all bit planes.  Inlined with a constant nr and
+ * w, so the nr * w accumulators live in registers and their
+ * independent folds overlap in the pipeline. */
 static inline __attribute__((always_inline)) void
-FN(query_rows)(const lutq_plan *p, int64_t g0, int64_t g_len, T *y,
-               int64_t r, const int nr, const int64_t b)
+FN(query_rows)(const lutq_plan *p, const T *tables, int64_t g0,
+               int64_t g_len, T *y, int64_t ldy, int64_t r, const int nr,
+               const int64_t w)
 {
     const int64_t m = p->m, groups = p->groups;
     const int64_t entries = (int64_t)1 << p->mu;
-    const T *tables = (const T *)p->tables;
     const K *keys = (const K *)p->keys;
     const T *alphas = (const T *)p->alphas;
     for (int i = 0; i < p->bits; ++i) {
         const K *kr = keys + ((int64_t)i * m + r) * groups + g0;
-        T acc[LUTQ_ROWS * LUTQ_MAX_BATCH];
-        for (int64_t e = 0; e < nr * b; ++e)
+        T acc[LUTQ_ROWS * LUTQ_CHUNK];
+        for (int64_t e = 0; e < nr * w; ++e)
             acc[e] = (T)0;
         for (int64_t g = 0; g < g_len; ++g) {
-            const T *t = tables + g * entries * b;
+            const T *t = tables + g * entries * w;
             for (int rr = 0; rr < nr; ++rr) {
-                const T *hit = t + (int64_t)kr[rr * groups + g] * b;
-                for (int64_t c = 0; c < b; ++c)
-                    acc[rr * b + c] += hit[c];
+                const T *hit = t + (int64_t)kr[rr * groups + g] * w;
+                for (int64_t c = 0; c < w; ++c)
+                    acc[rr * w + c] += hit[c];
             }
         }
         for (int rr = 0; rr < nr; ++rr) {
             const T alpha = alphas[(int64_t)i * m + r + rr];
-            for (int64_t c = 0; c < b; ++c)
-                y[(r + rr) * b + c] += acc[rr * b + c] * alpha;
+            for (int64_t c = 0; c < w; ++c)
+                y[(r + rr) * ldy + c] += acc[rr * w + c] * alpha;
         }
     }
 }
 
-/* One group tile: build its tables, then query every row. */
+/* One group tile of one column chunk: build its tables, then query
+ * every row. */
 static inline __attribute__((always_inline)) void
-FN(tile)(const lutq_plan *p, const char *x, int64_t sr, int64_t sc,
-         int64_t g0, int64_t g_len, T *y, const int64_t b)
+FN(tile)(const lutq_plan *p, T *tables, const char *x, int64_t sr,
+         int64_t sc, int64_t g0, int64_t g_len, T *y, int64_t ldy,
+         const int64_t w)
 {
     const int64_t m = p->m;
     int64_t r = 0;
-    FN(build)(p, x, sr, sc, g0, g_len, b);
+    FN(build)(p, tables, x, sr, sc, g0, g_len, w);
     for (; r + LUTQ_ROWS <= m; r += LUTQ_ROWS)
-        FN(query_rows)(p, g0, g_len, y, r, LUTQ_ROWS, b);
+        FN(query_rows)(p, tables, g0, g_len, y, ldy, r, LUTQ_ROWS, w);
     for (; r < m; ++r)
-        FN(query_rows)(p, g0, g_len, y, r, 1, b);
+        FN(query_rows)(p, tables, g0, g_len, y, ldy, r, 1, w);
 }
 
-static void FN(lutq_run)(const lutq_plan *p, const char *x, int64_t sr,
-                         int64_t sc, void *out)
+/* The tile at constant widths: full chunks, and batches 1 and 2 (the
+ * measured decode regime: predict-b1, two-stream decode ticks).  Kept
+ * out of line so each width is compiled on its own; inlined together,
+ * the batch-1 query measured up to ~1.5x slower. */
+#define LUTQ_TILE_AT(width, name)                                        \
+    static __attribute__((noinline)) void FN(name)(                      \
+        const lutq_plan *p, T *tables, const char *x, int64_t sr,        \
+        int64_t sc, int64_t g0, int64_t g_len, T *y, int64_t ldy)        \
+    {                                                                    \
+        FN(tile)(p, tables, x, sr, sc, g0, g_len, y, ldy, width);        \
+    }
+LUTQ_TILE_AT(1, tile_1)
+LUTQ_TILE_AT(2, tile_2)
+LUTQ_TILE_AT(LUTQ_CHUNK, tile_chunk)
+#undef LUTQ_TILE_AT
+
+static void FN(lutq_run)(const lutq_plan *p, int64_t b, void *scratch,
+                         const char *x, int64_t sr, int64_t sc, void *out)
 {
     T *y = (T *)out;
-    const int64_t m = p->m, b = p->batch;
+    T *tables = (T *)scratch;
+    const int64_t m = p->m;
     memset(y, 0, (size_t)(m * b) * sizeof(T));
-    for (int64_t g0 = 0; g0 < p->groups; g0 += p->tile_g) {
-        const int64_t rest = p->groups - g0;
-        const int64_t g_len = rest < p->tile_g ? rest : p->tile_g;
-        /* Constant widths for batches 1 and 2, the measured decode
-         * regime (predict-b1, two-stream decode ticks); wider batches
-         * amortize the generic loops over their columns. */
-        switch (b) {
-        case 1: FN(tile)(p, x, sr, sc, g0, g_len, y, 1); break;
-        case 2: FN(tile)(p, x, sr, sc, g0, g_len, y, 2); break;
-        default: FN(tile)(p, x, sr, sc, g0, g_len, y, b); break;
+    for (int64_t c0 = 0; c0 < b; c0 += LUTQ_CHUNK) {
+        const int64_t rest = b - c0;
+        const char *xc = x + c0 * sc;
+        T *yc = y + c0;
+        for (int64_t g0 = 0; g0 < p->groups; g0 += p->tile_g) {
+            const int64_t left = p->groups - g0;
+            const int64_t g_len = left < p->tile_g ? left : p->tile_g;
+            if (rest >= LUTQ_CHUNK)
+                FN(tile_chunk)(p, tables, xc, sr, sc, g0, g_len, yc, b);
+            else if (rest == 1)
+                FN(tile_1)(p, tables, xc, sr, sc, g0, g_len, yc, b);
+            else if (rest == 2)
+                FN(tile_2)(p, tables, xc, sr, sc, g0, g_len, yc, b);
+            else
+                FN(tile)(p, tables, xc, sr, sc, g0, g_len, yc, b, rest);
         }
     }
     if (p->bias != NULL) {
@@ -225,6 +282,7 @@ static void FN(lutq_run)(const lutq_plan *p, const char *x, int64_t sr,
 #undef K
 #undef T
 #undef LUTQ_SUFFIX
+#undef LUTQ_CHUNK
 #undef LUTQ_K
 #undef LUTQ_T
 

@@ -1,43 +1,45 @@
-"""The ``compiled`` engine: per-shape specialized fused BiQGEMM traces.
+"""The ``compiled`` engine: BiQGEMM on the native LUT kernel.
 
 Every per-call decision :meth:`repro.core.kernel.BiQGemm.matmul` makes
 -- shape checks, reshape-vs-copy, tile selection, builder/query-path
 dispatch, alpha casting, dtype promotion -- depends only on ``(m, n,
-bits, mu, dtype, batch)``, all of which are known ahead of the first
-call for a planned layer.  This module resolves them **once**, at
-specialization time, into a resident *trace* per ``(dtype, batch)``:
+bits, mu, dtype)``.  This engine resolves them **once per dtype** into
+a :class:`repro.engine.native.Plan` for the native LUT kernel
+(``_lutq.c``): the batch-invariant tile schedule
+(:meth:`BiQGemm.invariant_tiles`), the key matrix, the scales in the
+activation dtype and the fused bias.  A call then is one native call:
 
-- the trace fixes a :class:`repro.engine.native.Plan` for the native
-  LUT query kernel (``_lutq.c``): the batch-invariant tile schedule
-  (:meth:`BiQGemm.invariant_tiles`), the key matrix, the scales in the
-  activation dtype and the fused bias;
-- the table scratch and the output are resident on the trace, so a
-  steady-state call is one native call that allocates nothing;
+- the batch, the input and the output are call arguments, so one plan
+  serves every batch, and concurrent calls may share it;
+- the output is allocated per call and returned to the caller;
+- the table scratch comes from a small lock-protected pool shared by
+  every engine in the process (:class:`_ScratchPool`).  The kernel
+  runs the batch in fixed column chunks, so one layer's scratch has
+  the same size at every batch, and the pool holds at most one buffer
+  per concurrently running call;
 - the kernel folds every partial sum in the reference loop-query
-  order, so every output bit matches the unfused engine at every
-  batch;
+  order, so every output bit matches the inner batch-invariant
+  :class:`BiQGemm` at every batch: the engine is batch-invariant;
 - **epilogue fusion**: the layer bias is added inside the native call
   and the following activation (``relu``/``gelu``/``sigmoid``/
   ``tanh``, discovered at ``compile()`` time) runs right after it via
   ``out=``-aware ufunc chaining.
 
-Anything outside the specialized envelope -- a dtype the kernel does
-not compute in (float32 and float64 only), no native kernel on this
-host, an unseen shape once the trace budget is spent, a batch above
-:data:`TRACE_MAX_BATCH`, a concurrent call racing for the resident
-buffers -- falls back to the inner batch-invariant :class:`BiQGemm`
-plus a generic epilogue, which is bit-identical by construction; the
-trace is purely a speed layer.
+A dtype the kernel does not compute in (float32 and float64 only), an
+empty batch, explicit kernel keyword arguments, or a host where the
+native kernel cannot be built all serve through the inner
+batch-invariant :class:`BiQGemm` plus a generic epilogue, which is
+bit-identical by construction.
 
-Registered as ``backend="compiled"`` with
-``auto_candidate=False``: it is lossless but only enters a plan when a
-caller extends the candidate list explicitly -- the fusion planning
-pass in :meth:`repro.api.QuantModel.compile` does, for layers whose
-following activation is fusible.
+Registered as ``backend="compiled"`` with ``auto_candidate=False``:
+``backend="auto"`` and :func:`~repro.engine.lossless_engines` keep
+their candidate pool, and :meth:`repro.api.QuantModel.compile` adds the
+engine explicitly, so it is the LUT engine of every compiled layer.
 """
 
 from __future__ import annotations
 
+import ctypes
 import threading
 from typing import Mapping
 
@@ -50,65 +52,85 @@ from repro.engine.base import EngineBuildRequest
 from repro.engine.registry import EngineEntry, register_engine
 from repro.hw.costmodel import estimate_compiled
 
-__all__ = [
-    "CompiledKernelEngine",
-    "TRACE_MAX_BATCH",
-    "MAX_TRACES",
-]
-
-TRACE_MAX_BATCH = 64
-"""Largest batch a trace is specialized for.
-
-The compiled engine targets the GEMV/small-batch regime where the cost
-model picks it; larger batches (where dense BLAS wins anyway) serve
-through the inner engine fallback rather than holding huge resident
-table buffers.
-"""
-
-MAX_TRACES = 8
-"""Resident ``(dtype, batch)`` specializations per engine.
-
-A serving loop sees a handful of exact batch sizes (the batcher
-coalesces toward bucket boundaries); once the budget is spent, unseen
-shapes fall back to the inner engine instead of growing memory without
-bound.
-"""
+__all__ = ["CompiledKernelEngine"]
 
 
-class _Trace:
-    """One ``(dtype, batch)`` specialization run by the native kernel.
+def _address(arr: np.ndarray) -> int:
+    """The address of ``arr[0, 0]``.
 
-    Fixes the kernel's :class:`~repro.engine.native.Plan` (shape, tile
-    width, pointers to the keys, scales and fused bias) and owns the
-    resident table scratch and output buffer sized for this exact
-    batch.  ``run`` is one native call: no shape checks, no dispatch,
-    no allocation.
+    ``arr.ctypes.data`` builds a helper object per call and costs about
+    three times as much as ``ctypes.c_char.from_buffer``, which serves
+    the writable contiguous arrays of the hot path.
+    """
+    flags = arr.flags
+    if flags.writeable:
+        if flags.c_contiguous:
+            return ctypes.addressof(ctypes.c_char.from_buffer(arr))
+        if flags.f_contiguous:
+            return ctypes.addressof(ctypes.c_char.from_buffer(arr.T))
+    return arr.ctypes.data
+
+
+class _ScratchPool:
+    """Table scratch for native calls, shared by every engine.
+
+    :meth:`take` pops a free buffer, replacing it with a larger one when
+    it is too small, and :meth:`give` puts it back.  So the pool never
+    holds more buffers than calls have run at once, and they grow to the
+    largest scratch any layer needs.  A thread-local scratch would not
+    do: prefill runs on short-lived request threads.
     """
 
-    __slots__ = ("_kernel", "_plan", "_refs", "_y_addr", "tables", "y")
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._free: list[tuple[np.ndarray, int]] = []
 
-    def __init__(
-        self, engine: "CompiledKernelEngine", dtype, batch: int, kernel
-    ):
+    def take(self, nbytes: int) -> tuple[np.ndarray, int]:
+        """A free ``(buffer, address)`` of at least *nbytes*."""
+        with self._lock:
+            if self._free:
+                entry = self._free.pop()
+                if entry[0].nbytes >= nbytes:
+                    return entry
+        # float64 elements: aligned for either kernel dtype.
+        buf = np.empty(-(-nbytes // 8), np.float64)
+        return buf, _address(buf)
+
+    def give(self, entry: tuple[np.ndarray, int]) -> None:
+        with self._lock:
+            self._free.append(entry)
+
+
+_SCRATCH = _ScratchPool()
+
+_UNBUILT = object()
+
+
+class _NativePlan:
+    """One layer in one dtype on the native kernel, for every batch.
+
+    Holds the kernel's :class:`~repro.engine.native.Plan` and the arrays
+    its pointers reference.  ``run`` allocates the output, borrows table
+    scratch from the shared pool and makes one native call.
+    """
+
+    __slots__ = ("_dtype", "_m", "_plan", "_plan_ref", "_refs", "_run",
+                 "_scratch_bytes")
+
+    def __init__(self, engine: "CompiledKernelEngine", dtype, kernel):
         inner = engine._inner
         dtype = np.dtype(dtype)
         m, n = inner.shape
         keys = np.ascontiguousarray(inner.key_matrix.keys)
         alphas = np.ascontiguousarray(inner._alphas_for(dtype))
         bias = engine._bias_col(dtype)
-        tile_g = inner.invariant_tiles(dtype).tile_g
-        self.tables = np.empty((tile_g, 1 << inner.mu, batch), dtype)
-        self.y = np.empty((m, batch), dtype)
-        self._y_addr = self.y.ctypes.data
         # The plan holds raw pointers: keep every array it points into.
         self._refs = (keys, alphas, bias)
-        self._kernel = kernel
         self._plan = native.Plan(
             m=m,
             n=n,
-            batch=batch,
             groups=keys.shape[2],
-            tile_g=tile_g,
+            tile_g=inner.invariant_tiles(dtype).tile_g,
             mu=inner.mu,
             bits=inner.bits,
             fp64=int(dtype == np.float64),
@@ -116,50 +138,62 @@ class _Trace:
             keys=keys.ctypes.data,
             alphas=alphas.ctypes.data,
             bias=None if bias is None else bias.ctypes.data,
-            tables=self.tables.ctypes.data,
         )
-
-    @property
-    def nbytes(self) -> int:
-        return self.y.nbytes + self.tables.nbytes
+        self._plan_ref = ctypes.byref(self._plan)
+        self._scratch_bytes = kernel.scratch_bytes(self._plan_ref)
+        if self._scratch_bytes < 0:
+            raise RuntimeError("native LUT query kernel rejected its plan")
+        self._run = kernel.run
+        self._dtype = dtype
+        self._m = m
 
     def run(
-        self, arr: np.ndarray, y_dest: np.ndarray | None = None
+        self, arr: np.ndarray, y: np.ndarray | None = None
     ) -> np.ndarray:
-        """Execute the trace on ``(n, batch)`` input *arr*.
+        """The pre-activation result for ``(n, batch)`` input *arr*.
 
-        *arr* may be strided.  *y_dest*, when given, receives the
-        pre-activation result directly (it must be a C-contiguous
-        ``(m, batch)`` array in the trace dtype that does not alias
-        *arr* -- the caller guarantees all three); otherwise the
-        resident ``y`` buffer is used.  Bias, when fused, is folded in;
-        the activation epilogue is the engine's job (it may change
-        dtype).
+        *arr* may be strided; the batch must be at least 1.  *y*, when
+        given, receives the result directly (it must be a C-contiguous
+        ``(m, batch)`` array in the plan dtype that does not alias
+        *arr* -- the caller guarantees all three).  Bias, when fused,
+        is folded in; the activation epilogue is the engine's job (it
+        may change dtype).
         """
         if not arr.flags.aligned:
             arr = arr.copy()
-        if y_dest is None:
-            y, y_addr = self.y, self._y_addr
-        else:
-            y, y_addr = y_dest, y_dest.ctypes.data
-        if self._kernel(self._plan, arr.ctypes.data, *arr.strides, y_addr):
-            raise RuntimeError("native LUT query kernel rejected its plan")
+        batch = arr.shape[1]
+        if y is None:
+            y = np.empty((self._m, batch), self._dtype)
+        # A buffer lost to an exception here is only garbage collected.
+        scratch = _SCRATCH.take(self._scratch_bytes)
+        rc = self._run(
+            self._plan_ref,
+            batch,
+            scratch[1],
+            _address(arr),
+            *arr.strides,
+            _address(y),
+        )
+        _SCRATCH.give(scratch)
+        if rc:
+            raise RuntimeError("native LUT query kernel rejected its call")
         return y
 
 
 class CompiledKernelEngine:
-    """Per-shape specialized BiQGEMM with a fused bias+activation epilogue.
+    """BiQGEMM on the native LUT kernel with a fused bias+activation
+    epilogue.
 
     Wraps a batch-invariant :class:`BiQGemm` (the correctness anchor
-    and the fallback path) and serves hot calls through resident
-    native traces (see the module docstring).  Satisfies the
+    and the fallback path) and serves calls through one native plan
+    per dtype (see the module docstring).  Satisfies the
     :class:`repro.engine.base.MatmulEngine` protocol.
 
     Parameters
     ----------
     inner:
         The compiled key-matrix kernel; must have ``batch_invariant``
-        set (the constructor enforces it) so fallback and trace paths
+        set (the constructor enforces it) so fallback and native paths
         are bit-identical.
     bias:
         Optional ``(m,)`` layer bias folded into the query pass.
@@ -174,9 +208,16 @@ class CompiledKernelEngine:
 
     accepts_profiler = True
     """``matmul`` forwards ``profiler=`` to the inner kernel.  Any
-    keyword argument opts the call out of the resident-trace fast path
-    (traces are compiled for the bare call), so profiled calls take the
-    fallback kernel -- phase timing and phase spans still cover them."""
+    keyword argument opts the call out of the native kernel, so
+    profiled calls take the fallback kernel -- phase timing and phase
+    spans still cover them."""
+
+    batch_invariant = True
+    """Every column's bits are independent of the batch it came in:
+    the native kernel and the fallback both fold in the inner
+    batch-invariant kernel's order.  So a batch-invariant
+    :class:`~repro.nn.linear.QuantLinear` runs a whole decode tick or
+    prefill in one call."""
 
     def __init__(
         self,
@@ -191,7 +232,7 @@ class CompiledKernelEngine:
             )
         inner.batch_invariant = True
         self._inner = inner
-        m = inner.shape[0]
+        m, self._n = inner.shape
         if bias is not None:
             bias = np.asarray(bias)
             if bias.shape != (m,):
@@ -210,14 +251,11 @@ class CompiledKernelEngine:
         else:
             self._activation_fn = None
         self.activation = activation
-        # (dtype, batch) -> trace; None marks a specialization the
-        # native kernel can't run here, served by the fallback.
-        self._traces: dict[tuple[str, int], _Trace | None] = {}
+        # dtype -> native plan; None when the native kernel can't serve
+        # that dtype here (calls take the fallback).  Built on first
+        # use; a race builds two equal plans, and either serves.
+        self._plans: dict[np.dtype, _NativePlan | None] = {}
         self._bias_cols: dict[str, np.ndarray] = {}
-        # One runner at a time owns the resident buffers; a concurrent
-        # call on a shared engine takes the (bit-identical) fallback
-        # instead of blocking or corrupting.
-        self._run_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # metadata
@@ -289,13 +327,14 @@ class CompiledKernelEngine:
         return counts
 
     # ------------------------------------------------------------------
-    # specialization
+    # native plans
     # ------------------------------------------------------------------
-    def _new_trace(self, dtype: np.dtype, batch: int) -> _Trace | None:
+    def _native_plan(self, dtype: np.dtype) -> _NativePlan | None:
+        """Build (and record) the native plan for *dtype*."""
         kernel = native.load() if dtype in native.DTYPES else None
-        if kernel is None:
-            return None
-        return _Trace(self, dtype, batch, kernel)
+        plan = None if kernel is None else _NativePlan(self, dtype, kernel)
+        self._plans[dtype] = plan
+        return plan
 
     def _bias_col(self, dtype: np.dtype) -> np.ndarray | None:
         """The fused bias as an ``(m, 1)`` column in *dtype*, cached."""
@@ -310,62 +349,6 @@ class CompiledKernelEngine:
             self._bias_cols[key] = col
         return col
 
-    def specialize(self, batch: int, dtype) -> bool:
-        """Build (or fetch) the trace for an exact ``(batch, dtype)``.
-
-        Returns True when the specialization is recorded afterwards;
-        False when the shape is outside the specialization envelope
-        (batch too large, trace budget spent) and calls at it will use
-        the fallback path.  A recorded specialization holds native
-        buffers only when the native kernel serves *dtype* on this
-        host; otherwise its calls take the fallback too.
-        """
-        batch = int(batch)
-        dtype = np.dtype(dtype)
-        if batch < 1 or batch > TRACE_MAX_BATCH:
-            return False
-        key = (dtype.str, batch)
-        with self._run_lock:
-            if key in self._traces:
-                return True
-            if len(self._traces) >= MAX_TRACES:
-                return False
-            self._traces[key] = self._new_trace(dtype, batch)
-            return True
-
-    def specialization(self) -> dict:
-        """The resident specialization plan, JSON-able.
-
-        ``{"batches": [...], "dtypes": [...]}`` -- what the v3 artifact
-        caches so :func:`repro.api.load` can rehydrate compiled traces
-        without re-planning (see :meth:`prebuild`).
-        """
-        with self._run_lock:
-            keys = list(self._traces)
-        return {
-            "batches": sorted({b for _, b in keys}),
-            "dtypes": sorted({s for s, _ in keys}),
-        }
-
-    def prebuild(self, plan: Mapping) -> None:
-        """Rebuild traces from a cached :meth:`specialization` plan."""
-        for s in plan.get("dtypes", ()):
-            for b in plan.get("batches", ()):
-                self.specialize(int(b), np.dtype(str(s)))
-
-    @property
-    def trace_count(self) -> int:
-        """Recorded ``(dtype, batch)`` specializations (observability)."""
-        with self._run_lock:
-            return len(self._traces)
-
-    def trace_nbytes(self) -> int:
-        """Resident trace buffer bytes (observability)."""
-        with self._run_lock:
-            return sum(
-                t.nbytes for t in self._traces.values() if t is not None
-            )
-
     # ------------------------------------------------------------------
     # multiplication
     # ------------------------------------------------------------------
@@ -376,14 +359,14 @@ class CompiledKernelEngine:
         out: np.ndarray | None = None,
         **kwargs,
     ) -> np.ndarray:
-        """``activation(W_quantized @ x + bias)`` via a resident trace.
+        """``activation(W_quantized @ x + bias)`` on the native kernel.
 
         Same input/output conventions as :meth:`BiQGemm.matmul`, except
         that with a fused activation the result (and any *out*) is in
         :meth:`result_dtype` of the input's float dtype.  Extra keyword
         arguments (explicit tiles, builders, threads, profilers) opt
-        out of the trace and delegate to the inner kernel, epilogue
-        still applied.
+        out of the native kernel and delegate to the inner kernel,
+        epilogue still applied.
         """
         arr = np.asarray(x)
         vector_in = arr.ndim == 1
@@ -391,51 +374,43 @@ class CompiledKernelEngine:
             arr = arr[:, None]
         if arr.ndim != 2:
             raise ValueError(f"x must be 1-D or 2-D, got shape {arr.shape}")
-        n = self._inner.shape[1]
-        if arr.shape[0] != n:
-            raise ValueError(
-                f"x has {arr.shape[0]} rows, engine expects n={n}"
-            )
-        if not np.issubdtype(arr.dtype, np.floating):
+        n, batch = arr.shape
+        if n != self._n:
+            raise ValueError(f"x has {n} rows, engine expects n={self._n}")
+        if arr.dtype.kind != "f":
             arr = arr.astype(np.float64)
-        m = self.shape[0]
-        batch = arr.shape[1]
-        rdt = self.result_dtype(arr.dtype)
         res2 = None
         if out is not None:
-            res2 = check_matmul_out(out, m, batch, rdt, arr, vector_in)
+            res2 = check_matmul_out(
+                out,
+                self.shape[0],
+                batch,
+                self.result_dtype(arr.dtype),
+                arr,
+                vector_in,
+            )
 
-        trace = None
-        locked = False
-        if not kwargs and 1 <= batch <= TRACE_MAX_BATCH:
-            locked = self._run_lock.acquire(blocking=False)
-            if locked:
-                key = (arr.dtype.str, batch)
-                if key not in self._traces and len(self._traces) < MAX_TRACES:
-                    self._traces[key] = self._new_trace(arr.dtype, batch)
-                trace = self._traces.get(key)
-        try:
-            if trace is not None:
-                # Pre-activation result straight into the caller's
-                # buffer when dtypes line up (no extra copy).
-                direct = (
-                    res2 is not None
-                    and self.activation is None
-                    and res2.dtype == arr.dtype
-                    and res2.flags.c_contiguous
-                )
-                y = trace.run(arr, y_dest=res2 if direct else None)
-            else:
-                y = self._inner.matmul(arr, **kwargs)
-                bias_col = self._bias_col(y.dtype)
-                if bias_col is not None:
-                    y += bias_col
-            # The epilogue must read y before the lock drops: a
-            # resident y belongs to the next trace run after that.
-            result = self._epilogue(y, res2, resident=trace is not None)
-        finally:
-            if locked:
-                self._run_lock.release()
+        plan = None
+        if not kwargs and batch:
+            plan = self._plans.get(arr.dtype, _UNBUILT)
+            if plan is _UNBUILT:
+                plan = self._native_plan(arr.dtype)
+        if plan is not None:
+            # Pre-activation result straight into the caller's buffer
+            # when dtypes line up (no extra copy).
+            direct = (
+                res2 is not None
+                and self.activation is None
+                and res2.dtype == arr.dtype
+                and res2.flags.c_contiguous
+            )
+            y = plan.run(arr, res2 if direct else None)
+        else:
+            y = self._inner.matmul(arr, **kwargs)
+            bias_col = self._bias_col(y.dtype)
+            if bias_col is not None:
+                y += bias_col
+        result = self._epilogue(y, res2)
         if out is not None:
             return out
         return result[:, 0] if vector_in else result
@@ -456,31 +431,22 @@ class CompiledKernelEngine:
         return cols[:, 0] if vector_in else cols
 
     def _epilogue(
-        self,
-        y: np.ndarray,
-        res2: np.ndarray | None,
-        *,
-        resident: bool,
+        self, y: np.ndarray, res2: np.ndarray | None
     ) -> np.ndarray:
         """Apply the activation (bias is already folded into *y*).
 
-        *y* is the pre-activation ``(m, b)`` block -- the resident
-        trace buffer, the caller's *res2* itself (direct-write case),
-        or a fallback result.  Returns the array holding the final
-        values; the caller may not own *y*, so without *res2* a
-        resident *y* is copied out.
+        *y* is the pre-activation ``(m, b)`` block, owned by this call
+        (or the caller's *res2* itself, in the direct-write case).
+        Returns the array holding the final values.
         """
         if self._activation_fn is None:
             if res2 is None:
-                return y.copy() if resident else y
+                return y
             if res2 is not y:
                 np.copyto(res2, y)
             return res2
-        from repro.nn.functional import activation_result_dtype
-
-        rdt = activation_result_dtype(self.activation, y.dtype)
         if res2 is None:
-            res2 = np.empty(y.shape, rdt)
+            return self._activation_fn(y)
         return self._activation_fn(y, out=res2)
 
 
@@ -555,7 +521,7 @@ register_engine(
         lossless=True,
         auto_candidate=False,
         description=(
-            "per-shape specialized BiQGEMM traces with a fused "
+            "BiQGEMM on the native LUT kernel with a fused "
             "bias+activation epilogue"
         ),
         export=_export_compiled,

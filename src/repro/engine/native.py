@@ -2,7 +2,7 @@
 
 :func:`load` compiles the package's C source once with the host
 ``gcc`` and binds it through stdlib :mod:`ctypes`; the ``compiled``
-engine (:mod:`repro.engine.compiled`) runs its resident traces through
+engine (:mod:`repro.engine.compiled`) runs every native call through
 it.  There is no switch: when no library can be built or loaded (no
 compiler, unwritable cache, foreign platform) :func:`load` logs one
 warning for the process and returns ``None``, and the engine serves
@@ -29,10 +29,13 @@ import tempfile
 import threading
 import zlib
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-__all__ = ["CFLAGS", "DTYPES", "Plan", "cache_dir", "load", "status"]
+__all__ = [
+    "CFLAGS", "DTYPES", "Kernel", "Plan", "cache_dir", "load", "status"
+]
 
 _LOG = logging.getLogger("repro.engine.native")
 
@@ -50,15 +53,15 @@ DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class Plan(ctypes.Structure):
-    """The C ``lutq_plan``: everything about a call but input and output.
+    """The C ``lutq_plan``: one layer in one dtype, at every batch.
 
-    Holds raw pointers; whoever builds one keeps the arrays alive.
+    Holds raw pointers; whoever builds one keeps the arrays alive.  The
+    kernel only reads it, so concurrent calls may share one.
     """
 
     _fields_ = [
         ("m", ctypes.c_int64),
         ("n", ctypes.c_int64),
-        ("batch", ctypes.c_int64),
         ("groups", ctypes.c_int64),
         ("tile_g", ctypes.c_int64),
         ("mu", ctypes.c_int32),
@@ -68,8 +71,21 @@ class Plan(ctypes.Structure):
         ("keys", ctypes.c_void_p),
         ("alphas", ctypes.c_void_p),
         ("bias", ctypes.c_void_p),
-        ("tables", ctypes.c_void_p),
     ]
+
+
+class Kernel(NamedTuple):
+    """The bound entry points of one loaded library."""
+
+    run: Callable[..., int]
+    """``run(plan, batch, tables, x, stride_row, stride_col, y)``:
+    *plan* is a ``ctypes.byref`` to a :class:`Plan`, the rest are
+    integers (addresses, byte strides).  Returns 0, or nonzero when the
+    plan or batch is outside the kernel's envelope."""
+
+    scratch_bytes: Callable[..., int]
+    """``scratch_bytes(plan)``: the table scratch *run* needs for
+    *plan*, the same at every batch (-1 for an invalid plan)."""
 
 
 def cache_dir() -> Path:
@@ -107,18 +123,23 @@ def _build(source_path: Path, target: Path) -> None:
             os.unlink(tmp)
 
 
-def _bind(path: Path):
+def _bind(path: Path) -> Kernel:
     lib = ctypes.CDLL(str(path))
     run = lib.lutq_run
     run.argtypes = [
         ctypes.POINTER(Plan),
+        ctypes.c_int64,
+        ctypes.c_void_p,
         ctypes.c_void_p,
         ctypes.c_int64,
         ctypes.c_int64,
         ctypes.c_void_p,
     ]
     run.restype = ctypes.c_int
-    return run
+    scratch_bytes = lib.lutq_scratch_bytes
+    scratch_bytes.argtypes = [ctypes.POINTER(Plan)]
+    scratch_bytes.restype = ctypes.c_int64
+    return Kernel(run=run, scratch_bytes=scratch_bytes)
 
 
 _UNSET = object()
@@ -127,8 +148,8 @@ _kernel = _UNSET
 _path: Path | None = None
 
 
-def load():
-    """The bound ``lutq_run`` function, or ``None`` when unavailable.
+def load() -> Kernel | None:
+    """The bound :class:`Kernel`, or ``None`` when unavailable.
 
     Builds on the first call in a process if the cache misses; later
     calls return the same result without touching the filesystem.
@@ -160,8 +181,8 @@ def load():
 def status() -> dict:
     """``{"loaded": bool, "path": str | None}`` for this process.
 
-    Never builds: before the first :func:`load` (no compiled trace
-    yet) it reports ``loaded: False``.
+    Never builds: before the first :func:`load` (no native call yet)
+    it reports ``loaded: False``.
     """
     kernel = _kernel
     loaded = kernel is not None and kernel is not _UNSET

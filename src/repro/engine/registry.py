@@ -79,10 +79,13 @@ class EngineEntry:
         lossless engines are ``"auto"`` candidates.
     auto_candidate:
         True when the engine should be offered to the ``"auto"``
-        planner by default.  Specialized engines (``compiled``) set
-        this False: they are lossless, but only enter a plan when a
-        caller extends the candidate list explicitly (the fusion pass
-        in :meth:`repro.api.model.QuantModel.compile` does).
+        planner by default.  ``compiled`` sets this False: it is
+        lossless, but per-call ``"auto"`` dispatch and the paper-bench
+        crossovers keep their candidate pool, and the engine enters a
+        plan when a caller extends the candidate list explicitly.
+        :meth:`repro.api.model.QuantModel.compile` does, for every
+        layer, so ``compiled`` is the LUT engine of every compiled
+        model.
     needs_weight:
         True when ``build`` requires the original float weight (via
         :meth:`~repro.engine.base.EngineBuildRequest.get_weight`)
@@ -141,7 +144,8 @@ def lossless_engines() -> tuple[str, ...]:
 
     Excludes lossless engines registered with ``auto_candidate=False``
     (``compiled``) -- those enter plans only via explicit candidate
-    lists, keeping the default planning regimes stable.
+    lists (:func:`repro.api.planner.plan_layers` passes one), keeping
+    the per-call ``"auto"`` regimes stable.
     """
     return tuple(
         sorted(

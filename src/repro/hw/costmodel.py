@@ -220,16 +220,16 @@ def estimate_compiled(
     threads: int = 1,
     fuse: str | None = None,
 ) -> CostEstimate:
-    """Cost of the per-shape specialized (``compiled``) BiQGEMM trace.
+    """Cost of BiQGEMM on the native kernel (the ``compiled`` engine).
 
-    Same arithmetic as :func:`estimate_biqgemm`, with the specialization
-    wins priced in:
+    Same arithmetic as :func:`estimate_biqgemm`, with the native
+    kernel's wins priced in:
 
     - the key address-generation term vanishes -- gather indices are
       materialized once at build time, not decoded per call;
-    - per-call overhead shrinks: the trace carries no shape checks,
+    - per-call overhead shrinks: the call makes no shape checks,
       reshape decisions, workspace negotiation or dtype promotion
-      (everything is pre-resolved into the closure);
+      (everything is pre-resolved into the per-dtype native plan);
     - with a fused epilogue (*fuse*), the bias+activation run inside the
       query pass, so the output-sized memory round trip a separate
       activation pass would pay is credited back; the epilogue's own
@@ -443,7 +443,7 @@ def estimate_backend(
     onto the cost functions above:
 
     - ``biqgemm``: Eq. 8 with *bits* key planes sharing tables;
-    - ``compiled``: the specialized trace (no key decode, reduced
+    - ``compiled``: the native kernel (no key decode, reduced
       overhead, optional fused epilogue priced by *fuse*);
     - ``dense``: one dequantized-weight BLAS GEMM;
     - ``int8``: dynamic-quantization INT8 GEMM.

@@ -122,9 +122,10 @@ def model_backend_plan(
     """Planner decisions for every weight GEMM of a registered model.
 
     Returns ``(layer_name, m, n, backend)`` rows -- the whole-model view
-    of ``backend="auto"``: at decode batch the attention projections all
-    land on BiQGEMM, while large batches (or many-bit specs) push the
-    big feed-forward shapes onto the dense path.  Plans come from the
+    of ``backend="auto"`` under :meth:`repro.api.QuantModel.compile`:
+    at decode batch the attention projections all land on the native
+    BiQGEMM kernel (``compiled``), while large batches (or many-bit
+    specs) push the big feed-forward shapes onto the dense path.  Plans come from the
     shared plan cache, so a full BERT-large sweep prices each distinct
     shape once.
 

@@ -309,9 +309,11 @@ class TestOlderFormatsKeepWorking:
 
 
 class TestLegacyManifests:
-    """v3 artifacts saved while the ``container``, ``unpack`` and
-    ``xnor`` engines were registered: their ``a_bits`` spec field is
-    ignored, and a layer pinned to a removed engine fails clearly."""
+    """v3 artifacts saved by earlier versions.  From while the
+    ``container``, ``unpack`` and ``xnor`` engines were registered:
+    their ``a_bits`` spec field is ignored, and a layer pinned to a
+    removed engine fails clearly.  From while the compiled engine kept
+    per-batch traces: their ``specialization`` entry is ignored."""
 
     def _resave(self, compiled, path, edit):
         save(compiled, path)
@@ -338,6 +340,33 @@ class TestLegacyManifests:
         assert reloaded.config == compiled.config
         assert reloaded.plans == compiled.plans
         assert np.array_equal(reloaded(x), expected)
+
+    def test_trace_specialization_entry_is_ignored(self, rng, tmp_path):
+        # Artifacts saved while the compiled engine kept resident
+        # per-batch traces record each compiled layer's trace plan.
+        compiled = _compiled_encoder()
+        assert "compiled" in set(compiled.plans.values())
+        xs = [rng.standard_normal((b, 4, 32)) for b in (1, 2)]
+        expected = [compiled(x) for x in xs]
+        path = tmp_path / "fresh.npz"
+        save(compiled, path)
+        fresh, _ = load_model_artifact(path)
+        assert all("specialization" not in e for e in fresh["layers"])
+
+        def add_specialization(manifest):
+            for entry in manifest["layers"]:
+                if entry["backend"] == "compiled":
+                    entry["specialization"] = {
+                        "batches": [4, 8],
+                        "dtypes": ["<f4", "<f8"],
+                    }
+
+        path = tmp_path / "traced.npz"
+        self._resave(compiled, path, add_specialization)
+        reloaded = load(path)
+        assert reloaded.plans == compiled.plans
+        for x, want in zip(xs, expected):
+            assert np.array_equal(reloaded(x), want)
 
     def test_other_unknown_spec_fields_still_fail(self, tmp_path):
         def add_to_layer(manifest):

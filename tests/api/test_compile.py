@@ -30,27 +30,19 @@ def _compiled(batch_hint=1, layers=1, seed=0):
 
 class TestCompilePlans:
     def test_plans_match_direct_plan_backend(self):
-        """Acceptance pin: one compile pass == per-layer planner calls
-        (fusion sites additionally price the fused compiled engine and
-        take it only where it wins)."""
-        from dataclasses import replace
-
+        """Acceptance pin: one compile pass == per-layer planner calls,
+        with the native compiled engine among the candidates."""
         from repro.engine import lossless_engines
 
         compiled = _compiled(batch_hint=1)
         for plan in compiled.layer_plans:
-            spec = CFG.spec_for(plan.name)
-            expected = plan_backend(plan.m, plan.n, spec=spec, batch_hint=1)
-            if plan.name.endswith("ffn.ff1"):
-                fused = plan_backend(
-                    plan.m,
-                    plan.n,
-                    spec=replace(spec, fuse="relu"),
-                    batch_hint=1,
-                    candidates=lossless_engines() + ("compiled",),
-                )
-                if fused == "compiled":
-                    expected = fused
+            expected = plan_backend(
+                plan.m,
+                plan.n,
+                spec=CFG.spec_for(plan.name),
+                batch_hint=1,
+                candidates=lossless_engines() + ("compiled",),
+            )
             assert plan.backend == expected, plan.name
 
     def test_override_changes_the_plan_inputs(self):
@@ -68,7 +60,7 @@ class TestCompilePlans:
     def test_batch_hint_moves_the_plans(self):
         decode = _compiled(batch_hint=1)
         scoring = _compiled(batch_hint=512, seed=1)
-        assert decode.plans["L0.attn.q"] == "biqgemm"
+        assert decode.plans["L0.attn.q"] == "compiled"
         assert scoring.plans["L0.attn.q"] == "dense"
 
     def test_compile_defaults_to_config_batch_hint(self):

@@ -5,7 +5,9 @@ on a host without it, the numpy fallback -- the output must equal the
 inner batch-invariant :class:`~repro.core.kernel.BiQGemm` followed by
 the plain bias + activation epilogue, bit for bit, over generated
 shapes, bit widths, LUT units, batches, dtypes, memory layouts and
-non-finite inputs.
+non-finite inputs -- and when threads share one engine.  Batches run
+to 150, across the kernel's column-chunk edges (32 float and 4 double
+columns) and past 64, the batch cap of the earlier per-batch traces.
 
 "Bit for bit" compares the raw bits of every element, signed zeros
 included, with one exception: where the reference holds a NaN, the
@@ -13,6 +15,9 @@ result must hold a NaN too, but its sign and payload may differ.
 IEEE 754 leaves those unspecified for arithmetic results, and both
 numpy's loops and a C compiler may commute the operands of an add.
 """
+
+import sys
+import threading
 
 import numpy as np
 from hypothesis import given, settings
@@ -27,6 +32,10 @@ from repro.nn.functional import FUSIBLE_ACTIVATIONS, activation_fn
 LAYOUTS = ("contiguous", "row-strided", "col-strided", "fortran",
            "reversed", "unaligned")
 SPECIALS = (np.nan, np.inf, -np.inf, -0.0)
+BATCHES = st.one_of(
+    st.integers(1, 150),
+    st.sampled_from((1, 2, 3, 4, 5, 31, 32, 33, 63, 64, 65, 96, 150)),
+)
 
 
 def _engine(rng, m, n, bits, mu, bias, activation):
@@ -84,10 +93,10 @@ def _assert_same_bits(got, want):
     assert np.array_equal(got_bits, want_bits)
 
 
-def _assert_native_served(engine, dtype, batch):
-    """On a host with the native kernel, the call must have used it."""
+def _assert_native_served(engine, dtype):
+    """On a host with the native kernel, calls in *dtype* used it."""
     if native.load() is not None and dtype in native.DTYPES:
-        assert engine._traces.get((dtype.str, batch)) is not None
+        assert engine._plans.get(np.dtype(dtype)) is not None
 
 
 @given(
@@ -95,7 +104,7 @@ def _assert_native_served(engine, dtype, batch):
     n=st.integers(1, 300),
     bits=st.integers(1, 4),
     mu=st.integers(4, 8),
-    batch=st.sampled_from((1, 2, 3, 63, 64)),
+    batch=BATCHES,
     dtype=st.sampled_from((np.float32, np.float64)),
     layout=st.sampled_from(LAYOUTS),
     bias=st.booleans(),
@@ -115,9 +124,9 @@ def test_compiled_equals_batch_invariant_reference(
     x = _layout(x, layout)
     with np.errstate(all="ignore"):
         want = _expected(engine, x)
-        for _ in range(2):  # the first call builds the trace
+        for _ in range(2):  # the first call builds the native plan
             _assert_same_bits(engine.matmul(x), want)
-    _assert_native_served(engine, x.dtype, batch)
+    _assert_native_served(engine, x.dtype)
 
 
 @given(
@@ -134,7 +143,7 @@ def test_degenerate_and_wide_lut_units(n, mu, batch, dtype, seed):
     engine = _engine(rng, 7, n, 2, mu, True, "relu")
     x = rng.standard_normal((n, batch)).astype(dtype)
     _assert_same_bits(engine.matmul(x), _expected(engine, x))
-    _assert_native_served(engine, x.dtype, batch)
+    _assert_native_served(engine, x.dtype)
 
 
 @given(
@@ -152,4 +161,53 @@ def test_multi_tile_schedule(n, bits, batch, seed):
     assert engine.inner.invariant_tiles(np.float64).tile_g < -(-n // 8)
     x = rng.standard_normal((n, batch))
     _assert_same_bits(engine.matmul(x), _expected(engine, x))
-    _assert_native_served(engine, x.dtype, batch)
+    _assert_native_served(engine, x.dtype)
+
+
+@given(
+    m=st.integers(1, 200),
+    n=st.integers(1, 200),
+    bits=st.integers(1, 4),
+    mu=st.integers(4, 8),
+    batches=st.lists(BATCHES, min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=15, deadline=None)
+def test_threads_sharing_one_engine(m, n, bits, mu, batches, seed):
+    # Four threads call one engine at once, each with its own batch and
+    # dtype: they share its native plans and the table scratch pool.
+    rng = np.random.default_rng(seed)
+    engine = _engine(rng, m, n, bits, mu, True, "relu")
+    dtypes = (np.float32, np.float64) * 2
+    xs = [
+        rng.standard_normal((n, b)).astype(dt)
+        for b, dt in zip(batches, dtypes)
+    ]
+    wants = [_expected(engine, x) for x in xs]
+    start = threading.Barrier(len(xs))
+    results = [[] for _ in xs]
+
+    def serve(i):
+        start.wait(timeout=60)
+        for _ in range(5):
+            results[i].append(engine.matmul(xs[i]))
+
+    threads = [
+        threading.Thread(target=serve, args=(i,)) for i in range(len(xs))
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the Python parts densely
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(results, wants):
+        assert len(got) == 5
+        for y in got:
+            _assert_same_bits(y, want)
+    for dt in (np.float32, np.float64):
+        _assert_native_served(engine, np.dtype(dt))

@@ -1,12 +1,11 @@
 """Unit tests for the compiled engine (repro.engine.compiled).
 
 The engine's whole contract is "bit-identical to the batch-invariant
-reference, just faster": every path -- resident native traces at
-decode and wider batches, the fallback beyond the specialization
-envelope (float16 included), the kwargs
-opt-out, the ``out=`` spellings, restore from serialized state -- must
-reproduce the unfused reference bits exactly, for every fusible
-activation and float dtype.
+reference, just faster": every path -- the native kernel at decode and
+wider batches, the fallback for dtypes the kernel does not compute in
+(float16), the kwargs opt-out, the ``out=`` spellings, restore from
+serialized state -- must reproduce the unfused reference bits exactly,
+for every fusible activation and float dtype.
 """
 
 import threading
@@ -20,11 +19,7 @@ from repro.engine import (
     build_engine,
     engine_entry,
 )
-from repro.engine.compiled import (
-    MAX_TRACES,
-    TRACE_MAX_BATCH,
-    CompiledKernelEngine,
-)
+from repro.engine.compiled import CompiledKernelEngine
 from repro.nn.functional import FUSIBLE_ACTIVATIONS, activation_fn
 
 M, N = 40, 48
@@ -73,8 +68,9 @@ class TestBitIdentity:
     @pytest.mark.parametrize(
         "dtype", [np.float64, np.float32, np.float16]
     )
-    # 1 and 2 run the kernel's constant-width paths, 5 and 33 its
-    # generic-width path; float16 always takes the fallback.
+    # 1 and 2 run the kernel's constant batch widths; 5 and 33 cross a
+    # column-chunk edge (4 double or 32 float columns) into a remainder
+    # chunk; float16 always takes the fallback.
     @pytest.mark.parametrize("batch", [1, 2, 5, 33])
     def test_trace_matches_reference(
         self, weight, bias, reference, activation, dtype, batch, rng
@@ -82,11 +78,11 @@ class TestBitIdentity:
         engine = _compiled(weight, bias=bias, activation=activation)
         x = rng.standard_normal((N, batch)).astype(dtype)
         want = _expected(reference, x, bias=bias, activation=activation)
-        for _ in range(2):  # second call runs the now-resident trace
+        for _ in range(2):  # the second call reuses the built plan
             got = engine.matmul(x)
             assert got.dtype == want.dtype, (activation, dtype)
             assert np.array_equal(got, want), (activation, dtype)
-        assert engine.trace_count == 1
+        assert list(engine._plans) == [np.dtype(dtype)]
 
     def test_vector_input(self, weight, bias, reference, rng):
         engine = _compiled(weight, bias=bias, activation="relu")
@@ -108,27 +104,19 @@ class TestBitIdentity:
         )
         assert np.array_equal(engine.matmul(x), want)
 
-    def test_batch_above_envelope_falls_back_identically(
-        self, weight, bias, reference, rng
-    ):
-        engine = _compiled(weight, bias=bias, activation="relu")
-        x = rng.standard_normal((N, TRACE_MAX_BATCH + 1))
-        want = _expected(reference, x, bias=bias, activation="relu")
-        assert np.array_equal(engine.matmul(x), want)
-        assert engine.trace_count == 0
-
     def test_kwargs_opt_out_is_identical(self, weight, bias, reference, rng):
-        # Explicit kernel knobs bypass the trace but keep the epilogue.
+        # Explicit kernel knobs bypass the native kernel but keep the
+        # epilogue.
         engine = _compiled(weight, bias=bias, activation="sigmoid")
         x = rng.standard_normal((N, 2))
         want = _expected(reference, x, bias=bias, activation="sigmoid")
         got = engine.matmul(x, query_impl="loop")
         assert np.array_equal(got, want)
-        assert engine.trace_count == 0
+        assert not engine._plans
 
     def test_concurrent_calls_stay_identical(self, weight, bias, reference):
-        # Contention must route losers to the (bit-identical) fallback,
-        # never corrupt the resident buffers.
+        # Concurrent calls share one native plan; each borrows its own
+        # table scratch and allocates its own output.
         engine = _compiled(weight, bias=bias, activation="relu")
         rng = np.random.default_rng(5)
         xs = [rng.standard_normal((N, 2)) for _ in range(8)]
@@ -173,37 +161,6 @@ class TestOutPaths:
         )
         bare = _compiled(weight)
         assert bare.result_dtype(np.float16) == np.dtype(np.float16)
-
-
-class TestSpecialization:
-    def test_envelope_rejections(self, weight):
-        engine = _compiled(weight)
-        assert not engine.specialize(0, np.float64)
-        assert not engine.specialize(TRACE_MAX_BATCH + 1, np.float64)
-        assert engine.trace_count == 0
-
-    def test_trace_budget_caps_residency(self, weight, bias, reference, rng):
-        engine = _compiled(weight, bias=bias, activation="relu")
-        for b in range(1, MAX_TRACES + 1):
-            assert engine.specialize(b, np.float64)
-        assert engine.trace_count == MAX_TRACES
-        assert not engine.specialize(MAX_TRACES + 1, np.float64)
-        # Beyond-budget batches still serve, bit-identically.
-        x = rng.standard_normal((N, MAX_TRACES + 1))
-        want = _expected(reference, x, bias=bias, activation="relu")
-        assert np.array_equal(engine.matmul(x), want)
-        assert engine.trace_count == MAX_TRACES
-
-    def test_specialization_prebuild_round_trip(self, weight, bias, rng):
-        engine = _compiled(weight, bias=bias, activation="relu")
-        for b in (1, 2, 4):
-            engine.matmul(rng.standard_normal((N, b)))
-        plan = engine.specialization()
-        assert plan["batches"] == [1, 2, 4]
-        rebuilt = _compiled(weight, bias=bias, activation="relu")
-        rebuilt.prebuild(plan)
-        assert rebuilt.trace_count == engine.trace_count
-        assert rebuilt.specialization() == plan
 
 
 class TestSerialization:

@@ -113,7 +113,7 @@ class TestModelBackendPlan:
         decode = model_backend_plan(
             "transformer-big", batch=1, spec=QuantSpec(bits=3, backend="auto")
         )
-        assert decode and all(row[3] == "biqgemm" for row in decode)
+        assert decode and all(row[3] == "compiled" for row in decode)
         scoring = model_backend_plan(
             "transformer-big", batch=512,
             spec=QuantSpec(bits=3, backend="auto"),
