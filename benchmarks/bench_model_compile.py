@@ -39,7 +39,7 @@ def test_compile_cold_cache(benchmark):
         return qm.compile(batch_hint=1)
 
     compiled = benchmark(compile_cold)
-    assert set(compiled.plans.values()) <= {"compiled", "dense"}
+    assert set(compiled.plans.values()) <= {"biqgemm", "dense"}
 
 
 def test_serve_decode_batch(benchmark):

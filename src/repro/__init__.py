@@ -20,7 +20,7 @@ Public API overview
     with/without unpacking, and XNOR-popcount GEMM.
 ``repro.engine``
     The unified engine registry (the serving backends ``biqgemm``,
-    ``compiled``, ``dense`` and ``int8`` behind one protocol) and the
+    ``dense`` and ``int8`` behind one protocol) and the
     cost-model dispatch planner that resolves ``backend="auto"`` per
     shape, batch and machine.
 ``repro.hw``

@@ -25,11 +25,12 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from repro.api.config import SPEC_FIELDS, QuantConfig, drop_legacy_spec_fields
+from repro.api.config import SPEC_FIELDS, QuantConfig, upgrade_legacy_spec
 from repro.api.model import CompiledModel, QuantMLP, QuantModel
 from repro.api.planner import LayerPlan
 from repro.core.serialize import load_model_artifact, save_model_artifact
 from repro.engine import QuantSpec, engine_entry
+from repro.engine.registry import current_backend
 from repro.nn.linear import QuantLinear
 
 __all__ = [
@@ -278,7 +279,7 @@ def _spec_to_dict(spec: QuantSpec) -> dict:
 
 
 def _spec_from_dict(data: Mapping[str, Any]) -> QuantSpec:
-    data = drop_legacy_spec_fields(data)
+    data = upgrade_legacy_spec(data)
     unknown = sorted(set(data) - set(SPEC_FIELDS))
     if unknown:
         raise ValueError(
@@ -402,7 +403,7 @@ def load_from_parts(
     plans: list[LayerPlan] = []
     named: list[tuple[str, QuantLinear]] = []
     for i, entry_data in enumerate(manifest["layers"]):
-        backend = entry_data["backend"]
+        backend = current_backend(entry_data["backend"])
         entry = engine_entry(backend)
         if entry.restore is None:
             raise ValueError(
@@ -439,7 +440,9 @@ def load_from_parts(
                 name=entry_data["path"],
                 m=int(entry_data["m"]),
                 n=int(entry_data["n"]),
-                backend=entry_data.get("planned_backend", backend),
+                backend=current_backend(
+                    entry_data.get("planned_backend", backend)
+                ),
                 spec=spec,
             )
         )

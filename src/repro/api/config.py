@@ -31,8 +31,9 @@ from fnmatch import fnmatchcase
 from typing import Any, Mapping
 
 from repro.engine import QuantSpec, validate_spec
+from repro.engine.registry import current_backend
 
-__all__ = ["QuantConfig", "SPEC_FIELDS", "drop_legacy_spec_fields"]
+__all__ = ["QuantConfig", "SPEC_FIELDS", "upgrade_legacy_spec"]
 
 SPEC_FIELDS: tuple[str, ...] = tuple(
     f.name for f in fields(QuantSpec)
@@ -46,14 +47,18 @@ SPEC_FIELDS: tuple[str, ...] = tuple(
 _LEGACY_SPEC_FIELDS = frozenset({"a_bits"})
 
 
-def drop_legacy_spec_fields(data: Mapping[str, Any]) -> dict[str, Any]:
-    """*data* without the legacy spec fields older artifacts carry.
+def upgrade_legacy_spec(data: Mapping[str, Any]) -> dict[str, Any]:
+    """*data* in today's spec vocabulary.
 
     The one compatibility rule for loading saved configs and layer
-    specs: a legacy key is ignored, any other unknown key still fails
-    in the caller's validation.
+    specs: a legacy key is ignored, a legacy backend name maps to its
+    current one (:func:`repro.engine.registry.current_backend`), and
+    any other unknown key still fails in the caller's validation.
     """
-    return {k: v for k, v in data.items() if k not in _LEGACY_SPEC_FIELDS}
+    out = {k: v for k, v in data.items() if k not in _LEGACY_SPEC_FIELDS}
+    if isinstance(out.get("backend"), str):
+        out["backend"] = current_backend(out["backend"])
+    return out
 
 
 def _check_override_table(
@@ -196,15 +201,16 @@ class QuantConfig:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "QuantConfig":
         """Inverse of :meth:`to_dict`; rejects unknown keys (legacy
-        spec fields, at top level and in overrides, are dropped)."""
+        spec fields and backend names, at top level and in overrides,
+        are upgraded by :func:`upgrade_legacy_spec`)."""
         if not isinstance(data, Mapping):
             raise TypeError(
                 f"config data must be a mapping, got {type(data).__name__}"
             )
-        data = drop_legacy_spec_fields(data)
+        data = upgrade_legacy_spec(data)
         if isinstance(data.get("overrides"), Mapping):
             data["overrides"] = {
-                pattern: drop_legacy_spec_fields(table)
+                pattern: upgrade_legacy_spec(table)
                 if isinstance(table, Mapping) else table
                 for pattern, table in data["overrides"].items()
             }

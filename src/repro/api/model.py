@@ -346,7 +346,7 @@ def _fusion_sites(model: Any, named: Iterable[tuple[str, Any]]) -> dict[str, str
     with a fusible activation.
 
     The fusion planning pass of :meth:`QuantModel.compile`: these are
-    the sites where pinning the ``"compiled"`` engine folds the next
+    the sites where pinning the ``"biqgemm"`` engine folds the next
     activation into the GEMM epilogue (and the forward pass then skips
     its own activation step).  Recognised today: transformer
     feed-forward first projections (``...ffn.ff1`` -> ReLU) and
@@ -440,13 +440,12 @@ class QuantModel:
         returned :class:`CompiledModel` is superseded and refuses to
         serve (quantize a fresh model to hold two compilations live).
 
-        **Native kernel.**  ``"auto"`` layers are planned with the
-        ``"compiled"`` engine among the candidates, so every layer the
-        planner puts on the LUT runs the native kernel (or, on a host
-        without a C compiler, its bit-identical numpy fallback); layers
-        where ``"dense"`` is cheaper stay dense.
+        **Native kernel.**  Every layer the planner puts on the LUT
+        (``"biqgemm"``) runs the native kernel (or, on a host without a
+        C compiler, its bit-identical numpy fallback); layers where
+        ``"dense"`` is cheaper stay dense.
 
-        **Fusion planning.**  A layer planned onto ``"compiled"`` that
+        **Fusion planning.**  A layer planned onto ``"biqgemm"`` that
         the model graph follows with a fusible activation
         (:func:`_fusion_sites`) is pinned with ``spec.fuse`` set, and
         the forward pass skips its separate activation step.  Fused and
@@ -596,7 +595,7 @@ class CompiledModel:
         additionally runs one forward pass per planned batch bucket up
         to the compile hint (the sample tiled to the bucket's batch),
         so lazily built state -- the native kernel library, each
-        ``compiled`` engine's per-dtype plan, the shared table scratch
+        ``biqgemm`` engine's per-dtype plan, the shared table scratch
         -- exists before the first real request.
         """
         self._check_active()

@@ -16,13 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from repro._util import check_positive_int
 from repro.api.config import QuantConfig
-from repro.engine import (
-    AUTO_BACKEND,
-    QuantSpec,
-    lossless_engines,
-    plan_backend,
-    plan_costs,
-)
+from repro.engine import AUTO_BACKEND, QuantSpec, plan_backend, plan_costs
 from repro.hw.costmodel import CostEstimate
 
 __all__ = [
@@ -80,27 +74,22 @@ def plan_layers(
     *planner* / *machine* override the config for this pass only (the
     ``CompiledModel.compile(planner="autotune")`` path).
 
-    An ``"auto"`` layer is priced once, with the native ``"compiled"``
-    engine added to the lossless candidates.  Its price is never above
-    ``"biqgemm"``'s, so it is the LUT engine of every compiled layer.
     *fusions* maps layer names to the activation that follows them in
     the model graph (:meth:`QuantModel.compile`'s fusion planning pass);
-    a layer planned onto ``"compiled"`` there gets ``spec.fuse`` set.
+    an ``"auto"`` layer planned onto ``"biqgemm"`` there gets
+    ``spec.fuse`` set.
     """
     check_positive_int(batch_hint, "batch_hint")
     fusions = fusions or {}
-    candidates = lossless_engines() + ("compiled",)
     plans: list[LayerPlan] = []
     for name, m, n in shapes:
         spec = _effective_spec(
             config.spec_for(name), planner=planner, machine=machine
         )
         if spec.backend == AUTO_BACKEND:
-            backend = plan_backend(
-                m, n, spec=spec, batch_hint=batch_hint, candidates=candidates
-            )
+            backend = plan_backend(m, n, spec=spec, batch_hint=batch_hint)
             act = fusions.get(name)
-            if backend == "compiled" and act is not None and spec.fuse is None:
+            if backend == "biqgemm" and act is not None and spec.fuse is None:
                 spec = replace(spec, fuse=act)
         else:
             backend = spec.backend

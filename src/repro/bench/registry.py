@@ -1018,29 +1018,30 @@ def compiled_kernels_rows(
     batches: tuple[int, ...] | None = None,
     repeats: int | None = None,
 ) -> list[dict]:
-    """The compiled engine's native fused kernel vs the other engines.
+    """The ``biqgemm`` engine's native fused kernel vs the alternatives.
 
-    The compiled engine's home regime is the paper's Table IV setting:
+    The native kernel's home regime is the paper's Table IV setting:
     1-bit weights, GEMV/small-batch, output-heavy shapes -- where LUT
     query work is minimal (one bit plane) while dense BLAS still pays
     the full float weight stream.  For each batch this measures the
-    fused ``relu(W @ x + bias)`` step four ways: the compiled engine,
-    the biqgemm reference plus a separate bias/activation epilogue,
-    the non-invariant biqgemm fast path plus the epilogue, and dense
-    BLAS plus the same epilogue.  ``speedup_vs_best`` is against the
-    fastest of the other three.  Outputs are checked bit-identical
-    against the batch-invariant loop-query reference; a final row
-    records the modelled batch at which the planner would leave the
-    compiled engine (the fusion crossover).
+    fused ``relu(W @ x + bias)`` step four ways: the native engine
+    (the ``compiled_*`` columns), the batch-invariant numpy
+    :class:`~repro.core.kernel.BiQGemm` plus a separate bias/activation
+    epilogue (the ``biqgemm_*`` columns), the non-invariant numpy fast
+    path plus the epilogue, and dense BLAS plus the same epilogue.
+    ``speedup_vs_best`` is against the fastest of the other three.
+    Outputs are checked bit-identical against the batch-invariant
+    numpy reference; a final row records the modelled batch at which
+    the planner would leave the LUT engine (the fusion crossover).
     """
     import time
 
+    from repro.core.kernel import BiQGemm
     from repro.core.profiling import measure_hot_loop
     from repro.engine import (
         EngineBuildRequest,
         QuantSpec,
         build_engine,
-        lossless_engines,
         plan_backend,
     )
     from repro.nn.functional import relu
@@ -1053,13 +1054,15 @@ def compiled_kernels_rows(
     w = rng.standard_normal((m, n))
     bias = rng.standard_normal(m)
     base_spec = QuantSpec(bits=bits, mu=mu)
-    fused_spec = QuantSpec(bits=bits, mu=mu, backend="compiled", fuse="relu")
+    fused_spec = QuantSpec(bits=bits, mu=mu, fuse="relu")
     compiled = build_engine(
-        "compiled", EngineBuildRequest(spec=fused_spec, weight=w, bias=bias)
+        "biqgemm", EngineBuildRequest(spec=fused_spec, weight=w, bias=bias)
     )
-    biq = build_engine(
-        "biqgemm", EngineBuildRequest(spec=base_spec, weight=w)
+    # The numpy kernel, batch-invariant: the unfused reference.
+    biq = BiQGemm.from_bcq(
+        EngineBuildRequest(spec=base_spec, weight=w).get_bcq(), mu=mu
     )
+    biq.batch_invariant = True
     dense = build_engine(
         "dense", EngineBuildRequest(spec=base_spec, weight=w)
     )
@@ -1079,10 +1082,9 @@ def compiled_kernels_rows(
     for b in batches:
         x = rng.standard_normal((n, b))
         # Bit-identity anchor: the batch-invariant loop-query reference
-        # plus the same epilogue chain the kernel folds in.  biqgemm
-        # ships batch-invariant by default -- that default IS the
-        # unfused reference, so it is measured as-is; the non-invariant
-        # fast mode forfeits bit-identity but still counts as "best".
+        # plus the same epilogue chain the kernel folds in; it is also
+        # the measured numpy baseline.  The non-invariant fast mode
+        # forfeits bit-identity but still counts as "best".
         want = relu(biq.matmul(x) + bias_col)
         got = compiled.matmul(x)
         identical = bool(np.array_equal(got, want)) and got.dtype == want.dtype
@@ -1117,16 +1119,13 @@ def compiled_kernels_rows(
         )
 
     # Modelled fusion crossover: the first power-of-two batch at which
-    # the planner stops choosing the compiled engine for this shape.
+    # the planner stops choosing the LUT engine for this shape.
     crossover = None
-    candidates = lossless_engines() + ("compiled",)
     trial = QuantSpec(bits=bits, mu=mu, fuse="relu")
     b = 1
     while b <= 1024:
-        choice = plan_backend(
-            m, n, spec=trial, batch_hint=b, candidates=candidates
-        )
-        if choice != "compiled":
+        choice = plan_backend(m, n, spec=trial, batch_hint=b)
+        if choice != "biqgemm":
             crossover = b
             break
         b *= 2
@@ -1135,20 +1134,21 @@ def compiled_kernels_rows(
 
 
 def compiled_kernels_experiment(quick: bool = False) -> list[Table]:
-    """Fused per-shape kernels: compiled engine vs biqgemm/dense at the
-    GEMV decode regime (measured, plus the modelled crossover)."""
+    """Fused per-shape kernels: the native ``biqgemm`` engine vs the
+    numpy BiQGemm and dense at the GEMV decode regime (measured, plus
+    the modelled crossover)."""
     table = Table(
         "Compiled kernels: fused relu(Wx+b) step, 1-bit mu=8 "
         "(measured p50/p95 on this host)",
-        ["m=n", "batch", "compiled p50 us", "p95 us", "biqgemm+epi us",
-         "biq-fast+epi us", "dense+epi us", "vs biqgemm", "vs best",
+        ["m=n", "batch", "native p50 us", "p95 us", "numpy+epi us",
+         "np-fast+epi us", "dense+epi us", "vs numpy", "vs best",
          "identical"],
         notes=[
-            "shape to check: compiled >= 1.2x the best existing engine "
+            "shape to check: native >= 1.2x the best alternative "
             "(fast path included) at batch 1-2 on the paper's 1-bit "
             "Table IV shapes, and bit-identical to the batch-invariant "
-            "reference",
-            "biq-fast = biqgemm with batch_invariant=False: not "
+            "numpy reference",
+            "np-fast = numpy BiQGemm with batch_invariant=False: not "
             "bit-identical to the reference; vs best counts it",
         ],
     )
@@ -1170,7 +1170,7 @@ def compiled_kernels_experiment(quick: bool = False) -> list[Table]:
         )
     cross = next(r for r in rows if r["kind"] == "crossover")
     table.notes.append(
-        "modelled planner crossover away from compiled: "
+        "modelled planner crossover away from biqgemm: "
         f"batch {cross['batch'] if cross['batch'] else '> 1024'}"
     )
     return [table]

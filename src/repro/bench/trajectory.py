@@ -132,7 +132,7 @@ def _compiled_kernels_metrics(quick: bool) -> dict[str, float]:
             )
             metrics[f"identical_b{b}"] = 1.0 if row["identical"] else 0.0
         elif row["kind"] == "crossover":
-            # None = the plan never leaves compiled up to batch 1024.
+            # None = the plan never leaves biqgemm up to batch 1024.
             metrics["crossover_batch"] = float(row["batch"] or 0)
     return metrics
 

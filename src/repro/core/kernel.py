@@ -295,7 +295,7 @@ class BiQGemm:
 
         Tiles depend only on the dtype's itemsize at the reference
         batch, so every batch folds the same groups into each partial
-        sum.  The ``compiled`` engine's native kernel
+        sum.  The ``biqgemm`` engine's native kernel
         (:mod:`repro.engine.compiled`) tiles with this too, which keeps
         it bit-identical to :meth:`matmul` in batch-invariant mode.
         """

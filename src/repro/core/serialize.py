@@ -106,8 +106,8 @@ def load_engine(path: str | Path):
     stored arrays (shape/range checks run in the engine constructors),
     so a truncated or foreign file fails loudly.  Version-1 files load
     as :class:`~repro.core.kernel.BiQGemm`; version-2 files load as
-    whatever backend their ``engine_kind`` names, provided it is
-    registered in this process.
+    whatever backend their ``engine_kind`` names (a legacy name maps to
+    its current one), provided it is registered in this process.
     """
     path = Path(path)
     if not path.exists():
@@ -129,9 +129,14 @@ def load_engine(path: str | Path):
                     engine.batch_invariant = bool(data["batch_invariant"])
                 return engine
             if version == _REGISTRY_FORMAT_VERSION:
-                from repro.engine import engine_entry
+                from repro.engine.registry import (
+                    current_backend,
+                    engine_entry,
+                )
 
-                kind = bytes(data["engine_kind"].item()).decode("ascii")
+                kind = current_backend(
+                    bytes(data["engine_kind"].item()).decode("ascii")
+                )
                 entry = engine_entry(kind)
                 if entry.restore is None:
                     raise ValueError(

@@ -14,11 +14,12 @@ paper-bench baselines.
   :class:`QuantSpec`, :class:`EngineBuildRequest`;
 - :mod:`repro.engine.registry` -- string-keyed
   :class:`EngineEntry` registry with build/cost/serialize hooks;
-- :mod:`repro.engine.adapters` -- registrations for ``biqgemm``,
-  ``dense`` and ``int8``;
-- :mod:`repro.engine.compiled` -- the fourth serving engine: BiQGEMM
-  on the native LUT kernel with a fused epilogue (``compiled``), the
-  LUT engine of every layer :meth:`repro.api.QuantModel.compile` plans;
+- :mod:`repro.engine.compiled` -- ``biqgemm``, the one LUT serving
+  engine: the paper's kernel on the native code path with a fused
+  epilogue (the numpy :class:`~repro.core.kernel.BiQGemm` is its
+  fallback and reference);
+- :mod:`repro.engine.adapters` -- registrations for ``dense`` and
+  ``int8``;
 - :mod:`repro.engine.dispatch` -- the planner, its plan cache, and
   the Fig. 10 crossover probe.
 
@@ -48,7 +49,7 @@ from repro.engine.registry import (
     weight_required,
 )
 from repro.engine import adapters as _adapters  # populate the registry
-from repro.engine import compiled as _compiled  # the native LUT engine
+from repro.engine import compiled as _compiled  # the LUT engine
 from repro.engine.dispatch import (
     batch_bucket,
     batch_buckets,

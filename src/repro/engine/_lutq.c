@@ -1,5 +1,5 @@
 /*
- * Native LUT query kernel for the ``compiled`` engine
+ * Native LUT query kernel for the ``biqgemm`` engine
  * (repro/engine/compiled.py, loaded by repro/engine/native.py).
  *
  * One call computes ``y = W_q @ x (+ bias)`` for a binary-coding-quantized

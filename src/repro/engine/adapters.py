@@ -1,15 +1,12 @@
-"""Registrations adapting the serving engines to the protocol.
+"""Registrations adapting the non-LUT serving engines to the protocol.
 
 Importing this module (which ``repro.engine`` does) populates the
-registry with three of the four serving backends (the fourth,
-``compiled``, lives in :mod:`repro.engine.compiled`):
+registry with two of the three serving backends (the third, the
+paper's ``biqgemm``, lives in :mod:`repro.engine.compiled`):
 
-``biqgemm``
-    :class:`repro.core.kernel.BiQGemm` -- satisfies the protocol
-    natively, registered as-is.
 ``dense``
     Dequantize once, BLAS forever; numerically identical to
-    ``biqgemm`` and its oracle in tests.
+    ``biqgemm`` up to summation order, and its oracle in tests.
 ``int8``
     Uniform fixed-point GEMM with dynamic activation quantization
     (Section II-A); *lossy*, never an ``auto`` candidate.
@@ -23,8 +20,8 @@ beat ``dense``, and XNOR is lossy, so none is registered here.
 
 Dtype convention: every adapter returns results in the input's
 floating dtype (integer/bool inputs promote to float64), matching
-:meth:`BiQGemm.matmul`.  Accumulators are allocated in that dtype --
-float32 activations stay float32 end to end.
+:meth:`repro.core.kernel.BiQGemm.matmul`.  Accumulators are allocated
+in that dtype -- float32 activations stay float32 end to end.
 """
 
 from __future__ import annotations
@@ -34,11 +31,8 @@ from typing import Mapping
 import numpy as np
 
 from repro._util import check_positive_int
-from repro.core.kernel import BiQGemm
-from repro.engine.base import EngineBuildRequest, QuantSpec
-from repro.engine.registry import EngineEntry, register_engine
+from repro.engine.registry import EngineEntry, register_engine, roofline_cost
 from repro.gemm.int8 import Int8Gemm
-from repro.hw.costmodel import estimate_backend
 from repro.quant.bcq import BCQTensor
 
 __all__ = ["DenseGemmEngine", "Int8MatmulEngine"]
@@ -64,21 +58,6 @@ def _as_cols(x: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
     return arr, vector_in
 
 
-def _cost_fn(backend: str):
-    def cost(machine, m: int, n: int, b: int, spec: QuantSpec):
-        return estimate_backend(
-            backend,
-            machine,
-            m,
-            n,
-            b,
-            bits=spec.bits,
-            mu=spec.mu,
-        )
-
-    return cost
-
-
 def _bcq_state(bcq: BCQTensor) -> dict:
     return {"binary": bcq.binary, "alphas": bcq.alphas}
 
@@ -88,54 +67,6 @@ def _bcq_from_state(state: Mapping) -> BCQTensor:
         alphas=np.asarray(state["alphas"]),
         binary=np.asarray(state["binary"]),
     )
-
-
-# ----------------------------------------------------------------------
-# biqgemm -- the paper's kernel, protocol-native
-# ----------------------------------------------------------------------
-def _build_biqgemm(request: EngineBuildRequest) -> BiQGemm:
-    engine = BiQGemm.from_bcq(request.get_bcq(), mu=request.spec.mu)
-    # Layer engines are batch-invariant by contract: the serving layer
-    # coalesces requests and splits outputs per request, and those must
-    # be bit-identical to a direct CompiledModel call -- so the whole
-    # layer stack, not just serving replicas, pins the deterministic
-    # (DP-builder / loop-query) execution.  Direct kernel users keep
-    # the measured-faster per-batch heuristics.
-    engine.batch_invariant = True
-    return engine
-
-
-def _export_biqgemm(engine: BiQGemm) -> dict:
-    return {
-        "keys": engine.key_matrix.keys,
-        "alphas": engine.alphas,
-        "mu": int(engine.mu),
-        "n": int(engine.shape[1]),
-    }
-
-
-def _restore_biqgemm(state: Mapping) -> BiQGemm:
-    from repro.core.keys import KeyMatrix
-
-    km = KeyMatrix(
-        keys=np.asarray(state["keys"]), mu=int(state["mu"]), n=int(state["n"])
-    )
-    engine = BiQGemm(km, alphas=np.asarray(state["alphas"]))
-    engine.batch_invariant = True
-    return engine
-
-
-register_engine(
-    EngineEntry(
-        name="biqgemm",
-        build=_build_biqgemm,
-        cost=_cost_fn("biqgemm"),
-        lossless=True,
-        description="lookup-table GEMM over compiled keys (the paper)",
-        export=_export_biqgemm,
-        restore=_restore_biqgemm,
-    )
-)
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +128,7 @@ register_engine(
     EngineEntry(
         name="dense",
         build=lambda request: DenseGemmEngine(request.get_bcq()),
-        cost=_cost_fn("dense"),
+        cost=roofline_cost("dense"),
         lossless=True,
         description="dequantize once, dense BLAS GEMM",
         export=lambda engine: _bcq_state(engine.bcq),
@@ -291,7 +222,7 @@ register_engine(
     EngineEntry(
         name="int8",
         build=lambda request: Int8MatmulEngine(request.get_weight()),
-        cost=_cost_fn("int8"),
+        cost=roofline_cost("int8"),
         lossless=False,
         needs_weight=True,
         description="uniform INT8 GEMM, dynamic activation quantization",

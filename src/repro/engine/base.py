@@ -9,9 +9,10 @@ serving engines behind a single seam, this module defines:
 :class:`MatmulEngine`
     The structural protocol: compile-once weight state, a ``matmul``
     over column-major activations, deployed ``weight_nbytes`` and
-    analytic ``op_counts``.  :class:`~repro.core.kernel.BiQGemm`
-    satisfies it natively; the other engines are wrapped by the
-    adapters in :mod:`repro.engine.adapters`.
+    analytic ``op_counts``.  The ``biqgemm`` engine
+    (:mod:`repro.engine.compiled`), the adapters in
+    :mod:`repro.engine.adapters` and the numpy
+    :class:`~repro.core.kernel.BiQGemm` reference all satisfy it.
 :class:`QuantSpec`
     The user-facing description of *how* a layer should quantize and
     compute, including ``backend="auto"`` which defers the choice to
@@ -43,7 +44,7 @@ __all__ = [
 AUTO_BACKEND = "auto"
 """Sentinel backend name resolved by the dispatch planner."""
 
-Backend = Literal["auto", "biqgemm", "compiled", "dense", "int8"]
+Backend = Literal["auto", "biqgemm", "dense", "int8"]
 
 
 @runtime_checkable
@@ -102,8 +103,9 @@ class QuantSpec:
         ``"greedy"``, ``"refined"`` or ``"alternating"`` BCQ solver.
     backend:
         Engine selection: any name registered in
-        :mod:`repro.engine.registry`, or ``"auto"`` to let the
-        cost-model planner choose per shape/batch/machine.
+        :mod:`repro.engine.registry` (``"biqgemm"``, ``"dense"``,
+        ``"int8"``), or ``"auto"`` to let the cost-model planner choose
+        per shape/batch/machine.
     machine:
         :data:`~repro.hw.machine.MACHINES` key the ``"auto"`` planner
         prices candidates on (ignored for concrete backends).
@@ -119,7 +121,7 @@ class QuantSpec:
     fuse:
         Name of the activation fused into the engine's epilogue
         (``"relu"``, ``"gelu"``, ``"sigmoid"`` or ``"tanh"``), or
-        ``None`` for a plain matmul.  Only the ``compiled`` backend
+        ``None`` for a plain matmul.  Only the ``biqgemm`` backend
         honours it; :meth:`repro.api.model.QuantModel.compile`
         discovers fusion sites from the model structure and sets it.
     """
@@ -132,6 +134,11 @@ class QuantSpec:
     batch_hint: int | None = None
     planner: Literal["model", "autotune"] = "model"
     fuse: str | None = None
+
+    def __post_init__(self) -> None:
+        from repro.engine.registry import check_not_legacy
+
+        check_not_legacy(self.backend)
 
 
 @dataclass
@@ -152,8 +159,9 @@ class EngineBuildRequest:
     spec: QuantSpec
     weight: np.ndarray | None = None
     bcq: BCQTensor | None = field(default=None)
-    # Layer bias, for engines with a fused epilogue (``compiled``);
-    # engines without one ignore it and the layer adds bias itself.
+    # Layer bias, folded into the epilogue of engines that have one
+    # (``biqgemm``); the other engines ignore it and the layer adds the
+    # bias itself.
     bias: np.ndarray | None = None
     # Serving replicas share one request across worker threads; the lock
     # keeps the lazy BCQ solve single-flight.

@@ -1,4 +1,4 @@
-"""The ``compiled`` engine: BiQGEMM on the native LUT kernel.
+"""The ``biqgemm`` engine: the paper's BiQGEMM on the native LUT kernel.
 
 Every per-call decision :meth:`repro.core.kernel.BiQGemm.matmul` makes
 -- shape checks, reshape-vs-copy, tile selection, builder/query-path
@@ -31,10 +31,13 @@ native kernel cannot be built all serve through the inner
 batch-invariant :class:`BiQGemm` plus a generic epilogue, which is
 bit-identical by construction.
 
-Registered as ``backend="compiled"`` with ``auto_candidate=False``:
-``backend="auto"`` and :func:`~repro.engine.lossless_engines` keep
-their candidate pool, and :meth:`repro.api.QuantModel.compile` adds the
-engine explicitly, so it is the LUT engine of every compiled layer.
+Registered as ``backend="biqgemm"``, the only LUT serving engine: the
+``QuantSpec()`` default, an ``"auto"`` candidate priced by
+:func:`repro.hw.costmodel.estimate_compiled`, and the LUT engine of
+every layer :meth:`repro.api.QuantModel.compile` plans.  The numpy
+:class:`BiQGemm` stays the fallback, the bit-identity reference and the
+paper-bench kernel.  Artifacts saved under the engine's former name
+load onto it (:func:`repro.engine.registry.current_backend`).
 """
 
 from __future__ import annotations
@@ -49,8 +52,7 @@ from repro._util import check_matmul_out
 from repro.core.kernel import BiQGemm
 from repro.engine import native
 from repro.engine.base import EngineBuildRequest
-from repro.engine.registry import EngineEntry, register_engine
-from repro.hw.costmodel import estimate_compiled
+from repro.engine.registry import EngineEntry, register_engine, roofline_cost
 
 __all__ = ["CompiledKernelEngine"]
 
@@ -203,7 +205,7 @@ class CompiledKernelEngine:
         the epilogue via ``out=`` chaining.
     """
 
-    backend_name = "compiled"
+    backend_name = "biqgemm"
     """Registry key of this engine in :mod:`repro.engine`."""
 
     accepts_profiler = True
@@ -293,7 +295,7 @@ class CompiledKernelEngine:
         The layer stack checks this: when True it must *not* add its
         own bias or activation on top.  A bare engine (no bias, no
         activation -- e.g. built by the autotuner from a weight-only
-        request) behaves exactly like ``biqgemm`` and reports False.
+        request) behaves exactly like the inner kernel and reports False.
         """
         return self.bias is not None or self.activation is not None
 
@@ -315,15 +317,12 @@ class CompiledKernelEngine:
         return activation_result_dtype(self.activation, dtype)
 
     def op_counts(self, batch: int) -> dict[str, int]:
-        """Inner kernel counts plus fused epilogue element ops."""
+        """Inner kernel counts, plus ``epilogue_ops`` (fused element
+        ops) when the engine has an epilogue."""
         counts = dict(self._inner.op_counts(batch))
-        m = self.shape[0]
-        epilogue = 0
-        if self.bias is not None:
-            epilogue += m * batch
-        if self.activation is not None:
-            epilogue += m * batch
-        counts["epilogue_ops"] = epilogue
+        stages = (self.bias is not None) + (self.activation is not None)
+        if stages:
+            counts["epilogue_ops"] = stages * self.shape[0] * batch
         return counts
 
     # ------------------------------------------------------------------
@@ -453,7 +452,7 @@ class CompiledKernelEngine:
 # ----------------------------------------------------------------------
 # registration
 # ----------------------------------------------------------------------
-def _build_compiled(request: EngineBuildRequest) -> CompiledKernelEngine:
+def _build(request: EngineBuildRequest) -> CompiledKernelEngine:
     inner = BiQGemm.from_bcq(request.get_bcq(), mu=request.spec.mu)
     inner.batch_invariant = True
     return CompiledKernelEngine(
@@ -463,19 +462,7 @@ def _build_compiled(request: EngineBuildRequest) -> CompiledKernelEngine:
     )
 
 
-def _cost_compiled(machine, m, n, b, spec):
-    return estimate_compiled(
-        machine,
-        m,
-        n,
-        b,
-        bits=spec.bits,
-        mu=spec.mu,
-        fuse=getattr(spec, "fuse", None),
-    )
-
-
-def _export_compiled(engine: CompiledKernelEngine) -> dict:
+def _export(engine: CompiledKernelEngine) -> dict:
     state = {
         "keys": engine.key_matrix.keys,
         "alphas": engine.alphas,
@@ -496,7 +483,7 @@ def _decode_str(value) -> str:
     return str(raw)
 
 
-def _restore_compiled(state: Mapping) -> CompiledKernelEngine:
+def _restore(state: Mapping) -> CompiledKernelEngine:
     from repro.core.keys import KeyMatrix
 
     km = KeyMatrix(
@@ -515,16 +502,15 @@ def _restore_compiled(state: Mapping) -> CompiledKernelEngine:
 
 register_engine(
     EngineEntry(
-        name="compiled",
-        build=_build_compiled,
-        cost=_cost_compiled,
+        name="biqgemm",
+        build=_build,
+        cost=roofline_cost("biqgemm"),
         lossless=True,
-        auto_candidate=False,
         description=(
-            "BiQGEMM on the native LUT kernel with a fused "
-            "bias+activation epilogue"
+            "lookup-table GEMM (the paper) on the native kernel, with a "
+            "fused bias+activation epilogue"
         ),
-        export=_export_compiled,
-        restore=_restore_compiled,
+        export=_export,
+        restore=_restore,
     )
 )

@@ -1,7 +1,7 @@
 """Build, cache and bind the native LUT query kernel (``_lutq.c``).
 
 :func:`load` compiles the package's C source once with the host
-``gcc`` and binds it through stdlib :mod:`ctypes`; the ``compiled``
+``gcc`` and binds it through stdlib :mod:`ctypes`; the ``biqgemm``
 engine (:mod:`repro.engine.compiled`) runs every native call through
 it.  There is no switch: when no library can be built or loaded (no
 compiler, unwritable cache, foreign platform) :func:`load` logs one
@@ -169,7 +169,7 @@ def load() -> Kernel | None:
             ) as exc:
                 detail = getattr(exc, "stderr", None) or b""
                 _LOG.warning(
-                    "native LUT query kernel unavailable, the compiled "
+                    "native LUT query kernel unavailable, the biqgemm "
                     "engine serves through its numpy fallback: %s %s",
                     exc,
                     detail.decode(errors="replace").strip()[:500],

@@ -1,8 +1,8 @@
 """String-keyed registry of matmul engines.
 
-Every serving backend registers here exactly once -- ``biqgemm``,
-``dense`` and ``int8`` in :mod:`repro.engine.adapters`, ``compiled`` in
-:mod:`repro.engine.compiled` -- carrying:
+Every serving backend registers here exactly once -- ``dense`` and
+``int8`` in :mod:`repro.engine.adapters`, ``biqgemm`` (the paper's LUT
+kernel, run natively) in :mod:`repro.engine.compiled` -- carrying:
 
 - a **build** function compiling an engine from an
   :class:`~repro.engine.base.EngineBuildRequest`;
@@ -16,6 +16,12 @@ Every serving backend registers here exactly once -- ``biqgemm``,
   quantizes activations and must be chosen explicitly);
 - optional **export/restore** hooks used by
   :mod:`repro.core.serialize` to round-trip compiled engines.
+
+Backend names that older artifacts may carry but that no engine is
+registered under any more map onto their current name in one table,
+and every loader goes through :func:`current_backend`.  Naming a
+legacy backend in a new spec is an error that names its replacement
+(:func:`check_not_legacy`).
 
 The registry is the extension seam for future backends: registering a
 new entry makes it buildable through :class:`~repro.nn.linear.QuantLinear`,
@@ -38,17 +44,20 @@ from repro.engine.base import (
     MatmulEngine,
     QuantSpec,
 )
-from repro.hw.costmodel import CostEstimate
+from repro.hw.costmodel import CostEstimate, estimate_backend
 from repro.hw.machine import MachineConfig
 
 __all__ = [
     "EngineEntry",
     "build_engine",
+    "check_not_legacy",
+    "current_backend",
     "engine_build_counts",
     "engine_entry",
     "lossless_engines",
     "register_engine",
     "registered_engines",
+    "roofline_cost",
     "spec_candidates",
     "weight_required",
 ]
@@ -57,6 +66,43 @@ CostFn = Callable[[MachineConfig, int, int, int, QuantSpec], CostEstimate]
 BuildFn = Callable[[EngineBuildRequest], MatmulEngine]
 ExportFn = Callable[[MatmulEngine], dict[str, Any]]
 RestoreFn = Callable[[Mapping[str, Any]], MatmulEngine]
+
+# Backend names saved artifacts may carry, mapped to the engine that
+# serves them now.  The native LUT engine was registered as "compiled"
+# beside a numpy "biqgemm" engine; it took over the paper's name when
+# the numpy registration was removed.
+_LEGACY_BACKENDS = {"compiled": "biqgemm"}
+
+
+def current_backend(name: str) -> str:
+    """*name*, with a legacy backend name mapped to its current one.
+
+    For loaders of saved state only; new specs must use current names
+    (:func:`check_not_legacy`).
+    """
+    return _LEGACY_BACKENDS.get(name, name)
+
+
+def check_not_legacy(name: str) -> None:
+    """Raise ``ValueError`` naming the replacement of a legacy backend."""
+    new = _LEGACY_BACKENDS.get(name)
+    if new is not None:
+        raise ValueError(
+            f"backend {name!r} is now called {new!r}; use backend={new!r}"
+        )
+
+
+def roofline_cost(backend: str) -> CostFn:
+    """The registry cost function pricing *backend* with
+    :func:`repro.hw.costmodel.estimate_backend`."""
+
+    def cost(machine, m: int, n: int, b: int, spec: QuantSpec):
+        return estimate_backend(
+            backend, machine, m, n, b, bits=spec.bits, mu=spec.mu,
+            fuse=spec.fuse,
+        )
+
+    return cost
 
 
 @dataclass(frozen=True)
@@ -77,15 +123,6 @@ class EngineEntry:
     lossless:
         True when the engine reproduces the exact BCQ product; only
         lossless engines are ``"auto"`` candidates.
-    auto_candidate:
-        True when the engine should be offered to the ``"auto"``
-        planner by default.  ``compiled`` sets this False: it is
-        lossless, but per-call ``"auto"`` dispatch and the paper-bench
-        crossovers keep their candidate pool, and the engine enters a
-        plan when a caller extends the candidate list explicitly.
-        :meth:`repro.api.model.QuantModel.compile` does, for every
-        layer, so ``compiled`` is the LUT engine of every compiled
-        model.
     needs_weight:
         True when ``build`` requires the original float weight (via
         :meth:`~repro.engine.base.EngineBuildRequest.get_weight`)
@@ -103,7 +140,6 @@ class EngineEntry:
     build: BuildFn
     cost: CostFn | None = None
     lossless: bool = True
-    auto_candidate: bool = True
     needs_weight: bool = False
     description: str = ""
     export: ExportFn | None = None
@@ -140,20 +176,8 @@ def registered_engines() -> tuple[str, ...]:
 
 
 def lossless_engines() -> tuple[str, ...]:
-    """Backends computing the exact BCQ product (the ``auto`` candidates).
-
-    Excludes lossless engines registered with ``auto_candidate=False``
-    (``compiled``) -- those enter plans only via explicit candidate
-    lists (:func:`repro.api.planner.plan_layers` passes one), keeping
-    the per-call ``"auto"`` regimes stable.
-    """
-    return tuple(
-        sorted(
-            name
-            for name, e in _REGISTRY.items()
-            if e.lossless and e.auto_candidate
-        )
-    )
+    """Backends computing the exact BCQ product (the ``auto`` candidates)."""
+    return tuple(sorted(name for name, e in _REGISTRY.items() if e.lossless))
 
 
 def spec_candidates(spec: QuantSpec) -> tuple[str, ...]:

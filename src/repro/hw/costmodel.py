@@ -23,6 +23,9 @@ Modelled engines
     ``peak_FMA/2 * gather_eta * spill``), plus an explicit key
     address-generation term on CPUs; traffic is keys + activations +
     outputs -- a ``32/bits`` reduction on the weight side.
+``estimate_compiled``
+    Eq. 8 on the native kernel that serves the ``biqgemm`` backend: no
+    key decode, less per-call overhead, optional fused epilogue.
 ``estimate_xnor``
     Paper Section IV-E complexity ``O(bw * ba * m * n/32 * b)`` word ops
     (XOR + popcount + accumulate = 3 ops/word) plus the on-the-fly
@@ -220,7 +223,7 @@ def estimate_compiled(
     threads: int = 1,
     fuse: str | None = None,
 ) -> CostEstimate:
-    """Cost of BiQGEMM on the native kernel (the ``compiled`` engine).
+    """Cost of BiQGEMM on the native kernel (the ``biqgemm`` engine).
 
     Same arithmetic as :func:`estimate_biqgemm`, with the native
     kernel's wins priced in:
@@ -423,6 +426,23 @@ def estimate_int8_gemm(
     )
 
 
+def _dense_cost(machine, m, n, b, *, threads, **_):
+    return estimate_gemm(machine, m, n, b, threads=threads)
+
+
+def _int8_cost(machine, m, n, b, *, threads, **_):
+    return estimate_int8_gemm(machine, m, n, b, threads=threads)
+
+
+# Serving backend name -> cost function, called with bits, mu, threads
+# and fuse keywords.
+_SERVING_COSTS = {
+    "biqgemm": estimate_compiled,
+    "dense": _dense_cost,
+    "int8": _int8_cost,
+}
+
+
 def estimate_backend(
     backend: str,
     machine: MachineConfig,
@@ -442,31 +462,26 @@ def estimate_backend(
     selects -- the names the engine registry and dispatch planner use --
     onto the cost functions above:
 
-    - ``biqgemm``: Eq. 8 with *bits* key planes sharing tables;
-    - ``compiled``: the native kernel (no key decode, reduced
-      overhead, optional fused epilogue priced by *fuse*);
+    - ``biqgemm``: :func:`estimate_compiled`, the native kernel that
+      serves it (Eq. 8 without key decode, reduced overhead, optional
+      fused epilogue priced by *fuse*);
     - ``dense``: one dequantized-weight BLAS GEMM;
     - ``int8``: dynamic-quantization INT8 GEMM.
 
     The paper's sGEMM, unpack-then-GEMM and XNOR baselines are not
     serving backends; price them directly with :func:`estimate_gemm`,
-    :func:`estimate_packed_gemm` and :func:`estimate_xnor`.
+    :func:`estimate_packed_gemm` and :func:`estimate_xnor`, and the
+    paper's numpy BiQGEMM with :func:`estimate_biqgemm`.
     """
     check_positive_int(bits, "bits", upper=8)
-    if backend == "biqgemm":
-        return estimate_biqgemm(machine, m, n, b, bits=bits, mu=mu, threads=threads)
-    if backend == "compiled":
-        return estimate_compiled(
-            machine, m, n, b, bits=bits, mu=mu, threads=threads, fuse=fuse
-        )
-    if backend == "dense":
-        return estimate_gemm(machine, m, n, b, threads=threads)
-    if backend == "int8":
-        return estimate_int8_gemm(machine, m, n, b, threads=threads)
-    raise ValueError(
-        f"unknown backend {backend!r}; expected one of "
-        "['biqgemm', 'compiled', 'dense', 'int8']"
-    )
+    try:
+        fn = _SERVING_COSTS[backend]
+    except KeyError:
+        raise ValueError(
+            f"unknown backend {backend!r}; expected one of "
+            f"{sorted(_SERVING_COSTS)}"
+        ) from None
+    return fn(machine, m, n, b, bits=bits, mu=mu, threads=threads, fuse=fuse)
 
 
 _ENGINES = {

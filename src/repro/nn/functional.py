@@ -166,7 +166,7 @@ FUSIBLE_ACTIVATIONS: dict[str, object] = {
     "sigmoid": sigmoid,
     "tanh": tanh,
 }
-"""Activations the ``compiled`` engine can fuse into its epilogue.
+"""Activations the ``biqgemm`` engine can fuse into its epilogue.
 
 Every entry accepts ``out=`` and, given the same float input, produces
 results bit-identical to its allocating form -- the property the

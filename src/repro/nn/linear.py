@@ -3,14 +3,15 @@
 :class:`Linear` is the dense float reference.  :class:`QuantLinear`
 quantizes its weight with BCQ at construction and forwards its product
 to whatever engine the :mod:`repro.engine` registry resolves for its
-:class:`~repro.engine.base.QuantSpec` -- by name (``"biqgemm"``,
-``"compiled"``, ``"dense"``, ``"int8"``, or anything registered later),
-or via the cost-model planner with ``backend="auto"``.  With ``auto``
-and no ``batch_hint``, the layer re-plans per call from the observed
-batch, so a single layer serves the GEMV decode regime on BiQGEMM and
-large-batch scoring on dense BLAS, exactly the situational-winner
-behaviour of the paper's Section V; compiled engines are cached per
-backend, and plans come from the process-wide plan cache.  The paper's
+:class:`~repro.engine.base.QuantSpec` -- by name (``"biqgemm"``, the
+paper's LUT kernel on the native code path, ``"dense"``, ``"int8"``,
+or anything registered later), or via the cost-model planner with
+``backend="auto"``.  With ``auto`` and no ``batch_hint``, the layer
+re-plans per call from the observed batch, so a single layer serves
+the GEMV decode regime on BiQGEMM and large-batch scoring on dense
+BLAS, exactly the situational-winner behaviour of the paper's Section
+V; compiled engines are cached per backend, and plans come from the
+process-wide plan cache.  The paper's
 sGEMM, unpack-then-GEMM and XNOR kernels are paper-bench baselines in
 :mod:`repro.gemm`, not serving engines, so no layer runs them.
 
@@ -383,11 +384,11 @@ class QuantLinear:
         planner -- plans survive :func:`~repro.engine.clear_plan_cache`.
         Already-compiled engines stay cached.
 
-        *fuse* sets the epilogue activation fused into a ``"compiled"``
+        *fuse* sets the epilogue activation fused into a ``"biqgemm"``
         engine (the fusion planning pass of
         :meth:`repro.api.QuantModel.compile`).  Omitting it keeps the
         spec's current value; passing a different value evicts any
-        cached ``"compiled"`` engine, which baked the old epilogue in
+        cached ``"biqgemm"`` engine, which baked the old epilogue in
         at build time.
         """
         engine_entry(backend)
@@ -399,7 +400,7 @@ class QuantLinear:
         validate_spec(new)
         if fuse != self.spec.fuse:
             with self._build_lock:
-                self._engines.pop("compiled", None)
+                self._engines.pop("biqgemm", None)
         self.spec = new
         if self._request is not None:
             self._request.spec = new

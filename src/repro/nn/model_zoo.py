@@ -123,9 +123,9 @@ def model_backend_plan(
 
     Returns ``(layer_name, m, n, backend)`` rows -- the whole-model view
     of ``backend="auto"`` under :meth:`repro.api.QuantModel.compile`:
-    at decode batch the attention projections all land on the native
-    BiQGEMM kernel (``compiled``), while large batches (or many-bit
-    specs) push the big feed-forward shapes onto the dense path.  Plans come from the
+    at decode batch the attention projections all land on the BiQGEMM
+    kernel (``biqgemm``), while large batches (or many-bit specs) push
+    the big feed-forward shapes onto the dense path.  Plans come from the
     shared plan cache, so a full BERT-large sweep prices each distinct
     shape once.
 

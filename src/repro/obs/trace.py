@@ -471,8 +471,8 @@ def kernel_profiler():
     on the live timeline).
 
     The traced layer path passes this to engines that accept a
-    ``profiler=`` (:class:`~repro.core.kernel.BiQGemm` and the compiled
-    engine's fallback path -- ``accepts_profiler`` marks them), so a
+    ``profiler=`` (:class:`~repro.core.kernel.BiQGemm` and the
+    ``biqgemm`` engine's fallback path -- ``accepts_profiler`` marks them), so a
     request trace bottoms out in the paper's build/query/replace phases.
     Returns ``None`` while tracing is disabled.
     """

@@ -2,9 +2,15 @@
 core.serialize), including v1/v2 coexistence and corruption handling."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
+
+import repro
 
 from repro.api import QuantConfig, load, quantize, save
 from repro.core.serialize import (
@@ -13,7 +19,9 @@ from repro.core.serialize import (
     save_engine,
     save_model_artifact,
 )
+from repro.core.kernel import BiQGemm
 from repro.engine import QuantSpec
+from repro.engine.compiled import CompiledKernelEngine
 from repro.nn import QuantLinear, build_encoder
 
 
@@ -62,7 +70,7 @@ class TestV3RoundTrip:
 
     def test_mixed_backend_model_round_trips(self, rng, tmp_path):
         """Every registered lossless backend payload in one artifact."""
-        backends = ("biqgemm", "compiled", "dense")
+        backends = ("biqgemm", "dense")
         layers = [
             QuantLinear(
                 rng.standard_normal((6, 8)),
@@ -119,19 +127,17 @@ class TestV3RoundTrip:
             names = set(data.files)
         assert not any(name.endswith(".weight") for name in names)
         manifest, _ = load_model_artifact(tmp_path / "m.npz")
-        # GEMV regime: LUT engines everywhere (ffn.ff1 fuses its ReLU
-        # into the compiled engine's epilogue, the rest stay biqgemm).
-        assert all(
-            e["backend"] in ("biqgemm", "compiled")
-            for e in manifest["layers"]
-        )
+        # GEMV regime: the LUT engine everywhere (ffn.ff1 fuses its
+        # ReLU into the engine's epilogue).
+        assert all(e["backend"] == "biqgemm" for e in manifest["layers"])
 
     def test_restored_layer_serves_only_its_backend(self, rng, tmp_path):
         compiled = _compiled_encoder()
         save(compiled, tmp_path / "m.npz")
         reloaded = load(tmp_path / "m.npz")
         layer = reloaded.named_layers()[0][1]
-        # BiQGemm export carries no BCQ state: other backends can't build.
+        # The biqgemm export carries no BCQ state: other backends can't
+        # build.
         with pytest.raises(ValueError, match="serves only"):
             layer.pin_backend("dense")
             layer.engine_for(1)
@@ -282,11 +288,8 @@ class TestOlderFormatsKeepWorking:
     """v3 must not regress the v1/v2 single-engine formats."""
 
     def test_v1_biqgemm_round_trip(self, rng, tmp_path):
-        layer = QuantLinear(
-            rng.standard_normal((6, 8)),
-            spec=QuantSpec(bits=2, mu=4, backend="biqgemm"),
-        )
-        engine = layer.engine_for(1)
+        engine = BiQGemm.from_float(rng.standard_normal((6, 8)), bits=2, mu=4)
+        engine.batch_invariant = True
         path = tmp_path / "v1.npz"
         save_engine(engine, path)  # BiQGemm -> historical v1 layout
         with np.load(path) as data:
@@ -307,19 +310,111 @@ class TestOlderFormatsKeepWorking:
         x = rng.standard_normal((8, 3))
         assert np.array_equal(load_engine(path).matmul(x), engine.matmul(x))
 
+    def test_v2_legacy_engine_kind_loads_onto_biqgemm(self, rng, tmp_path):
+        # v2 files written while the native engine was called "compiled".
+        layer = QuantLinear(
+            rng.standard_normal((6, 8)),
+            rng.standard_normal(6),
+            spec=QuantSpec(bits=2, mu=4, fuse="relu"),
+        )
+        engine = layer.engine_for(1)
+        path = tmp_path / "v2.npz"
+        save_engine(engine, path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        assert arrays["engine_kind"].item() == b"biqgemm"
+        arrays["engine_kind"] = np.bytes_(b"compiled")
+        np.savez_compressed(path, **arrays)
+        restored = load_engine(path)
+        assert isinstance(restored, CompiledKernelEngine)
+        assert restored.activation == "relu"
+        x = rng.standard_normal((8, 3))
+        assert np.array_equal(restored.matmul(x), engine.matmul(x))
+
 
 class TestLegacyManifests:
     """v3 artifacts saved by earlier versions.  From while the
     ``container``, ``unpack`` and ``xnor`` engines were registered:
     their ``a_bits`` spec field is ignored, and a layer pinned to a
-    removed engine fails clearly.  From while the compiled engine kept
-    per-batch traces: their ``specialization`` entry is ignored."""
+    removed engine fails clearly.  From while the native engine was
+    registered as ``compiled`` beside a numpy ``biqgemm`` engine: both
+    names load onto the native ``biqgemm`` engine, bit-identically.
+    From while that engine kept per-batch traces: their
+    ``specialization`` entry is ignored."""
 
-    def _resave(self, compiled, path, edit):
+    def _resave(self, compiled, path, edit, edit_arrays=None):
         save(compiled, path)
         manifest, arrays = load_model_artifact(path)
         edit(manifest)
+        if edit_arrays is not None:
+            edit_arrays(arrays)
         save_model_artifact(path, manifest=manifest, arrays=arrays)
+
+    @staticmethod
+    def _name_lut_layers(manifest, backend):
+        """Rename every LUT layer's engine as an older version wrote it."""
+        for entry in manifest["layers"]:
+            if entry["backend"] == "biqgemm":
+                entry["backend"] = entry["planned_backend"] = backend
+                entry["spec"]["backend"] = backend
+
+    def test_compiled_manifest_with_fused_epilogue_loads(self, rng, tmp_path):
+        # As the "compiled" engine wrote them: fused bias and ReLU in
+        # the ffn.ff1 payloads, "compiled" in every LUT layer entry.
+        compiled = _compiled_encoder()
+        assert dict(compiled.named_layers())[
+            "L0.ffn.ff1"
+        ].fused_activation == "relu"
+        xs = [rng.standard_normal((b, 4, 32)) for b in (1, 3)]
+        expected = [compiled(x) for x in xs]
+        path = tmp_path / "compiled.npz"
+        self._resave(
+            compiled, path, lambda m: self._name_lut_layers(m, "compiled")
+        )
+        manifest, _ = load_model_artifact(path)
+        assert {e["backend"] for e in manifest["layers"]} == {"compiled"}
+        reloaded = load(path)
+        assert reloaded.plans == compiled.plans
+        assert set(reloaded.plans.values()) == {"biqgemm"}
+        layer = dict(reloaded.named_layers())["L0.ffn.ff1"]
+        assert isinstance(layer.engine_for(1), CompiledKernelEngine)
+        assert layer.fused_activation == "relu"
+        for x, want in zip(xs, expected):
+            assert np.array_equal(reloaded(x), want)
+
+    def test_numpy_biqgemm_manifest_loads_onto_native_engine(
+        self, rng, tmp_path
+    ):
+        # As the numpy biqgemm engine wrote them: keys, alphas, mu and n
+        # per layer, the bias only as the layer's __bias__, no fusion.
+        layers = [
+            QuantLinear(
+                rng.standard_normal((6, 8)),
+                rng.standard_normal(6),
+                spec=QuantSpec(bits=2, mu=4),
+            )
+            for _ in range(2)
+        ]
+        config = QuantConfig(bits=2, mu=4, backend="biqgemm")
+        compiled = quantize(layers, config).compile(batch_hint=1)
+        x = rng.standard_normal((3, 8))
+        expected = [layer(x) for layer in compiled.model]
+
+        def numpy_payloads(arrays):
+            for i in range(len(layers)):
+                assert f"layer{i}.bias" in arrays
+                del arrays[f"layer{i}.bias"]
+                assert f"layer{i}.__bias__" in arrays
+
+        path = tmp_path / "numpy.npz"
+        self._resave(compiled, path, lambda m: None, numpy_payloads)
+        reloaded = load(path)
+        assert set(reloaded.plans.values()) == {"biqgemm"}
+        for layer, want in zip(reloaded.model, expected):
+            engine = layer.engine_for(1)
+            assert isinstance(engine, CompiledKernelEngine)
+            assert not engine.fused_epilogue  # the layer adds the bias
+            assert np.array_equal(layer(x), want)
 
     def test_a_bits_is_ignored_and_outputs_are_bit_identical(
         self, rng, tmp_path
@@ -342,10 +437,10 @@ class TestLegacyManifests:
         assert np.array_equal(reloaded(x), expected)
 
     def test_trace_specialization_entry_is_ignored(self, rng, tmp_path):
-        # Artifacts saved while the compiled engine kept resident
-        # per-batch traces record each compiled layer's trace plan.
+        # Artifacts saved while the native engine kept resident
+        # per-batch traces record each of its layers' trace plan.
         compiled = _compiled_encoder()
-        assert "compiled" in set(compiled.plans.values())
+        assert "biqgemm" in set(compiled.plans.values())
         xs = [rng.standard_normal((b, 4, 32)) for b in (1, 2)]
         expected = [compiled(x) for x in xs]
         path = tmp_path / "fresh.npz"
@@ -354,6 +449,7 @@ class TestLegacyManifests:
         assert all("specialization" not in e for e in fresh["layers"])
 
         def add_specialization(manifest):
+            self._name_lut_layers(manifest, "compiled")
             for entry in manifest["layers"]:
                 if entry["backend"] == "compiled":
                     entry["specialization"] = {
@@ -405,5 +501,80 @@ class TestLegacyManifests:
             load(path)
         message = str(info.value)
         assert repr(backend) in message
-        assert "['biqgemm', 'compiled', 'dense', 'int8']" in message
+        assert "['biqgemm', 'dense', 'int8']" in message
         assert "corrupted" not in message
+        # A new spec naming a removed engine fails too.  Loaders map the
+        # renamed "compiled" onto "biqgemm"; a new spec naming it fails
+        # naming its replacement.
+        with pytest.raises(ValueError, match=repr(backend)):
+            QuantConfig(bits=2, mu=4, backend=backend)
+        with pytest.raises(ValueError, match="'compiled'.*'biqgemm'"):
+            QuantSpec(backend="compiled")
+        with pytest.raises(ValueError, match="'biqgemm'"):
+            QuantConfig(overrides={"ffn.*": {"backend": "compiled"}})
+
+
+_PRODUCER = textwrap.dedent(
+    """
+    import json, sys
+    import numpy as np
+    from repro.api import QuantConfig, quantize, save
+    from repro.nn.model_zoo import build_encoder
+
+    out = sys.argv[1]
+    config = QuantConfig(bits=3, mu=8, overrides={"ffn.*": {"bits": 2}})
+    encoder = build_encoder("transformer-base", scale=16, layers=2, seed=0)
+    compiled = quantize(encoder, config).compile(batch_hint=1)
+    x = np.random.default_rng(7).standard_normal((1, 4, 32))
+    np.save(out + "/input.npy", x)
+    np.save(out + "/expected.npy", compiled(x))
+    save(compiled, out + "/model.npz")
+    print(json.dumps(compiled.plans))
+    """
+)
+
+_CONSUMER = textwrap.dedent(
+    """
+    import json, sys
+    import numpy as np
+    from repro.api import load
+
+    out = sys.argv[1]
+    compiled = load(out + "/model.npz")
+    assert compiled.config.overrides == {"ffn.*": {"bits": 2}}
+    x = np.load(out + "/input.npy")
+    expected = np.load(out + "/expected.npy")
+    got = compiled.warmup()(x)
+    assert got.dtype == expected.dtype, (got.dtype, expected.dtype)
+    assert got.tobytes() == expected.tobytes(), "outputs differ after reload"
+    print(json.dumps(compiled.plans))
+    """
+)
+
+
+def _run_python(script: str, *args: str) -> str:
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.smoke
+def test_artifact_round_trip_across_processes(tmp_path):
+    """One process quantizes, compiles and saves an encoder; a second
+    process loads it and serves byte-identical outputs."""
+    produced = json.loads(_run_python(_PRODUCER, str(tmp_path)))
+    consumed = json.loads(_run_python(_CONSUMER, str(tmp_path)))
+    assert consumed == produced
+    assert set(produced.values()) <= {"biqgemm", "dense"}
+    assert any(name.endswith("ffn.ff1") for name in produced)

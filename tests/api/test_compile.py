@@ -30,18 +30,12 @@ def _compiled(batch_hint=1, layers=1, seed=0):
 
 class TestCompilePlans:
     def test_plans_match_direct_plan_backend(self):
-        """Acceptance pin: one compile pass == per-layer planner calls,
-        with the native compiled engine among the candidates."""
-        from repro.engine import lossless_engines
-
+        """Acceptance pin: one compile pass == per-layer planner calls
+        over the default candidates."""
         compiled = _compiled(batch_hint=1)
         for plan in compiled.layer_plans:
             expected = plan_backend(
-                plan.m,
-                plan.n,
-                spec=CFG.spec_for(plan.name),
-                batch_hint=1,
-                candidates=lossless_engines() + ("compiled",),
+                plan.m, plan.n, spec=CFG.spec_for(plan.name), batch_hint=1
             )
             assert plan.backend == expected, plan.name
 
@@ -60,7 +54,7 @@ class TestCompilePlans:
     def test_batch_hint_moves_the_plans(self):
         decode = _compiled(batch_hint=1)
         scoring = _compiled(batch_hint=512, seed=1)
-        assert decode.plans["L0.attn.q"] == "compiled"
+        assert decode.plans["L0.attn.q"] == "biqgemm"
         assert scoring.plans["L0.attn.q"] == "dense"
 
     def test_compile_defaults_to_config_batch_hint(self):
@@ -75,7 +69,7 @@ class TestCompilePlans:
             CFG,
         ).compile(batch_hint=1, machine="v100")
         for _, layer in compiled.named_layers():
-            assert layer.spec.backend in ("biqgemm", "dense", "compiled")
+            assert layer.spec.backend in ("biqgemm", "dense")
 
     def test_outputs_match_direct_quantized_model(self, rng):
         spec = QuantSpec(bits=2, mu=4, backend="biqgemm")

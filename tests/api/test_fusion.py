@@ -1,7 +1,7 @@
 """Fusion planning tests (repro.api.model / repro.nn.linear).
 
 ``compile()`` discovers layers whose following activation is fusible
-and, where such a layer is planned onto the compiled engine, pins
+and, where such a layer is planned onto the ``biqgemm`` engine, pins
 ``spec.fuse``.  These tests pin the contract around that pass: site
 discovery, fused/unfused bit-identity at the model level, and
 fuse-aware engine caching in the layer.
@@ -12,6 +12,7 @@ import pytest
 
 from repro.api import QuantConfig, quantize
 from repro.api.model import QuantMLP, _fusion_sites
+from repro.core.kernel import BiQGemm
 from repro.nn.linear import Linear
 from repro.nn.model_zoo import build_encoder
 
@@ -45,7 +46,7 @@ class TestFusionSites:
         sites = _fusion_sites(qm.model, qm.named_layers())
         compiled = qm.compile(batch_hint=1)
         for name, layer in compiled.named_layers():
-            if compiled.plans[name] == "compiled" and name in sites:
+            if compiled.plans[name] == "biqgemm" and name in sites:
                 assert layer.spec.fuse == sites[name]
                 assert layer.fused_activation == sites[name]
             else:
@@ -61,29 +62,30 @@ class TestFusionSites:
             QuantConfig(bits=1, mu=8),
         )
         compiled = qm.compile(batch_hint=1)
-        assert compiled.plans["fc.0"] == "compiled"
+        assert compiled.plans["fc.0"] == "biqgemm"
         assert qm.layer("fc.0").spec.fuse == "relu"
 
 
 class TestFusedForwardIdentity:
     @pytest.mark.parametrize("batch", [1, 2, 5])
     def test_fused_model_matches_all_biqgemm_reference(self, batch):
-        # Same float weights, two quantized models: one compiled with
-        # fusion planning, one pinned all-biqgemm (the batch-invariant
-        # unfused reference).  Outputs must agree to the bit.
+        # The model compiled with fusion planning against the unfused
+        # chain on the batch-invariant numpy BiQGemm: matmul, bias, then
+        # ReLU between layers.  Outputs must agree to the bit.
         rng = np.random.default_rng(3)
         layers = _mlp_layers(rng, dims=(1024, 1024, 1024, 64))
-        reference_layers = [
-            Linear(l.weight.copy(), l.bias.copy()) for l in layers
-        ]
         config = QuantConfig(bits=1, mu=8)
         fused = quantize(QuantMLP(layers), config).compile(batch_hint=1)
-        assert "compiled" in set(fused.plans.values())
-        reference = quantize(QuantMLP(reference_layers), config)
-        for _, layer in reference.named_layers():
-            layer.pin_backend("biqgemm", batch_hint=1)
+        assert "biqgemm" in set(fused.plans.values())
         x = rng.standard_normal((batch, 1024))
-        assert np.array_equal(fused(x), reference(x))
+        h = x
+        for i, (_, layer) in enumerate(fused.named_layers()):
+            kernel = BiQGemm.from_bcq(layer.bcq, mu=8)
+            kernel.batch_invariant = True
+            h = kernel.matmul(h.T).T + layer.bias
+            if i < len(layers) - 1:
+                h = np.maximum(h, 0)
+        assert np.array_equal(fused(x), h)
 
 
 class TestLayerFuseCache:
@@ -100,7 +102,7 @@ class TestLayerFuseCache:
 
     def test_repin_without_fuse_keeps_it(self):
         _, layer = self._fused_layer()
-        layer.pin_backend("compiled", batch_hint=2)
+        layer.pin_backend("biqgemm", batch_hint=2)
         assert layer.spec.fuse == "relu"
         assert layer.fused_activation == "relu"
 
@@ -108,7 +110,7 @@ class TestLayerFuseCache:
         rng, layer = self._fused_layer()
         x = rng.standard_normal((2, 1024))
         fused_out = layer(x)
-        layer.pin_backend("compiled", batch_hint=2, fuse=None)
+        layer.pin_backend("biqgemm", batch_hint=2, fuse=None)
         assert layer.fused_activation is None
         engine = layer.engine_for(2)
         assert engine.activation is None  # not the stale fused engine

@@ -6,6 +6,14 @@ import numpy as np
 import pytest
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "smoke: cross-process end-to-end checks; CI runs them with "
+        "`pytest -m smoke`, and they also run in the full suite",
+    )
+
+
 @pytest.fixture()
 def rng() -> np.random.Generator:
     """Deterministic per-test random generator."""

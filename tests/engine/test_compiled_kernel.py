@@ -1,7 +1,7 @@
-"""Unit tests for the compiled engine (repro.engine.compiled).
+"""Unit tests for the native ``biqgemm`` engine (repro.engine.compiled).
 
 The engine's whole contract is "bit-identical to the batch-invariant
-reference, just faster": every path -- the native kernel at decode and
+numpy BiQGemm, just faster": every path -- the native kernel at decode and
 wider batches, the fallback for dtypes the kernel does not compute in
 (float16), the kwargs opt-out, the ``out=`` spellings, restore from
 serialized state -- must reproduce the unfused reference bits exactly,
@@ -19,8 +19,10 @@ from repro.engine import (
     build_engine,
     engine_entry,
 )
+from repro.core.kernel import BiQGemm
 from repro.engine.compiled import CompiledKernelEngine
 from repro.nn.functional import FUSIBLE_ACTIVATIONS, activation_fn
+from repro.quant.bcq import bcq_quantize
 
 M, N = 40, 48
 BITS, MU = 2, 4
@@ -38,17 +40,16 @@ def bias():
 
 @pytest.fixture(scope="module")
 def reference(weight):
-    """The unfused batch-invariant reference engine."""
-    return build_engine(
-        "biqgemm",
-        EngineBuildRequest(spec=QuantSpec(bits=BITS, mu=MU), weight=weight),
-    )
+    """The unfused batch-invariant numpy kernel."""
+    engine = BiQGemm.from_bcq(bcq_quantize(weight, BITS), mu=MU)
+    engine.batch_invariant = True
+    return engine
 
 
 def _compiled(weight, bias=None, activation=None):
-    spec = QuantSpec(bits=BITS, mu=MU, backend="compiled", fuse=activation)
+    spec = QuantSpec(bits=BITS, mu=MU, fuse=activation)
     return build_engine(
-        "compiled", EngineBuildRequest(spec=spec, weight=weight, bias=bias)
+        "biqgemm", EngineBuildRequest(spec=spec, weight=weight, bias=bias)
     )
 
 
@@ -168,7 +169,7 @@ class TestSerialization:
     def test_export_restore_round_trip(
         self, weight, bias, reference, activation, rng
     ):
-        entry = engine_entry("compiled")
+        entry = engine_entry("biqgemm")
         engine = _compiled(weight, bias=bias, activation=activation)
         state = entry.export(engine)
         # The artifact layer persists plain arrays; mimic that.
@@ -181,7 +182,7 @@ class TestSerialization:
         assert np.array_equal(restored.matmul(x), want)
 
     def test_export_omits_float_weights(self, weight, bias):
-        entry = engine_entry("compiled")
+        entry = engine_entry("biqgemm")
         state = entry.export(_compiled(weight, bias=bias, activation="relu"))
         assert "keys" in state and "alphas" in state
         # Only quantized state plus the 1-D bias ships -- never a dense
@@ -196,16 +197,13 @@ class TestMetadata:
         assert _compiled(weight, bias=bias).fused_epilogue
         assert _compiled(weight, activation="relu").fused_epilogue
 
-    def test_op_counts_include_epilogue(self, weight, bias):
+    def test_op_counts_include_epilogue(self, weight, bias, reference):
         engine = _compiled(weight, bias=bias, activation="relu")
         counts = engine.op_counts(4)
         assert counts["epilogue_ops"] == 2 * M * 4
-        assert _compiled(weight).op_counts(4)["epilogue_ops"] == 0
+        assert _compiled(weight).op_counts(4) == reference.op_counts(4)
 
     def test_rejects_wrong_bias_shape(self, weight):
-        from repro.core.kernel import BiQGemm
-        from repro.quant.bcq import bcq_quantize
-
         inner = BiQGemm.from_bcq(bcq_quantize(weight, BITS), mu=MU)
         with pytest.raises(ValueError, match="bias"):
             CompiledKernelEngine(inner, bias=np.zeros(M + 1))

@@ -109,6 +109,20 @@ class TestPlanCosts:
         for est in costs.values():
             assert est.seconds > 0
 
+    def test_biqgemm_is_priced_as_the_native_kernel(self):
+        from repro.hw.costmodel import estimate_biqgemm, estimate_compiled
+        from repro.hw.machine import MACHINES
+
+        for fuse in (None, "relu"):
+            spec = QuantSpec(bits=3, fuse=fuse)
+            got = plan_costs(512, 512, spec=spec, batch_hint=8)["biqgemm"]
+            want = estimate_compiled(
+                MACHINES["pc"], 512, 512, 8, bits=3, mu=8, fuse=fuse
+            )
+            assert got == want, fuse
+            paper = estimate_biqgemm(MACHINES["pc"], 512, 512, 8, bits=3)
+            assert got.seconds <= paper.seconds, fuse
+
     def test_plan_is_argmin_of_costs(self):
         spec = QuantSpec(bits=2)
         costs = plan_costs(512, 512, spec=spec, batch_hint=8)
@@ -135,18 +149,14 @@ class TestPlanCache:
         assert plan_cache_stats()["size"] == size_before
 
     def test_fused_and_unfused_specs_get_distinct_entries(self):
-        # The compiled engine only prices (and only exists) for fused
-        # specs; a fused plan served to an unfused spec -- or vice
-        # versa -- would pin the wrong engine.  The cache key must
-        # include ``fuse``.
-        cands = ("biqgemm", "dense", "compiled")
+        # The biqgemm engine's fusion credit changes its price; a fused
+        # plan served to an unfused spec -- or vice versa -- would pin
+        # the wrong engine.  The cache key must include ``fuse``.
         fused = plan_backend(
-            1024, 1024, spec=QuantSpec(bits=1, fuse="relu"),
-            batch_hint=1, candidates=cands,
+            1024, 1024, spec=QuantSpec(bits=1, fuse="relu"), batch_hint=1
         )
         unfused = plan_backend(
-            1024, 1024, spec=QuantSpec(bits=1),
-            batch_hint=1, candidates=cands,
+            1024, 1024, spec=QuantSpec(bits=1), batch_hint=1
         )
         assert plan_cache_stats()["size"] == 2
         for spec, cached in (
@@ -154,8 +164,7 @@ class TestPlanCache:
             (QuantSpec(bits=1), unfused),
         ):
             fresh = plan_backend(
-                1024, 1024, spec=spec, batch_hint=1,
-                candidates=cands, use_cache=False,
+                1024, 1024, spec=spec, batch_hint=1, use_cache=False
             )
             assert cached == fresh, spec.fuse
 

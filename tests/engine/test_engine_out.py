@@ -1,6 +1,9 @@
-"""``matmul(out=...)`` on the engines that accept a destination.
+"""``matmul(out=...)`` on the kernels that accept a destination.
 
-:class:`~repro.core.kernel.BiQGemm` and the ``compiled`` engine write
+The numpy :class:`~repro.core.kernel.BiQGemm` (parametrized as
+``biqgemm``, its ``backend_name``) and the native
+:class:`~repro.engine.compiled.CompiledKernelEngine` (parametrized as
+``compiled``, its module; the registry serves it as ``biqgemm``) write
 into a caller-provided ``out`` (``BiQGemm`` also draws its scratch from
 an optional :class:`~repro.core.workspace.Workspace`).  Results must be
 bit-identical to the allocating call, and the destination is validated:
@@ -10,6 +13,7 @@ shape, dtype, writability, no aliasing with the input.
 import numpy as np
 import pytest
 
+from repro.core.kernel import BiQGemm
 from repro.core.profiling import measure_hot_loop
 from repro.core.workspace import Workspace
 from repro.engine import EngineBuildRequest, QuantSpec, build_engine
@@ -22,11 +26,14 @@ def weight():
     return np.random.default_rng(7).standard_normal((24, 32))
 
 
-def _engine(weight, backend):
-    request = EngineBuildRequest(
-        spec=QuantSpec(bits=2, mu=4, backend=backend), weight=weight
-    )
-    return build_engine(backend, request)
+def _engine(weight, kind):
+    """The batch-invariant numpy kernel, or the native engine."""
+    request = EngineBuildRequest(spec=QuantSpec(bits=2, mu=4), weight=weight)
+    if kind == "biqgemm":
+        engine = BiQGemm.from_bcq(request.get_bcq(), mu=4)
+        engine.batch_invariant = True
+        return engine
+    return build_engine("biqgemm", request)
 
 
 class TestParity:

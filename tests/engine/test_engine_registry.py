@@ -25,13 +25,10 @@ def request_2bit(rng):
 
 class TestRegistryContents:
     def test_exactly_the_serving_engines_registered(self):
-        assert set(registered_engines()) == {
-            "biqgemm", "compiled", "dense", "int8",
-        }
+        assert registered_engines() == ("biqgemm", "dense", "int8")
 
     def test_lossless_subset(self):
-        # int8 quantizes activations and compiled only enters plans
-        # through explicit candidate lists: neither is an auto default.
+        # int8 quantizes activations: not an auto candidate.
         assert lossless_engines() == ("biqgemm", "dense")
 
     def test_unknown_backend_rejected(self):

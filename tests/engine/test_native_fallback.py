@@ -1,6 +1,6 @@
 """The native kernel's loader: cache, failure modes, and the fallback.
 
-Without a native library the ``compiled`` engine must keep serving the
+Without a native library the ``biqgemm`` engine must keep serving the
 same bits through its numpy fallback, with one logged warning and no
 exception -- whether the loader finds nothing, the cache directory
 cannot be written, or the compiler fails.  A warm cache must load
@@ -36,9 +36,9 @@ def fresh_loader(monkeypatch):
 def _engines():
     w = np.random.default_rng(3).standard_normal((M, N))
     bias = np.random.default_rng(4).standard_normal(M)
-    spec = QuantSpec(bits=2, mu=4, backend="compiled", fuse="relu")
+    spec = QuantSpec(bits=2, mu=4, fuse="relu")
     compiled = build_engine(
-        "compiled", EngineBuildRequest(spec=spec, weight=w, bias=bias)
+        "biqgemm", EngineBuildRequest(spec=spec, weight=w, bias=bias)
     )
     return compiled, bias
 

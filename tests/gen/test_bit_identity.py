@@ -96,7 +96,8 @@ class TestLongSequences:
 
 
 class TestCompiledDecoder:
-    """Every layer of a compiled ``DecoderLM`` on the ``compiled`` engine.
+    """Every layer of a compiled ``DecoderLM`` on the native ``biqgemm``
+    engine.
 
     The engine is batch-invariant by construction, so a batch-invariant
     layer hands it a whole prefill or decode tick in one call instead of
@@ -110,7 +111,7 @@ class TestCompiledDecoder:
         compiled = quantize(model, QuantConfig(bits=3, mu=8)).compile(
             batch_hint=1
         )
-        assert set(compiled.plans.values()) == {"compiled"}
+        assert set(compiled.plans.values()) == {"biqgemm"}
         # As generate() and the serving scheduler do before decoding.
         assert mark_batch_invariant(compiled.model) == len(
             compiled.named_layers()

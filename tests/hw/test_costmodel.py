@@ -24,6 +24,13 @@ V100 = MACHINES["v100"]
 
 
 class TestEstimateStructure:
+    def test_unknown_serving_backend_lists_the_table(self):
+        from repro.hw.costmodel import estimate_backend
+
+        with pytest.raises(ValueError) as info:
+            estimate_backend("compiled", PC, 64, 64, 1)
+        assert "['biqgemm', 'dense', 'int8']" in str(info.value)
+
     def test_roofline_max_plus_overhead(self):
         est = estimate_gemm(V100, 512, 512, 32)
         assert est.seconds == pytest.approx(
