@@ -1,6 +1,8 @@
 /*
- * Native LUT query kernel for the ``biqgemm`` engine
- * (repro/engine/compiled.py, loaded by repro/engine/native.py).
+ * The native library (loaded by repro/engine/native.py): the LUT query
+ * kernel of the ``biqgemm`` engine (repro/engine/compiled.py) and the
+ * attention folds of repro/nn/attention.py and repro/nn/functional.py
+ * (see "Attention folds" below).
  *
  * One call computes ``y = W_q @ x (+ bias)`` for a binary-coding-quantized
  * weight in key-matrix form: the DP lookup-table build of paper
@@ -133,6 +135,169 @@ int lutq_run(const lutq_plan *p, int64_t batch, void *tables,
         lutq_run_f32_u16(p, batch, tables, x, stride_row, stride_col, y);
     return 0;
 }
+
+/*
+ * Attention folds (repro/nn/attention.py, repro/nn/functional.py).
+ *
+ * The attention block's activation products and the softmax
+ * denominator are strict sequential left folds, in double:
+ *
+ *   fold_dot       out[l, i, j] = ((a[l,i,0]*b[l,j,0] + a[l,i,1]*b[l,j,1])
+ *                                  + ...) + a[l,i,C-1]*b[l,j,C-1]
+ *   fold_softmax   s = ((x[l,0] + x[l,1]) + ...) + x[l,N-1];
+ *                  x[l,k] = x[l,k] / s
+ *
+ * Each fold is seeded with its first term, not with 0.0 (0.0 + -0.0 is
+ * +0.0), so every output carries the bits of numpy's running cumsum
+ * over the materialized products -- the Python fallback.  Independent
+ * outputs run interleaved; one output's terms are never regrouped.
+ *
+ * Operands are read in place through byte strides (0 on a broadcast
+ * dim), over any number of leading dims l.  geom packs, for nlead
+ * leading dims:
+ *
+ *   fold_dot      shape  lead..., I, J, C
+ *                 a      lead..., i, c     (byte strides)
+ *                 b      lead..., j, c
+ *                 out    lead..., i, j
+ *   fold_softmax  shape  lead..., N
+ *                 x      lead..., k
+ */
+
+#define FOLD_MAX_LEAD 64 /* numpy's NPY_MAXDIMS */
+#define FOLD_J 8         /* outputs of one row folded together */
+
+#define AT(p, off) (*(const double *)((const char *)(p) + (off)))
+
+/* out[i, j0 .. j0 + w) of one leading block.  Inlined with a constant
+ * w and unit, so the w folds live in registers; with unit (b's j
+ * stride is one double) the compiler vectorizes across them. */
+static inline __attribute__((always_inline)) void
+fold_dot_row(const char *a, int64_t sac, const char *b, int64_t sbj,
+             int64_t sbc, int64_t nc, double *out, int64_t soj,
+             const int64_t w, const int unit)
+{
+    double acc[FOLD_J];
+    const int64_t bj = unit ? (int64_t)sizeof(double) : sbj;
+    const double a0 = AT(a, 0);
+    for (int64_t jj = 0; jj < w; ++jj)
+        acc[jj] = a0 * AT(b, jj * bj);
+    for (int64_t c = 1; c < nc; ++c) {
+        const double ac = AT(a, c * sac);
+        const char *bc = b + c * sbc;
+        for (int64_t jj = 0; jj < w; ++jj)
+            acc[jj] = acc[jj] + ac * AT(bc, jj * bj);
+    }
+    for (int64_t jj = 0; jj < w; ++jj)
+        *(double *)((char *)out + jj * soj) = acc[jj];
+}
+
+static __attribute__((noinline)) void
+fold_dot_block(const char *a, const char *b, char *out, int64_t ni,
+               int64_t nj, int64_t nc, int64_t sai, int64_t sac,
+               int64_t sbj, int64_t sbc, int64_t soi, int64_t soj)
+{
+    const int unit = sbj == (int64_t)sizeof(double);
+    for (int64_t i = 0; i < ni; ++i) {
+        const char *ai = a + i * sai;
+        char *oi = out + i * soi;
+        int64_t j = 0;
+        for (; j + FOLD_J <= nj; j += FOLD_J) {
+            if (unit)
+                fold_dot_row(ai, sac, b + j * sbj, sbj, sbc, nc,
+                             (double *)(oi + j * soj), soj, FOLD_J, 1);
+            else
+                fold_dot_row(ai, sac, b + j * sbj, sbj, sbc, nc,
+                             (double *)(oi + j * soj), soj, FOLD_J, 0);
+        }
+        if (j < nj)
+            fold_dot_row(ai, sac, b + j * sbj, sbj, sbc, nc,
+                         (double *)(oi + j * soj), soj, nj - j, 0);
+    }
+}
+
+/* Advance the odometer idx over shape[0 .. nlead); 0 once it wraps. */
+static int fold_next(int64_t nlead, const int64_t *shape, int64_t *idx)
+{
+    for (int64_t d = nlead - 1; d >= 0; --d) {
+        if (++idx[d] < shape[d])
+            return 1;
+        idx[d] = 0;
+    }
+    return 0;
+}
+
+/* Byte offset of leading index idx under strides st. */
+static int64_t fold_offset(int64_t nlead, const int64_t *idx,
+                           const int64_t *st)
+{
+    int64_t off = 0;
+    for (int64_t d = 0; d < nlead; ++d)
+        off += idx[d] * st[d];
+    return off;
+}
+
+static int fold_shape_ok(int64_t nlead, const int64_t *shape, int64_t dims)
+{
+    if (nlead < 0 || nlead > FOLD_MAX_LEAD)
+        return 0;
+    for (int64_t d = 0; d < nlead + dims; ++d)
+        if (shape[d] < 0)
+            return 0;
+    return 1;
+}
+
+/* Returns 0, or -1 for a geometry outside the kernel's envelope
+ * (nothing is written then). */
+int fold_dot(int64_t nlead, const int64_t *geom, const char *a,
+             const char *b, char *out)
+{
+    if (!fold_shape_ok(nlead, geom, 3) || geom[nlead + 2] < 1)
+        return -1;
+    const int64_t *shape = geom;
+    const int64_t *sa = shape + nlead + 3;
+    const int64_t *sb = sa + nlead + 2;
+    const int64_t *so = sb + nlead + 2;
+    int64_t idx[FOLD_MAX_LEAD] = {0};
+    for (int64_t d = 0; d < nlead; ++d)
+        if (shape[d] == 0)
+            return 0;
+    do {
+        fold_dot_block(a + fold_offset(nlead, idx, sa),
+                       b + fold_offset(nlead, idx, sb),
+                       out + fold_offset(nlead, idx, so),
+                       shape[nlead], shape[nlead + 1], shape[nlead + 2],
+                       sa[nlead], sa[nlead + 1], sb[nlead], sb[nlead + 1],
+                       so[nlead], so[nlead + 1]);
+    } while (fold_next(nlead, shape, idx));
+    return 0;
+}
+
+int fold_softmax(int64_t nlead, const int64_t *geom, char *x)
+{
+    if (!fold_shape_ok(nlead, geom, 1) || geom[nlead] < 1)
+        return -1;
+    const int64_t *shape = geom;
+    const int64_t *sx = shape + nlead + 1;
+    const int64_t n = shape[nlead], sk = sx[nlead];
+    int64_t idx[FOLD_MAX_LEAD] = {0};
+    for (int64_t d = 0; d < nlead; ++d)
+        if (shape[d] == 0)
+            return 0;
+    do {
+        char *row = x + fold_offset(nlead, idx, sx);
+        double s = AT(row, 0);
+        for (int64_t k = 1; k < n; ++k)
+            s = s + AT(row, k * sk);
+        for (int64_t k = 0; k < n; ++k) {
+            double *e = (double *)(row + k * sk);
+            *e = *e / s;
+        }
+    } while (fold_next(nlead, shape, idx));
+    return 0;
+}
+
+#undef AT
 
 #else /* one typed instantiation: LUTQ_T floats, LUTQ_K keys */
 

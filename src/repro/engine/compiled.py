@@ -57,22 +57,6 @@ from repro.engine.registry import EngineEntry, register_engine, roofline_cost
 __all__ = ["CompiledKernelEngine"]
 
 
-def _address(arr: np.ndarray) -> int:
-    """The address of ``arr[0, 0]``.
-
-    ``arr.ctypes.data`` builds a helper object per call and costs about
-    three times as much as ``ctypes.c_char.from_buffer``, which serves
-    the writable contiguous arrays of the hot path.
-    """
-    flags = arr.flags
-    if flags.writeable:
-        if flags.c_contiguous:
-            return ctypes.addressof(ctypes.c_char.from_buffer(arr))
-        if flags.f_contiguous:
-            return ctypes.addressof(ctypes.c_char.from_buffer(arr.T))
-    return arr.ctypes.data
-
-
 class _ScratchPool:
     """Table scratch for native calls, shared by every engine.
 
@@ -96,7 +80,7 @@ class _ScratchPool:
                     return entry
         # float64 elements: aligned for either kernel dtype.
         buf = np.empty(-(-nbytes // 8), np.float64)
-        return buf, _address(buf)
+        return buf, native.address(buf)
 
     def give(self, entry: tuple[np.ndarray, int]) -> None:
         with self._lock:
@@ -172,9 +156,9 @@ class _NativePlan:
             self._plan_ref,
             batch,
             scratch[1],
-            _address(arr),
+            native.address(arr),
             *arr.strides,
-            _address(y),
+            native.address(y),
         )
         _SCRATCH.give(scratch)
         if rc:

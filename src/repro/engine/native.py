@@ -1,12 +1,17 @@
-"""Build, cache and bind the native LUT query kernel (``_lutq.c``).
+"""Build, cache and bind the native library (``_lutq.c``).
 
 :func:`load` compiles the package's C source once with the host
-``gcc`` and binds it through stdlib :mod:`ctypes`; the ``biqgemm``
-engine (:mod:`repro.engine.compiled`) runs every native call through
-it.  There is no switch: when no library can be built or loaded (no
-compiler, unwritable cache, foreign platform) :func:`load` logs one
-warning for the process and returns ``None``, and the engine serves
-every call through its bit-identical numpy fallback.
+``gcc`` and binds it through stdlib :mod:`ctypes`.  The library holds
+the LUT query kernel, through which the ``biqgemm`` engine
+(:mod:`repro.engine.compiled`) runs every native call, and the
+attention folds -- the ``QK^T`` and ``AV`` products of
+:mod:`repro.nn.attention` and the denominator of
+:func:`repro.nn.functional.softmax`.  It loads lazily, on the first
+call that wants it, never at import.  There is no switch: when no
+library can be built or loaded (no compiler, unwritable cache, foreign
+platform) :func:`load` logs one warning for the process and returns
+``None``, and the engine and the attention folds serve every call
+through their bit-identical numpy fallbacks.
 
 The shared library is cached in ``$XDG_CACHE_HOME/repro`` (default
 ``~/.cache/repro``) under a name keyed by a hash of the source, the
@@ -34,7 +39,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 __all__ = [
-    "CFLAGS", "DTYPES", "Kernel", "Plan", "cache_dir", "load", "status"
+    "CFLAGS", "DTYPES", "Kernel", "Plan", "address", "cache_dir", "load",
+    "status",
 ]
 
 _LOG = logging.getLogger("repro.engine.native")
@@ -42,14 +48,16 @@ _LOG = logging.getLogger("repro.engine.native")
 SOURCE = Path(__file__).with_name("_lutq.c")
 
 CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
-"""Compiler flags.  ``-ffp-contract=off`` keeps ``y += acc * alpha`` a
-separate multiply and add (no fused multiply-add), as numpy computes
-it; ``-ffast-math``/``-Ofast`` would reassociate the folds and are
+"""Compiler flags.  ``-ffp-contract=off`` keeps ``y += acc * alpha``
+and the attention folds' ``acc + a * b`` a separate multiply and add
+(no fused multiply-add), as numpy computes them;
+``-ffast-math``/``-Ofast`` would reassociate the folds and are
 never used.  No ``-march=native``: it measured no gain at batch 1 and
 the cached library stays portable across hosts of one architecture."""
 
 DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
-"""Activation dtypes the kernel computes in (other dtypes fall back)."""
+"""Activation dtypes the LUT kernel computes in (other dtypes fall
+back).  The attention folds compute in float64 only."""
 
 
 class Plan(ctypes.Structure):
@@ -86,6 +94,35 @@ class Kernel(NamedTuple):
     scratch_bytes: Callable[..., int]
     """``scratch_bytes(plan)``: the table scratch *run* needs for
     *plan*, the same at every batch (-1 for an invalid plan)."""
+
+    fold_dot: Callable[..., int]
+    """``fold_dot(nlead, geom, a, b, out)``: the batched float64 left
+    fold ``out[..., i, j] = sum_c a[..., i, c] * b[..., j, c]`` over
+    strided operands; *geom* is the address of an int64 array of
+    shapes and byte strides laid out as ``_lutq.c`` documents, and
+    *a*, *b*, *out* the addresses of the first elements.  Returns 0, or
+    nonzero for a geometry outside the kernel's envelope."""
+
+    fold_softmax: Callable[..., int]
+    """``fold_softmax(nlead, geom, x)``: divides each row of the
+    float64 array *x* (along its last *geom* dim) by the row's left-fold
+    sum, in place.  Returns 0, or nonzero as *fold_dot*."""
+
+
+def address(arr: np.ndarray) -> int:
+    """The address of *arr*'s first element.
+
+    ``arr.ctypes.data`` builds a helper object per call and costs about
+    three times as much as ``ctypes.c_char.from_buffer``, which serves
+    the writable contiguous arrays of the hot path.
+    """
+    flags = arr.flags
+    if flags.writeable:
+        if flags.c_contiguous:
+            return ctypes.addressof(ctypes.c_char.from_buffer(arr))
+        if flags.f_contiguous:
+            return ctypes.addressof(ctypes.c_char.from_buffer(arr.T))
+    return arr.ctypes.data
 
 
 def cache_dir() -> Path:
@@ -139,7 +176,20 @@ def _bind(path: Path) -> Kernel:
     scratch_bytes = lib.lutq_scratch_bytes
     scratch_bytes.argtypes = [ctypes.POINTER(Plan)]
     scratch_bytes.restype = ctypes.c_int64
-    return Kernel(run=run, scratch_bytes=scratch_bytes)
+    fold_dot = lib.fold_dot
+    fold_dot.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+                         ctypes.c_void_p, ctypes.c_void_p]
+    fold_dot.restype = ctypes.c_int
+    fold_softmax = lib.fold_softmax
+    fold_softmax.argtypes = [ctypes.c_int64, ctypes.c_void_p,
+                             ctypes.c_void_p]
+    fold_softmax.restype = ctypes.c_int
+    return Kernel(
+        run=run,
+        scratch_bytes=scratch_bytes,
+        fold_dot=fold_dot,
+        fold_softmax=fold_softmax,
+    )
 
 
 _UNSET = object()
@@ -169,8 +219,9 @@ def load() -> Kernel | None:
             ) as exc:
                 detail = getattr(exc, "stderr", None) or b""
                 _LOG.warning(
-                    "native LUT query kernel unavailable, the biqgemm "
-                    "engine serves through its numpy fallback: %s %s",
+                    "native library unavailable, the biqgemm engine and "
+                    "the attention folds serve through their numpy "
+                    "fallbacks: %s %s",
                     exc,
                     detail.decode(errors="replace").strip()[:500],
                 )
@@ -181,8 +232,11 @@ def load() -> Kernel | None:
 def status() -> dict:
     """``{"loaded": bool, "path": str | None}`` for this process.
 
-    Never builds: before the first :func:`load` (no native call yet)
-    it reports ``loaded: False``.
+    ``loaded: True`` means both the ``biqgemm`` engine and the
+    attention folds run natively; ``False`` after a failed load means
+    both serve through their numpy fallbacks.  Never builds: before the
+    first :func:`load` (no ``biqgemm`` call or attention block yet) it
+    reports ``loaded: False``.
     """
     kernel = _kernel
     loaded = kernel is not None and kernel is not _UNSET

@@ -16,10 +16,13 @@ outgrown blocks instead of churning the allocator.
 Bit-identity contract: callers attend against :meth:`KVCache.view`,
 an exact-length view of the bucket-capacity block.  The attention
 products (:mod:`repro.nn.attention`) and softmax
-(:mod:`repro.nn.functional`) are stride- and length-invariant, so the
-padding beyond ``length`` never influences a single output bit -- it
-is zero-filled anyway (defensive hygiene against NaN poisoning, not a
-correctness requirement).
+(:mod:`repro.nn.functional`) are stride- and length-invariant left
+folds, whether the native library or the numpy fallback runs them.
+The native fold reads the view in place through its strides -- no
+contiguous copy -- and never past ``length``, so the padding beyond
+``length`` never influences a single output bit -- it is zero-filled
+anyway (defensive hygiene against NaN poisoning, not a correctness
+requirement).
 """
 
 from __future__ import annotations

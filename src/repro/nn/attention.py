@@ -31,24 +31,38 @@ single-token :meth:`MultiHeadAttention.step` against a KV cache
 bit-identical to the corresponding row of the masked full-sequence
 recompute -- the invariant every engine's decode path is tested
 against.
+
+Float64 folds run in the native library (``_lutq.c``, loaded by
+:mod:`repro.engine.native` on the first call), which reads the
+operands in place through their strides -- ``_split`` transposes,
+KV-cache views shorter than their capacity, broadcast leading dims --
+and materializes no product.  Each output is the same left fold,
+seeded with its first product (not ``0.0``, so ``-0.0`` survives) and
+compiled without fused multiply-adds, so it carries exactly the bits
+of the numpy ``cumsum`` fold.  That fold still serves other dtypes and
+hosts without the library; ``tests/contracts/test_attention_folds.py``
+holds the two paths bit-equal.
 """
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from repro._util import check_positive_int
+from repro.engine import native
 from repro.nn.functional import softmax
 from repro.nn.linear import QuantSpec, make_linear, split_builder_spec
 
 __all__ = ["MultiHeadAttention", "attn_context", "attn_scores"]
 
-# Bound on the outer-product temporary the fold helpers materialize at
-# once, in elements (~32 MiB of float64).  The fold walks the
-# contraction axis in chunks of this budget, carrying the running sum
-# between chunks, so a 512-token prefill peaks at the budget instead of
-# the full (seq_q, seq_kv, head_dim) product (~8.6 GiB at seq=512,
-# heads=8, head_dim=64).  Chunking never changes bits: seeding a
+# Bound on the outer-product temporary the numpy fold materializes at
+# once, in elements (~32 MiB of float64); the native fold makes none.
+# The fold walks the contraction axis in chunks of this budget,
+# carrying the running sum between chunks, so a 512-token prefill
+# peaks at the budget instead of the full (seq_q, seq_kv, head_dim)
+# product (~8.6 GiB at seq=512, heads=8, head_dim=64).  Chunking never changes bits: seeding a
 # chunk's first element with the carry keeps every output element's
 # additions in exactly the unchunked left-fold order (and a decode
 # step's product fits in one chunk anyway).
@@ -61,6 +75,70 @@ def _fold_chunk(total: int, slice_elems: int) -> int:
     return max(1, min(total, FOLD_BUDGET_ELEMS // max(slice_elems, 1)))
 
 
+def _lead_strides(arr: np.ndarray, lead: tuple) -> list:
+    """*arr*'s byte strides over the broadcast leading dims *lead* of a
+    fold operand (its last two dims excluded): 0 where it broadcasts."""
+    own = arr.ndim - 2
+    return [0] * (len(lead) - own) + [
+        stride if n > 1 else 0
+        for n, stride in zip(arr.shape[:own], arr.strides[:own])
+    ]
+
+
+def _native_fold(a, b, b_jc, shape, *, out=None):
+    """``out[..., i, j] = sum_c a[..., i, c] * b[..., j, c]`` on the
+    native kernel, or ``None`` when it cannot serve (no library, a
+    dtype other than float64, unaligned operands, an empty contraction).
+
+    *a* is ``(..., I, C)``; *b_jc* are *b*'s byte strides along ``j``
+    and ``c``; *shape* is ``(I, J, C)``.  The operands are read in
+    place, whatever their strides.
+    """
+    kernel = native.load()
+    f64 = np.dtype(np.float64)
+    if (
+        kernel is None
+        or a.dtype != f64
+        or b.dtype != f64
+        or not (a.flags.aligned and b.flags.aligned)
+        or shape[2] < 1
+    ):
+        return None
+    lead = a.shape[:-2]
+    if b.shape[:-2] != lead:
+        lead = np.broadcast_shapes(lead, b.shape[:-2])
+    full = lead + shape[:2]
+    if (
+        out is None
+        or out.shape != full
+        or out.dtype != f64
+        or not (out.flags.writeable and out.flags.aligned)
+        or np.may_share_memory(out, a)
+        or np.may_share_memory(out, b)
+    ):
+        result = np.empty(full)
+    else:
+        result = out
+    if result.size:
+        # An array.array, not a ctypes array: it builds several times
+        # faster, and a decode step makes several calls per layer.
+        geom = array("q", (
+            *lead, *shape,
+            *_lead_strides(a, lead), *a.strides[-2:],
+            *_lead_strides(b, lead), *b_jc,
+            *_lead_strides(result, lead), *result.strides[-2:],
+        ))
+        if kernel.fold_dot(
+            len(lead), geom.buffer_info()[0], native.address(a),
+            native.address(b), native.address(result),
+        ):
+            raise RuntimeError("native attention fold rejected its call")
+    if out is not None and result is not out:
+        np.copyto(out, result)
+        return out
+    return result
+
+
 def attn_scores(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Unscaled attention scores ``q . k^T`` over the last axis.
 
@@ -69,9 +147,17 @@ def attn_scores(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     left fold over ``head_dim``, computed in memory-bounded chunks (see
     :data:`FOLD_BUDGET_ELEMS`), so every score is bit-identical
     whatever the surrounding batch/sequence shape (see the module
-    docstring).
+    docstring).  Float64 operands run on the native kernel, read in
+    place; other dtypes, or a host without it, run the numpy fold.
     """
     d = q.shape[-1]
+    if k.shape[-1] != d:
+        raise ValueError(
+            f"head_dim mismatch: q has {d}, k has {k.shape[-1]}"
+        )
+    scores = _native_fold(q, k, k.strides[-2:], (q.shape[-2], k.shape[-2], d))
+    if scores is not None:
+        return scores
     slice_shape = np.broadcast_shapes(
         q.shape[:-1] + (1,), k.shape[:-2] + (1,) + k.shape[-2:-1]
     )
@@ -100,9 +186,21 @@ def attn_context(attn: np.ndarray, v: np.ndarray, *, out=None) -> np.ndarray:
     full recompute (final length ``T``).  Like :func:`attn_scores` it
     is a strict sequential left fold over memory-bounded chunks, so
     both chunk boundaries and appended masked positions (probability
-    exactly ``0.0``) leave every prefix total bit-identical.
+    exactly ``0.0``) leave every prefix total bit-identical.  It runs
+    on the native kernel or the numpy fold as :func:`attn_scores` does.
     """
     t = v.shape[-2]
+    if attn.shape[-1] != t:
+        raise ValueError(
+            f"key length mismatch: attn has {attn.shape[-1]}, v has {t}"
+        )
+    ctx = _native_fold(
+        attn, v, (v.strides[-1], v.strides[-2]),
+        (attn.shape[-2], v.shape[-1], t),
+        out=out,
+    )
+    if ctx is not None:
+        return ctx
     slice_shape = np.broadcast_shapes(
         attn.shape[:-1] + (1,), v.shape[:-2] + (1,) + v.shape[-1:]
     )

@@ -9,7 +9,11 @@ activations in float and needs no format conversions around these ops.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
+
+from repro.engine import native
 
 __all__ = [
     "softmax",
@@ -44,6 +48,12 @@ def softmax(
     full-sequence recompute: a causal row of length ``t`` and the same
     row padded with masked (``exp -> 0.0``) positions normalize to
     identical bits.
+
+    The max-subtraction and ``exp`` run in numpy (a libm ``exp`` could
+    differ in the last bit).  The denominator fold and the division run
+    in the native library when it is loaded (:mod:`repro.engine.native`),
+    in place on *out*; seeded with the row's first term, the fold gives
+    the ``cumsum`` bits, so both paths agree bit for bit.
     """
     arr = np.asarray(x, dtype=np.float64)
     if out is None:
@@ -52,6 +62,20 @@ def softmax(
         out = _activation_out(arr, out)
     np.subtract(arr, arr.max(axis=axis, keepdims=True), out=out)
     np.exp(out, out=out)
+    kernel = native.load()
+    if kernel is not None and out.flags.aligned:
+        if out.size:
+            # Rows along *axis*: it goes last in the geometry.
+            ax = axis % out.ndim
+            shape, strides = list(out.shape), list(out.strides)
+            shape.append(shape.pop(ax))
+            strides.append(strides.pop(ax))
+            geom = array("q", shape + strides)
+            if kernel.fold_softmax(
+                out.ndim - 1, geom.buffer_info()[0], native.address(out)
+            ):
+                raise RuntimeError("native softmax fold rejected its call")
+        return out
     scratch = np.cumsum(out, axis=axis)
     last = [slice(None)] * out.ndim
     last[axis] = slice(-1, None)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine import native
 from repro.nn.attention import MultiHeadAttention
 from repro.nn.linear import QuantSpec
 
@@ -84,14 +85,27 @@ class TestMultiHeadAttention:
             mha(rng.standard_normal((5, 16)))
 
 
+@pytest.fixture()
+def numpy_fold(monkeypatch):
+    """Serve the folds through the numpy fallback, as on a host
+    without the native library."""
+    monkeypatch.setattr(native, "load", lambda: None)
+
+
+def _require_native():
+    if native.load() is None:
+        pytest.skip("native library unavailable")
+
+
 class TestFoldHelpers:
     """attn_scores / attn_context: memory-bounded chunked left folds.
 
-    The fold budget only bounds the temporary the contraction
+    The fold budget only bounds the temporary the numpy fallback
     materializes at once; it must never change bits, or a prefill
     (large product, chunked) would disagree with the decode step
     (small product, single chunk) it is supposed to be bit-identical
-    to.
+    to.  The native kernel materializes no product at all; its cases
+    run beside the fallback's.
     """
 
     def _reference(self, q, k):
@@ -101,7 +115,7 @@ class TestFoldHelpers:
 
     @pytest.mark.parametrize("budget", [1, 7, 1000])
     def test_scores_bits_independent_of_chunking(
-        self, rng, budget, monkeypatch
+        self, rng, budget, monkeypatch, numpy_fold
     ):
         import repro.nn.attention as attention
 
@@ -113,7 +127,7 @@ class TestFoldHelpers:
 
     @pytest.mark.parametrize("budget", [1, 7, 1000])
     def test_context_bits_independent_of_chunking(
-        self, rng, budget, monkeypatch
+        self, rng, budget, monkeypatch, numpy_fold
     ):
         import repro.nn.attention as attention
 
@@ -127,7 +141,7 @@ class TestFoldHelpers:
         attention.attn_context(attn, v, out=out)
         assert np.array_equal(out, reference)
 
-    def test_fold_temporary_stays_bounded(self, rng):
+    def test_fold_temporary_stays_bounded(self, rng, numpy_fold):
         """A prefill-sized product must chunk, not materialize the full
         (seq_q, seq_kv, head_dim) outer product (~8.6 GiB at this shape
         in one piece would OOM serving)."""
@@ -143,3 +157,43 @@ class TestFoldHelpers:
         tracemalloc.stop()
         # Budget-sized chunk + the result + carries, with headroom.
         assert peak < 4 * FOLD_BUDGET_ELEMS * 8
+
+    def test_native_folds_match_single_chunk_reference(self, rng):
+        import repro.nn.attention as attention
+
+        _require_native()
+        q = rng.standard_normal((2, 4, 9, 16))
+        k = rng.standard_normal((2, 4, 13, 16))
+        assert np.array_equal(
+            attention.attn_scores(q, k), self._reference(q, k)
+        )
+        attn = rng.random((2, 4, 9, 13))
+        prod = attn[..., :, :, None] * k[..., None, :, :]
+        reference = np.cumsum(prod, axis=-2, out=prod)[..., -1, :]
+        assert np.array_equal(attention.attn_context(attn, k), reference)
+        out = np.empty_like(reference)
+        attention.attn_context(attn, k, out=out)
+        assert np.array_equal(out, reference)
+
+    def test_native_fold_allocates_only_its_result(self, rng):
+        """The native kernel reads the operands in place: a
+        prefill-sized call allocates its result and nothing else."""
+        import tracemalloc
+
+        from repro.nn.attention import attn_context, attn_scores
+
+        _require_native()
+        q = rng.standard_normal((1, 8, 512, 64))
+        k = rng.standard_normal((1, 8, 512, 64))
+        result_bytes = 8 * 512 * 512 * 8
+        tracemalloc.start()
+        scores = attn_scores(q, k)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < result_bytes + 64 * 1024
+        out = np.empty_like(q)
+        tracemalloc.start()
+        attn_context(scores, k, out=out)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 64 * 1024
