@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import write_artifact
-from repro.bench.registry import compiled_kernels_rows, run_experiment
+from repro.bench.registry import compiled_kernels_experiment, run_experiment
 from repro.core.kernel import BiQGemm
 from repro.engine import EngineBuildRequest, QuantSpec, build_engine
 from repro.nn.functional import FUSIBLE_ACTIVATIONS, activation_fn
@@ -91,11 +91,9 @@ def test_gemv_small_batch_speedup_at_least_1_2x():
     """
     best = None
     for _ in range(2):
-        rows = compiled_kernels_rows(quick=False, repeats=30)
-        steps = [r for r in rows if r["kind"] == "step"]
-        for row in steps:
-            assert row["identical"], row
-        best = {r["batch"]: r["speedup_vs_best"] for r in steps}
+        metrics = compiled_kernels_experiment(repeats=30).metrics
+        assert metrics["identical_b1"] == metrics["identical_b2"] == 1.0
+        best = {b: metrics[f"speedup_vs_best_b{b}"] for b in (1, 2)}
         if all(v >= SPEEDUP_BAR for v in best.values()):
             break
     assert best and all(v >= SPEEDUP_BAR for v in best.values()), (

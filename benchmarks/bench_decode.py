@@ -17,38 +17,40 @@ The rendered ``decode`` experiment tables land in
 decode``.
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import write_artifact
-from repro.bench.registry import decode_rows, run_experiment
+from repro.bench.registry import decode_experiment, run_experiment
 
 
 def test_identity_cached_chain_equals_recompute_chain():
     """CI smoke: tiny shape, the emitted ids must match exactly."""
-    rows = decode_rows(quick=True, lengths=(48,), sequence_counts=(1,))
-    decode = next(r for r in rows if r["kind"] == "decode")
-    assert decode["identical"], decode
+    metrics = decode_experiment(
+        quick=True, lengths=(48,), sequence_counts=(1,)
+    ).metrics
+    assert metrics["identical_len48"] == 1.0, metrics
 
 
 def test_speedup_at_least_5x_at_256_tokens():
     """The throughput acceptance bar, measured on this machine."""
-    rows = decode_rows(quick=True, lengths=(256,), sequence_counts=(1,))
-    decode = next(r for r in rows if r["kind"] == "decode")
-    assert decode["identical"], decode
-    assert decode["speedup"] >= 5.0, (
-        f"KV-cached decode only {decode['speedup']:.1f}x the recompute "
-        f"loop at 256-token sequences (cached "
-        f"{decode['cached_tok_per_s']:.1f} tok/s, recompute "
-        f"{decode['recompute_tok_per_s']:.1f} tok/s)"
+    metrics = decode_experiment(
+        quick=True, lengths=(256,), sequence_counts=(1,)
+    ).metrics
+    assert metrics["identical_len256"] == 1.0, metrics
+    assert metrics["speedup_cached_len256"] >= 5.0, (
+        f"KV-cached decode only {metrics['speedup_cached_len256']:.1f}x "
+        f"the recompute loop at 256-token sequences (cached "
+        f"{metrics['cached_tok_per_s_len256']:.1f} tok/s, recompute "
+        f"{metrics['recompute_tok_per_s_len256']:.1f} tok/s)"
     )
 
 
 def test_scheduler_coalesces_concurrent_streams():
     """Four concurrent streams batch into shared decode ticks."""
-    rows = decode_rows(quick=True, lengths=(48,), sequence_counts=(4,))
-    sched = next(r for r in rows if r["kind"] == "scheduler")
-    assert sched["coalescing_ratio"] > 1.0, sched
+    metrics = decode_experiment(
+        quick=True, lengths=(48,), sequence_counts=(4,)
+    ).metrics
+    assert metrics["coalescing_s4"] > 1.0, metrics
 
 
 @pytest.mark.parametrize("quick", [True])

@@ -25,7 +25,7 @@ import time
 import pytest
 
 from benchmarks.conftest import write_artifact
-from repro.bench.registry import profiler_cost, run_experiment
+from repro.bench.registry import compiled_mlp, profiler_cost, run_experiment
 
 #: The always-on budget: profiled min-time within 1% of the untouched
 #: min-time.
@@ -57,28 +57,10 @@ def test_profiler_overhead_under_one_percent():
 def test_profiler_actually_sampled_during_measurement():
     """Guards the gate against vacuity: the profiler thread must take
     samples while a measured loop runs."""
-    import numpy as np
-
     import repro.obs as obs
-    from repro.api import QuantConfig, quantize
-    from repro.api.model import QuantMLP
-    from repro.nn.linear import Linear
 
-    rng = np.random.default_rng(0)
-    dims = (256, 512, 32)
-    compiled = quantize(
-        QuantMLP(
-            [
-                Linear(
-                    rng.standard_normal((dims[i + 1], dims[i])) * 0.05,
-                    rng.standard_normal(dims[i + 1]) * 0.01,
-                )
-                for i in range(len(dims) - 1)
-            ]
-        ),
-        QuantConfig(bits=3, mu=8),
-    ).compile(batch_hint=1)
-    x = rng.standard_normal((2, dims[0]))
+    compiled, rng = compiled_mlp((256, 512, 32))
+    x = rng.standard_normal((2, 256))
     try:
         obs.enable(tracing=False, drift=False, profile=True, clear=True)
         deadline = time.monotonic() + 0.25

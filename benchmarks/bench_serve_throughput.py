@@ -11,17 +11,11 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import write_artifact
-from repro.api import QuantConfig, quantize
-from repro.bench.registry import run_experiment, serve_throughput_rows
-from repro.nn.model_zoo import build_encoder
-
-
-def _compiled_encoder():
-    encoder = build_encoder("transformer-base", scale=16, layers=2, seed=0)
-    compiled = quantize(encoder, QuantConfig(bits=3, mu=8)).compile(
-        batch_hint=1
-    )
-    return compiled.warmup()
+from repro.bench.registry import (
+    compiled_encoder,
+    run_experiment,
+    serve_experiment,
+)
 
 
 def test_batcher_doubles_throughput_under_64_clients():
@@ -30,27 +24,26 @@ def test_batcher_doubles_throughput_under_64_clients():
     Local margin is ~6-7x; one re-measure absorbs scheduler noise on
     loaded CI runners before calling a < 2x reading a failure.
     """
-    on = off = None
+    metrics = None
     for _ in range(2):
-        rows = serve_throughput_rows(clients=64, requests_per_client=6)
-        off, on = rows
-        assert off["mode"] == "off" and on["mode"] == "on"
-        # Outputs identical (allclose rtol=0 -- in fact bit-identical).
-        assert off["mismatches"] == 0
-        assert on["mismatches"] == 0
+        metrics = serve_experiment(clients=64, requests_per_client=6).metrics
+        # Outputs identical (allclose rtol=0 -- in fact bit-identical),
+        # and no request failed.
+        assert metrics["off_failed"] == metrics["on_failed"] == 0
         # The mechanism: requests per model execution actually went up.
-        assert on["mean_batch"] > off["mean_batch"]
-        if on["speedup"] >= 2.0:
+        assert metrics["on_mean_batch"] > metrics["off_mean_batch"]
+        if metrics["speedup_batcher"] >= 2.0:
             break
-    assert on["speedup"] >= 2.0, (
-        f"dynamic batcher speedup {on['speedup']:.2f}x < 2x "
-        f"({on['req_per_s']:.0f} vs {off['req_per_s']:.0f} req/s)"
+    assert metrics["speedup_batcher"] >= 2.0, (
+        f"dynamic batcher speedup {metrics['speedup_batcher']:.2f}x < 2x "
+        f"({metrics['on_req_per_s']:.0f} vs {metrics['off_req_per_s']:.0f} "
+        "req/s)"
     )
 
 
 def test_served_outputs_allclose_rtol_zero():
     """Per-request outputs through the batcher == unbatched, rtol=0."""
-    compiled = _compiled_encoder()
+    compiled = compiled_encoder()
     rng = np.random.default_rng(7)
     dim = compiled.model.config.dim
     inputs = [rng.standard_normal((4, dim)) for _ in range(16)]
@@ -80,7 +73,7 @@ def test_served_outputs_allclose_rtol_zero():
 
 def test_single_request_latency(benchmark):
     """Steady-state per-request latency through the serving stack."""
-    compiled = _compiled_encoder()
+    compiled = compiled_encoder()
     x = np.random.default_rng(1).standard_normal(
         (4, compiled.model.config.dim)
     )

@@ -18,28 +18,13 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import write_artifact
-from repro.bench.registry import run_experiment
+from repro.bench.registry import flat_query_hot_loop, run_experiment
+from repro.bench.runner import time_samples
 
 
 def test_alloc_engine_flat_query_is_allocation_free():
     """CI smoke: tiny shape, the engine hot loop must not allocate."""
-    from repro.core.kernel import BiQGemm
-    from repro.core.profiling import measure_hot_loop
-    from repro.core.workspace import Workspace
-    from repro.quant.bcq import bcq_quantize
-
-    rng = np.random.default_rng(0)
-    engine = BiQGemm.from_bcq(
-        bcq_quantize(rng.standard_normal((64, 128)), 3), mu=8
-    )
-    x = rng.standard_normal((128, 1)).astype(np.float32)
-    ws = Workspace()
-
-    def hot():
-        ws.reset()
-        engine.matmul(x, query_impl="flat", builder="gemm", workspace=ws)
-
-    report = measure_hot_loop(hot, warmups=3, repeats=5)
+    report = flat_query_hot_loop(64, 128, np.random.default_rng(0))
     assert report["alloc_events"] == 0, report
 
 
@@ -89,8 +74,6 @@ def test_small_batch_p50_reduction_at_least_20_percent():
     engine, whose forward never reaches ``BiQGemm._query_tile``; so
     this times one ``BiQGemm.matmul`` per layer shape directly.
     """
-    import time
-
     from repro.core.kernel import BiQGemm
     from repro.quant.bcq import bcq_quantize
 
@@ -107,16 +90,8 @@ def test_small_batch_p50_reduction_at_least_20_percent():
         for engine, x in zip(engines, xs):
             engine.matmul(x)
 
-    def p50(xs, repeats=50):
-        for _ in range(10):
-            forward(xs)
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            forward(xs)
-            times.append(time.perf_counter() - t0)
-        times.sort()
-        return times[len(times) // 2]
+    def p50(xs):
+        return time_samples(lambda: forward(xs), repeats=50, warmup=10)[25]
 
     current = BiQGemm._query_tile
     best = None

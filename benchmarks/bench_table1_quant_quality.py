@@ -1,8 +1,8 @@
 """Table I bench: quantization quality and quantizer throughput.
 
-Regenerates the Table I proxies (weight SQNR + student accuracy; see
-DESIGN.md for the BLEU substitution) and times the two BCQ solvers on a
-Transformer-base-sized attention matrix.
+Regenerates the Table I proxies (weight SQNR + student accuracy, which
+stand in for the paper's BLEU scores) and times the two BCQ solvers on
+a Transformer-base-sized attention matrix.
 """
 
 import numpy as np

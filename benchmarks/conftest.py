@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark suite.
 
-Each ``bench_*.py`` module covers one paper table/figure (see DESIGN.md
-Section 4).  Besides timing the relevant kernels with pytest-benchmark,
+Each ``bench_*.py`` module covers one paper table/figure, ablation or
+hot-path experiment of :mod:`repro.bench.registry`.  Besides timing the relevant kernels with pytest-benchmark,
 every module regenerates its artifact through the experiment registry
 and writes the rendered table to ``benchmarks/out/<id>.txt`` so a bench
 run leaves the full set of reproduced tables on disk.

@@ -4,13 +4,14 @@
 - :mod:`repro.bench.runner` -- timing helpers (median-of-k wall clock);
 - :mod:`repro.bench.registry` -- one function per paper artifact
   (``table1``, ``table2``, ``table3``, ``table4``, ``fig8``, ``fig9``,
-  ``fig10``) plus the ablations DESIGN.md calls out (``mu``,
-  ``lut_build``, ``tiling``, ``threads``);
+  ``fig10``), the ablations (``mu``, ``lut_build``, ``tiling``,
+  ``threads``, ...) and the hot-path trajectory experiments;
+- :mod:`repro.bench.trajectory` -- ``BENCH_<experiment>.json`` records
+  and the ``compare`` gate;
 - :mod:`repro.bench.cli` -- ``python -m repro.bench <experiment>``.
 
 Every experiment returns :class:`~repro.bench.report.Table` objects so
-the benchmark suite, the CLI and EXPERIMENTS.md all render identical
-content.
+the benchmark suite and the CLI render identical content.
 """
 
 from repro.bench.report import Table, render_table, format_seconds

@@ -11,9 +11,11 @@ Usage::
 ``all`` runs every registered experiment; ``--out`` additionally writes
 one ``<experiment>.txt`` artifact per experiment.  ``--emit-json``
 writes the experiment's ``BENCH_<experiment>.json`` perf-trajectory
-record at the repo root (hot-path experiments only); ``compare``
-re-measures an experiment and fails (exit 1) when a gated metric
-regresses past the committed baseline by more than ``--threshold``.
+record at the repo root (trajectory experiments only), reusing the
+printed run as its first sample; ``compare`` re-measures an experiment
+and fails (exit 1) when a gated metric regresses past the committed
+baseline by more than its band (``--threshold``, widened by the
+baseline's recorded noise, capped at 25%).
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.bench.registry import EXPERIMENTS, run_experiment
+from repro.bench.registry import EXPERIMENTS, gated_metrics, measure
 from repro.bench.report import render_table
 from repro.bench.trajectory import (
+    band_text,
     collect_metrics,
     compare_metrics,
     load_trajectory,
@@ -61,14 +64,15 @@ def _parser() -> argparse.ArgumentParser:
         "--emit-json",
         action="store_true",
         help="also write BENCH_<experiment>.json at the repo root "
-        "(perf trajectory; hot-path experiments only)",
+        "(perf trajectory; trajectory experiments only)",
     )
     parser.add_argument(
         "--threshold",
         type=float,
         default=0.10,
         help="for 'compare': allowed relative regression on gated "
-        "metrics (default 0.10)",
+        "metrics (default 0.10; widened to twice the baseline's "
+        "recorded noise, never past 0.25)",
     )
     parser.add_argument(
         "--baseline",
@@ -114,17 +118,24 @@ def _compare(args) -> int:
         current, baseline, threshold=args.threshold
     )
     gated = baseline.get("gated", [])
+    bands = {
+        name: band_text(name, baseline, args.threshold) for name in gated
+    }
     for name in gated:
         cur = current["metrics"].get(name)
         base = baseline["metrics"].get(name)
-        print(f"{args.target}.{name}: current={cur} baseline={base}")
+        print(
+            f"{args.target}.{name}: current={cur} baseline={base} "
+            f"band={bands[name]}"
+        )
     if problems:
         for line in problems:
             print(f"REGRESSION {args.target}.{line}", file=sys.stderr)
         return 1
     print(
         f"compare {args.target}: {len(gated)} gated metric(s) within "
-        f"{args.threshold:.0%} of baseline"
+        "their bands (" + ", ".join(f"{n} {b}" for n, b in bands.items())
+        + ")"
     )
     return 0
 
@@ -143,11 +154,11 @@ def main(argv: list[str] | None = None) -> int:
         args.out.mkdir(parents=True, exist_ok=True)
     for name in names:
         try:
-            tables = run_experiment(name, quick=args.quick)
+            run = measure(name, quick=args.quick)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        text = "\n".join(render_table(t) for t in tables)
+        text = "\n".join(render_table(t) for t in run.tables)
         if args.plot and name == "fig10":
             from repro.bench.registry import fig10_chart
 
@@ -157,11 +168,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is not None:
             (args.out / f"{name}.txt").write_text(text)
         if args.emit_json:
-            try:
-                path = write_trajectory(name, quick=args.quick)
-            except ValueError:
-                print(f"(no trajectory collector for {name}; JSON skipped)")
+            if gated_metrics(name) is None:
+                print(f"(no trajectory for {name}; JSON skipped)")
             else:
+                path = write_trajectory(
+                    name, quick=args.quick, first=run.metrics
+                )
                 print(f"wrote {path}")
     return 0
 

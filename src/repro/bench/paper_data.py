@@ -2,7 +2,7 @@
 
 Keeping the published values next to our regenerated ones makes every
 bench self-auditing: the harness prints paper vs model/measured in one
-grid, and EXPERIMENTS.md quotes the same source.
+grid.
 """
 
 from __future__ import annotations

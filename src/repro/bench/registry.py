@@ -1,27 +1,40 @@
-"""One function per paper table/figure, plus the DESIGN.md ablations.
+"""One function per paper table/figure, plus ablations and the
+hot-path trajectory experiments.
 
-Each experiment returns a list of :class:`~repro.bench.report.Table`.
-``quick=True`` shrinks sweeps for CI-speed runs; the full settings match
-the paper's parameter grids (see DESIGN.md Section 4 for the index).
+Each experiment returns a list of :class:`~repro.bench.report.Table`;
+``quick=True`` shrinks sweeps for CI-speed runs, and the full settings
+match the paper's parameter grids.  ``EXPERIMENTS`` at the bottom is
+the index.
 
 Two kinds of numbers appear side by side:
 
 - **model** -- predictions of the roofline cost model standing in for
   the paper's hardware (Table IV, Fig. 9/10 shapes);
-- **measured** -- wall-clock seconds of the numpy kernels on the host
-  running this reproduction (honest, but a different instrument than
-  the paper's C++/CUDA testbed; EXPERIMENTS.md discusses the gap).
+- **measured** -- wall clock on the host running this reproduction.
+  The paper-figure experiments and ablations time the numpy kernels
+  (:class:`~repro.core.kernel.BiQGemm`, the packed and dense GEMMs):
+  honest, but a different instrument than the paper's C++/CUDA
+  testbed.  The hot-path experiments time what serves: the native
+  ``biqgemm`` engine, compiled models, KV-cached decode and the
+  serving tiers.
+
+The hot-path experiments are also *trajectory* experiments: each is
+one measurement function, marked with :func:`gated`, that returns a
+:class:`Measurement` -- its tables plus the flat metrics
+``BENCH_<id>.json`` records -- with the metric names ``python -m
+repro.bench compare`` gates on declared beside it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from repro.bench.paper_data import TABLE1_PAPER, TABLE2_PAPER_TOTALS, TABLE4_PAPER
 from repro.bench.report import Table
-from repro.bench.runner import time_callable
+from repro.bench.runner import time_callable, time_samples
 from repro.core.autotune import analytic_cost_ratio, analytic_mu
 from repro.core.kernel import BiQGemm
 from repro.core.lut import (
@@ -45,7 +58,17 @@ from repro.hw.machine import MACHINES
 from repro.hw.memory import table2_rows
 from repro.quant.packing import pack_bits
 
-__all__ = ["EXPERIMENTS", "run_experiment"]
+__all__ = [
+    "EXPERIMENTS",
+    "Measurement",
+    "compiled_encoder",
+    "compiled_mlp",
+    "flat_query_hot_loop",
+    "gated",
+    "gated_metrics",
+    "measure",
+    "run_experiment",
+]
 
 
 def _random_binary(rng: np.random.Generator, shape) -> np.ndarray:
@@ -86,7 +109,7 @@ def table1(quick: bool = False) -> list[Table]:
         "post-training weight quantization",
         ["scheme", "bits", "accuracy", "drop"],
         notes=[
-            "substitute for BLEU on a numpy-trainable task (DESIGN.md S2)",
+            "substitute for BLEU on a numpy-trainable task",
             "expected shape: >=3-bit BCQ near-lossless, 1-bit collapses",
         ],
     )
@@ -324,8 +347,8 @@ def fig10(quick: bool = False) -> list[Table]:
         ["m", "batch", "bits", "BLAS", "BiQGEMM", "speedup"],
         notes=[
             "numpy gathers cannot beat a tuned BLAS the way the paper's "
-            "C++ kernel beats Eigen; recorded for honesty (see "
-            "EXPERIMENTS.md) -- the cost model carries the shape claim",
+            "C++ kernel beats Eigen; recorded for honesty -- the cost "
+            "model carries the shape claim",
         ],
     )
     rng = np.random.default_rng(10)
@@ -477,8 +500,7 @@ def threads_ablation(quick: bool = False) -> list[Table]:
             "paper Section IV-D: multithreading improves both engines "
             "~linearly; the cost model reflects that via engaged units",
             "on the numpy substrate, fancy-index gathers hold the GIL, "
-            "so measured scaling is limited -- an honest substrate gap "
-            "(EXPERIMENTS.md)",
+            "so measured scaling is limited -- an honest substrate gap",
         ],
     )
     rng = np.random.default_rng(13)
@@ -787,133 +809,47 @@ def model_compile_experiment(quick: bool = False) -> list[Table]:
     return [table]
 
 
-def serve_throughput_rows(
-    quick: bool = False,
-    *,
-    clients: int | None = None,
-    requests_per_client: int | None = None,
-    workers: int = 2,
-) -> list[dict]:
-    """Measured serving throughput, dynamic batcher on vs off.
+# ----------------------------------------------------------------------
+# Hot-path trajectory experiments
+# ----------------------------------------------------------------------
+@dataclass
+class Measurement:
+    """One run of an experiment: the tables it renders and, for a
+    trajectory experiment, the flat metrics its ``BENCH_<id>.json``
+    records (see :mod:`repro.bench.trajectory`)."""
 
-    Builds a zoo transformer encoder, compiles it at the decode batch
-    hint (BiQGEMM everywhere), and serves the same concurrent client
-    load twice through :class:`repro.serve.Server`: once with
-    ``max_batch=1`` (every request executes alone) and once with the
-    dynamic batcher coalescing toward the plan-cache buckets.  Each
-    client thread fires its requests back-to-back; outputs are checked
-    bit-identical against unbatched execution.  Returns one dict per
-    mode with req/s, latency quantiles, mean batch and the speedup --
-    the bench file asserts the acceptance bar on these numbers.
+    tables: list[Table]
+    metrics: dict[str, float] = field(default_factory=dict)
+
+
+def gated(*names: str):
+    """Declare a trajectory experiment: a function returning a
+    :class:`Measurement` whose ``compare`` fails when one of the
+    metrics *names* regresses past its committed baseline.
+
+    Gate host-portable metrics -- ratios of two kernels measured back
+    to back, bit-identity flags, allocation counts -- not absolute wall
+    clock, which moves with the runner; the rest are recorded for the
+    trajectory only.
     """
-    import threading
-    import time
 
-    from repro.api import QuantConfig, quantize
-    from repro.nn.model_zoo import build_encoder
-    from repro.serve import ServeConfig, Server
+    def mark(fn):
+        fn.gated = names
+        return fn
 
-    clients = clients if clients is not None else (16 if quick else 64)
-    requests_per_client = (
-        requests_per_client
-        if requests_per_client is not None
-        else (4 if quick else 8)
-    )
-    encoder = build_encoder("transformer-base", scale=16, layers=2, seed=0)
-    compiled = quantize(encoder, QuantConfig(bits=3, mu=8)).compile(
-        batch_hint=1
-    )
-    compiled.warmup()
-    rng = np.random.default_rng(0)
-    dim = compiled.model.config.dim
-    inputs = [rng.standard_normal((4, dim)) for _ in range(clients)]
-    expected = [compiled(x[None])[0] for x in inputs]
-
-    rows: list[dict] = []
-    for mode, max_batch in (("off", 1), ("on", 64)):
-        server = Server(
-            config=ServeConfig(
-                workers=workers,
-                max_batch=max_batch,
-                max_latency_ms=20.0,
-                max_queue=4 * clients,
-            )
-        )
-        server.add_model("zoo", compiled)
-        mismatches: list[int] = []
-
-        def run_client(i: int) -> None:
-            for _ in range(requests_per_client):
-                out = server.predict("zoo", inputs[i])
-                if not np.array_equal(out, expected[i]):
-                    mismatches.append(i)
-
-        with server:
-            threads = [
-                threading.Thread(target=run_client, args=(i,))
-                for i in range(clients)
-            ]
-            start = time.perf_counter()
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            elapsed = time.perf_counter() - start
-            snap = server.metrics()["models"]["zoo"]
-        total = clients * requests_per_client
-        rows.append(
-            {
-                "mode": mode,
-                "max_batch": max_batch,
-                "clients": clients,
-                "requests": total,
-                "seconds": elapsed,
-                "req_per_s": total / elapsed,
-                "p50_ms": snap["latency_ms"]["p50"],
-                "p95_ms": snap["latency_ms"]["p95"],
-                "mean_batch": snap["lut_amortization_ratio"],
-                "mismatches": len(mismatches),
-            }
-        )
-    baseline = rows[0]["req_per_s"]
-    for row in rows:
-        row["speedup"] = row["req_per_s"] / baseline
-    return rows
+    return mark
 
 
-def steady_state_rows(
-    quick: bool = False,
-    *,
-    batches: tuple[int, ...] | None = None,
-    repeats: int | None = None,
-) -> list[dict]:
-    """Steady-state serving cost: model p50 + allocation, engine hot loop.
-
-    Builds a BCQ MLP (the Table I substrate -- token count equals the
-    request batch, the paper's GEMV decode regime), compiles it at the
-    decode hint, and for each small batch measures the CompiledModel
-    forward: p50 latency and the per-call transient allocation
-    footprint (tracemalloc peak bytes).  A final row reports the
-    engine-level criterion: tracked allocation events in the warmed
-    BiQGemm flat-query hot loop served from a
-    :class:`~repro.core.workspace.Workspace`, which must be zero.
-    """
-    import time
-
+def compiled_mlp(dims: tuple[int, ...]):
+    """A BCQ MLP (3-bit, mu=8) over the widths *dims*, compiled at the
+    decode hint and warmed; returns it with the generator that drew
+    it.  The steady-state and observability substrate: token count
+    equals the request batch, the paper's GEMV decode regime."""
     from repro.api import QuantConfig, quantize
     from repro.api.model import QuantMLP
-    from repro.core.kernel import BiQGemm
-    from repro.core.profiling import measure_hot_loop
-    from repro.core.workspace import Workspace
     from repro.nn.linear import Linear
-    from repro.quant.bcq import bcq_quantize
 
     rng = np.random.default_rng(0)
-    dims = (128, 256, 128, 16) if quick else (512, 1024, 1024, 512, 64)
-    batches = batches if batches is not None else (
-        (1, 4) if quick else (1, 2, 4, 8)
-    )
-    repeats = repeats if repeats is not None else (20 if quick else 60)
     layers = [
         Linear(
             rng.standard_normal((dims[i + 1], dims[i])) * 0.05,
@@ -925,61 +861,133 @@ def steady_state_rows(
         batch_hint=1
     )
     compiled.warmup(sample=rng.standard_normal(dims[0]))
+    return compiled, rng
 
-    def p50(x) -> float:
-        for _ in range(max(5, repeats // 4)):
-            compiled(x)
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            compiled(x)
-            times.append(time.perf_counter() - t0)
-        times.sort()
-        return times[len(times) // 2]
 
-    rows: list[dict] = []
-    for batch in batches:
-        x = rng.standard_normal((batch, dims[0]))
-        alloc = measure_hot_loop(
-            lambda: compiled(x), warmups=2, repeats=3, min_alloc_bytes=1
-        )
-        rows.append(
-            {
-                "kind": "model",
-                "batch": batch,
-                "p50_ms": p50(x) * 1e3,
-                "alloc_bytes": alloc["peak_new_bytes"],
-            }
-        )
+def _p50(fn: Callable[[], object], repeats: int) -> float:
+    """p50 seconds of ``fn()`` over *repeats* calls after a warm-up."""
+    samples = time_samples(fn, repeats=repeats, warmup=max(5, repeats // 4))
+    return samples[repeats // 2]
 
-    # Engine-level criterion: the flat-query hot loop allocates nothing.
-    m, n = (128, 256) if quick else (512, 1024)
+
+def flat_query_hot_loop(m: int, n: int, rng: np.random.Generator) -> dict:
+    """The :func:`~repro.core.profiling.measure_hot_loop` report of a
+    warmed 3-bit ``(m, n)`` BiQGemm flat-query matmul of one column,
+    served from a :class:`~repro.core.workspace.Workspace`; its
+    ``alloc_events`` must be zero."""
+    from repro.core.profiling import measure_hot_loop
+    from repro.core.workspace import Workspace
+    from repro.quant.bcq import bcq_quantize
+
     engine = BiQGemm.from_bcq(
         bcq_quantize(rng.standard_normal((m, n)), 3), mu=8
     )
-    xe = rng.standard_normal((n, 1)).astype(np.float32)
+    x = rng.standard_normal((n, 1)).astype(np.float32)
     ws = Workspace()
 
     def hot():
         ws.reset()
-        engine.matmul(xe, query_impl="flat", builder="gemm", workspace=ws)
+        engine.matmul(x, query_impl="flat", builder="gemm", workspace=ws)
 
-    report = measure_hot_loop(hot, warmups=3, repeats=5)
-    rows.append(
-        {
-            "kind": "engine_flat",
-            "batch": 1,
-            "alloc_events": report["alloc_events"],
-            "peak_new_bytes": report["peak_new_bytes"],
-            "min_alloc_bytes": report["min_alloc_bytes"],
-        }
+    return measure_hot_loop(hot, warmups=3, repeats=5)
+
+
+def compiled_encoder(*, bits: int = 3, mu: int = 8, layers: int = 2):
+    """A zoo transformer encoder (transformer-base at 1/16 scale),
+    BCQ-quantized, compiled at the decode hint and warmed."""
+    from repro.api import QuantConfig, quantize
+    from repro.nn.model_zoo import build_encoder
+
+    encoder = build_encoder(
+        "transformer-base", scale=16, layers=layers, seed=0
     )
-    return rows
+    compiled = quantize(encoder, QuantConfig(bits=bits, mu=mu)).compile(
+        batch_hint=1
+    )
+    return compiled.warmup()
 
 
-def steady_state_experiment(quick: bool = False) -> list[Table]:
-    """Steady-state serving: small-batch p50 and allocation churn of
-    the CompiledModel forward, plus the zero-allocation engine loop."""
+def _encoder_load(*, bits: int, mu: int, layers: int, clients: int):
+    """:func:`compiled_encoder`, one ``(4, dim)`` request per client,
+    and each request's in-process output (the bit-identity reference
+    for serving)."""
+    compiled = compiled_encoder(bits=bits, mu=mu, layers=layers)
+    rng = np.random.default_rng(0)
+    dim = compiled.model.config.dim
+    inputs = [rng.standard_normal((4, dim)) for _ in range(clients)]
+    expected = [compiled(x[None])[0] for x in inputs]
+    return compiled, inputs, expected
+
+
+def _drive_clients(
+    server,
+    inputs: list[np.ndarray],
+    expected: list[np.ndarray],
+    requests_per_client: int,
+    *,
+    midway: Callable[[], None] | None = None,
+) -> dict:
+    """One thread per client sends its input to model ``zoo``
+    *requests_per_client* times back to back, checking every output
+    bit for bit against *expected*.
+
+    With *midway*, half the clients start, ``midway()`` runs, then the
+    rest start, so it lands while requests are in flight.  Returns the
+    request count, req/s, errors and mismatches.
+    """
+    import threading
+    import time
+
+    errors: list[int] = []
+    mismatches: list[int] = []
+
+    def run_client(i: int) -> None:
+        for _ in range(requests_per_client):
+            try:
+                out = server.predict("zoo", inputs[i], timeout=120.0)
+            except Exception:  # noqa: BLE001 -- tallied
+                errors.append(i)
+            else:
+                if not np.array_equal(out, expected[i]):
+                    mismatches.append(i)
+
+    threads = [
+        threading.Thread(target=run_client, args=(i,))
+        for i in range(len(inputs))
+    ]
+    first = len(threads) // 2 if midway is not None else len(threads)
+    start = time.perf_counter()
+    for t in threads[:first]:
+        t.start()
+    if midway is not None:
+        midway()
+        for t in threads[first:]:
+            t.start()
+    for t in threads:
+        t.join()
+    elapsed = time.perf_counter() - start
+    total = len(inputs) * requests_per_client
+    return {
+        "requests": total,
+        "req_per_s": total / elapsed,
+        "errors": len(errors),
+        "mismatches": len(mismatches),
+    }
+
+
+@gated("engine_alloc_events", "alloc_b1_bytes")
+def steady_state_experiment(quick: bool = False) -> Measurement:
+    """Steady-state serving cost: model p50 + allocation, engine hot loop.
+
+    Compiles a BCQ MLP (:func:`compiled_mlp`) and for each small batch
+    measures the CompiledModel forward: p50 latency and the per-call
+    transient allocation footprint (tracemalloc peak bytes).  The
+    engine-level criterion is the tracked allocation events in the
+    warmed BiQGemm flat-query hot loop served from a
+    :class:`~repro.core.workspace.Workspace`, which must be zero.
+    """
+    from repro.core.profiling import measure_hot_loop
+
     table = Table(
         "Steady state: CompiledModel forward "
         "(BCQ MLP, 3-bit, mu=8, decode compile hint)",
@@ -993,50 +1001,60 @@ def steady_state_experiment(quick: bool = False) -> list[Table]:
             "benchmarks/bench_steady_state.py",
         ],
     )
-    rows = steady_state_rows(quick)
-    for row in rows:
-        if row["kind"] != "model":
-            continue
-        table.add_row(
-            row["batch"],
-            row["p50_ms"],
-            1e3 / row["p50_ms"],
-            row["alloc_bytes"],
-        )
-    engine_row = next(r for r in rows if r["kind"] == "engine_flat")
-    table.notes.append(
-        f"engine flat-query hot loop: {engine_row['alloc_events']} "
-        f"allocation events (peak {engine_row['peak_new_bytes']} B, "
-        f"threshold {engine_row['min_alloc_bytes']} B)"
+    dims = (128, 256, 128, 16) if quick else (512, 1024, 1024, 512, 64)
+    repeats = 20 if quick else 60
+    compiled, rng = compiled_mlp(dims)
+    metrics: dict[str, float] = {}
+    for b in (1, 4) if quick else (1, 2, 4, 8):
+        x = rng.standard_normal((b, dims[0]))
+        alloc = measure_hot_loop(
+            lambda: compiled(x), warmups=2, repeats=3, min_alloc_bytes=1
+        )["peak_new_bytes"]
+        p50_ms = _p50(lambda: compiled(x), repeats) * 1e3
+        table.add_row(b, p50_ms, 1e3 / p50_ms, alloc)
+        metrics[f"p50_b{b}_ms"] = p50_ms
+        metrics[f"alloc_b{b}_bytes"] = float(alloc)
+        metrics[f"req_per_s_b{b}"] = 1e3 / p50_ms
+
+    report = flat_query_hot_loop(
+        *((128, 256) if quick else (512, 1024)), rng
     )
-    return [table]
+    metrics["engine_alloc_events"] = float(report["alloc_events"])
+    table.notes.append(
+        f"engine flat-query hot loop: {report['alloc_events']} "
+        f"allocation events (peak {report['peak_new_bytes']} B, "
+        f"threshold {report['min_alloc_bytes']} B)"
+    )
+    return Measurement([table], metrics)
 
 
-def compiled_kernels_rows(
-    quick: bool = False,
-    *,
-    batches: tuple[int, ...] | None = None,
-    repeats: int | None = None,
-) -> list[dict]:
+@gated(
+    "speedup_vs_biqgemm_b1",
+    "speedup_vs_biqgemm_b2",
+    "speedup_vs_best_b1",
+    "identical_b1",
+    "identical_b2",
+)
+def compiled_kernels_experiment(
+    quick: bool = False, *, repeats: int | None = None
+) -> Measurement:
     """The ``biqgemm`` engine's native fused kernel vs the alternatives.
 
     The native kernel's home regime is the paper's Table IV setting:
     1-bit weights, GEMV/small-batch, output-heavy shapes -- where LUT
     query work is minimal (one bit plane) while dense BLAS still pays
-    the full float weight stream.  For each batch this measures the
-    fused ``relu(W @ x + bias)`` step four ways: the native engine
-    (the ``compiled_*`` columns), the batch-invariant numpy
+    the full float weight stream.  For batches 1 and 2 this measures
+    the fused ``relu(W @ x + bias)`` step four ways: the native engine
+    (the ``compiled_*`` metrics), the batch-invariant numpy
     :class:`~repro.core.kernel.BiQGemm` plus a separate bias/activation
-    epilogue (the ``biqgemm_*`` columns), the non-invariant numpy fast
-    path plus the epilogue, and dense BLAS plus the same epilogue.
-    ``speedup_vs_best`` is against the fastest of the other three.
-    Outputs are checked bit-identical against the batch-invariant
-    numpy reference; a final row records the modelled batch at which
-    the planner would leave the LUT engine (the fusion crossover).
+    epilogue (``biqgemm_*``), the non-invariant numpy fast path plus
+    the epilogue (``biqgemm_fast_*``), and dense BLAS plus the same
+    epilogue (``dense_*``).  ``speedup_vs_best`` is against the fastest
+    of the other three.  Outputs are checked bit-identical against the
+    batch-invariant numpy reference; ``crossover_batch`` is the
+    modelled batch at which the planner would leave the LUT engine
+    (0 = not up to 1024).
     """
-    import time
-
-    from repro.core.kernel import BiQGemm
     from repro.core.profiling import measure_hot_loop
     from repro.engine import (
         EngineBuildRequest,
@@ -1046,9 +1064,23 @@ def compiled_kernels_rows(
     )
     from repro.nn.functional import relu
 
+    table = Table(
+        "Compiled kernels: fused relu(Wx+b) step, 1-bit mu=8 "
+        "(measured p50/p95 on this host)",
+        ["m=n", "batch", "native p50 us", "p95 us", "numpy+epi us",
+         "np-fast+epi us", "dense+epi us", "vs numpy", "vs best",
+         "identical"],
+        notes=[
+            "shape to check: native >= 1.2x the best alternative "
+            "(fast path included) at batch 1-2 on the paper's 1-bit "
+            "Table IV shapes, and bit-identical to the batch-invariant "
+            "numpy reference",
+            "np-fast = numpy BiQGemm with batch_invariant=False: not "
+            "bit-identical to the reference; vs best counts it",
+        ],
+    )
     m = n = 2048 if quick else 4096
     bits, mu = 1, 8
-    batches = batches if batches is not None else (1, 2)
     repeats = repeats if repeats is not None else (30 if quick else 40)
     rng = np.random.default_rng(0)
     w = rng.standard_normal((m, n))
@@ -1067,19 +1099,13 @@ def compiled_kernels_rows(
         "dense", EngineBuildRequest(spec=base_spec, weight=w)
     )
 
-    def quantiles(fn, x) -> tuple[float, float]:
-        fn(x)  # warm (build native plans / cast caches)
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn(x)
-            times.append(time.perf_counter() - t0)
-        times.sort()
-        return times[len(times) // 2], times[int(0.95 * (len(times) - 1))]
+    def times(fn) -> list[float]:
+        # One warm call builds native plans and cast caches.
+        return time_samples(fn, repeats=repeats, warmup=1)
 
     bias_col = bias[:, None]
-    rows: list[dict] = []
-    for b in batches:
+    metrics: dict[str, float] = {}
+    for b in (1, 2):
         x = rng.standard_normal((n, b))
         # Bit-identity anchor: the batch-invariant loop-query reference
         # plus the same epilogue chain the kernel folds in; it is also
@@ -1088,104 +1114,85 @@ def compiled_kernels_rows(
         want = relu(biq.matmul(x) + bias_col)
         got = compiled.matmul(x)
         identical = bool(np.array_equal(got, want)) and got.dtype == want.dtype
-        c50, c95 = quantiles(lambda x: compiled.matmul(x), x)
-        b50, _ = quantiles(lambda x: relu(biq.matmul(x) + bias_col), x)
-        d50, _ = quantiles(lambda x: relu(dense.matmul(x) + bias_col), x)
+        native = times(lambda: compiled.matmul(x))
+        c50, c95 = native[repeats // 2], native[int(0.95 * (repeats - 1))]
+        b50 = times(lambda: relu(biq.matmul(x) + bias_col))[repeats // 2]
+        d50 = times(lambda: relu(dense.matmul(x) + bias_col))[repeats // 2]
         biq.batch_invariant = False
-        f50, _ = quantiles(lambda x: relu(biq.matmul(x) + bias_col), x)
+        f50 = times(lambda: relu(biq.matmul(x) + bias_col))[repeats // 2]
         biq.batch_invariant = True
         alloc = measure_hot_loop(
             lambda: compiled.matmul(x), warmups=2, repeats=3,
             min_alloc_bytes=1,
+        )["peak_new_bytes"]
+        table.add_row(
+            m, b, c50 * 1e6, c95 * 1e6, b50 * 1e6, f50 * 1e6, d50 * 1e6,
+            b50 / c50, min(b50, d50, f50) / c50,
+            "ok" if identical else "MISMATCH",
         )
-        rows.append(
-            {
-                "kind": "step",
-                "m": m,
-                "n": n,
-                "bits": bits,
-                "batch": b,
-                "identical": identical,
-                "compiled_p50_us": c50 * 1e6,
-                "compiled_p95_us": c95 * 1e6,
-                "biqgemm_p50_us": b50 * 1e6,
-                "biqgemm_fast_p50_us": f50 * 1e6,
-                "dense_p50_us": d50 * 1e6,
-                "speedup_vs_biqgemm": b50 / c50,
-                "speedup_vs_best": min(b50, d50, f50) / c50,
-                "req_per_s": 1.0 / c50,
-                "alloc_per_call_bytes": alloc["peak_new_bytes"],
-            }
-        )
+        metrics.update({
+            f"compiled_p50_b{b}_us": c50 * 1e6,
+            f"compiled_p95_b{b}_us": c95 * 1e6,
+            f"biqgemm_p50_b{b}_us": b50 * 1e6,
+            f"biqgemm_fast_p50_b{b}_us": f50 * 1e6,
+            f"dense_p50_b{b}_us": d50 * 1e6,
+            f"speedup_vs_biqgemm_b{b}": b50 / c50,
+            f"speedup_vs_best_b{b}": min(b50, d50, f50) / c50,
+            f"req_per_s_b{b}": 1.0 / c50,
+            f"alloc_per_call_b{b}_bytes": float(alloc),
+            f"identical_b{b}": float(identical),
+        })
 
     # Modelled fusion crossover: the first power-of-two batch at which
     # the planner stops choosing the LUT engine for this shape.
     crossover = None
-    trial = QuantSpec(bits=bits, mu=mu, fuse="relu")
     b = 1
     while b <= 1024:
-        choice = plan_backend(m, n, spec=trial, batch_hint=b)
-        if choice != "biqgemm":
+        if plan_backend(m, n, spec=fused_spec, batch_hint=b) != "biqgemm":
             crossover = b
             break
         b *= 2
-    rows.append({"kind": "crossover", "batch": crossover})
-    return rows
-
-
-def compiled_kernels_experiment(quick: bool = False) -> list[Table]:
-    """Fused per-shape kernels: the native ``biqgemm`` engine vs the
-    numpy BiQGemm and dense at the GEMV decode regime (measured, plus
-    the modelled crossover)."""
-    table = Table(
-        "Compiled kernels: fused relu(Wx+b) step, 1-bit mu=8 "
-        "(measured p50/p95 on this host)",
-        ["m=n", "batch", "native p50 us", "p95 us", "numpy+epi us",
-         "np-fast+epi us", "dense+epi us", "vs numpy", "vs best",
-         "identical"],
-        notes=[
-            "shape to check: native >= 1.2x the best alternative "
-            "(fast path included) at batch 1-2 on the paper's 1-bit "
-            "Table IV shapes, and bit-identical to the batch-invariant "
-            "numpy reference",
-            "np-fast = numpy BiQGemm with batch_invariant=False: not "
-            "bit-identical to the reference; vs best counts it",
-        ],
-    )
-    rows = compiled_kernels_rows(quick)
-    for row in rows:
-        if row["kind"] != "step":
-            continue
-        table.add_row(
-            row["m"],
-            row["batch"],
-            row["compiled_p50_us"],
-            row["compiled_p95_us"],
-            row["biqgemm_p50_us"],
-            row["biqgemm_fast_p50_us"],
-            row["dense_p50_us"],
-            row["speedup_vs_biqgemm"],
-            row["speedup_vs_best"],
-            "ok" if row["identical"] else "MISMATCH",
-        )
-    cross = next(r for r in rows if r["kind"] == "crossover")
+    metrics["crossover_batch"] = float(crossover or 0)
     table.notes.append(
         "modelled planner crossover away from biqgemm: "
-        f"batch {cross['batch'] if cross['batch'] else '> 1024'}"
+        f"batch {crossover if crossover else '> 1024'}"
     )
-    return [table]
+    return Measurement([table], metrics)
 
 
-def serve_experiment(quick: bool = False) -> list[Table]:
+def serve_experiment(
+    quick: bool = False,
+    *,
+    clients: int | None = None,
+    requests_per_client: int | None = None,
+) -> Measurement:
     """Serving throughput: dynamic batcher vs batch-1 (the amortization
     claim, deployed).
 
     The paper's speedups exist because LUT construction amortizes over
     input columns; a serving runtime realises them only if something
-    *creates* those columns from single-request traffic.  This measures
-    exactly that: same model, same concurrent clients, batcher off vs
-    on.
+    *creates* those columns from single-request traffic.  This serves a
+    zoo transformer encoder, compiled at the decode hint, to the same
+    concurrent client load twice through :class:`repro.serve.Server`:
+    batcher off (``max_batch=1``, every request executes alone) and on
+    (coalescing toward the plan-cache buckets).  Every output is
+    checked bit-identical to unbatched execution.  The metrics --
+    ``<mode>_req_per_s``, ``<mode>_mean_batch`` and ``<mode>_failed``
+    (errors plus mismatches) per mode, and ``speedup_batcher`` -- carry
+    ``benchmarks/bench_serve_throughput.py``'s acceptance bar; none is
+    gated.
     """
+    from repro.serve import ServeConfig, Server
+
+    clients = clients if clients is not None else (16 if quick else 64)
+    requests_per_client = (
+        requests_per_client
+        if requests_per_client is not None
+        else (4 if quick else 8)
+    )
+    compiled, inputs, expected = _encoder_load(
+        bits=3, mu=8, layers=2, clients=clients
+    )
     table = Table(
         "Serve throughput: dynamic micro-batching vs batch-1 serving "
         "(zoo transformer encoder, 3-bit BCQ, in-process clients)",
@@ -1198,27 +1205,45 @@ def serve_experiment(quick: bool = False) -> list[Table]:
             "LUT-amortization ratio)",
         ],
     )
-    for row in serve_throughput_rows(quick):
-        table.add_row(
-            row["mode"],
-            row["clients"],
-            row["requests"],
-            row["req_per_s"],
-            row["speedup"],
-            row["p50_ms"],
-            row["p95_ms"],
-            row["mean_batch"],
-            "ok" if row["mismatches"] == 0 else "MISMATCH",
+    metrics: dict[str, float] = {}
+    for mode, max_batch in (("off", 1), ("on", 64)):
+        server = Server(
+            config=ServeConfig(
+                workers=2,
+                max_batch=max_batch,
+                max_latency_ms=20.0,
+                max_queue=4 * clients,
+            )
         )
-    return [table]
+        server.add_model("zoo", compiled)
+        with server:
+            load = _drive_clients(
+                server, inputs, expected, requests_per_client
+            )
+            snap = server.metrics()["models"]["zoo"]
+        failed = load["errors"] + load["mismatches"]
+        metrics[f"{mode}_req_per_s"] = load["req_per_s"]
+        metrics[f"{mode}_mean_batch"] = snap["lut_amortization_ratio"]
+        metrics[f"{mode}_failed"] = float(failed)
+        table.add_row(
+            mode,
+            clients,
+            load["requests"],
+            load["req_per_s"],
+            load["req_per_s"] / metrics["off_req_per_s"],
+            snap["latency_ms"]["p50"],
+            snap["latency_ms"]["p95"],
+            snap["lut_amortization_ratio"],
+            "ok" if failed == 0 else "MISMATCH",
+        )
+    metrics["speedup_batcher"] = (
+        metrics["on_req_per_s"] / metrics["off_req_per_s"]
+    )
+    return Measurement([table], metrics)
 
 
-def serve_cluster_rows(
-    quick: bool = False,
-    *,
-    clients: int | None = None,
-    requests_per_client: int | None = None,
-) -> list[dict]:
+@gated("cluster_zero_errors", "killed_worker_zero_errors")
+def serve_cluster_experiment(quick: bool = False) -> Measurement:
     """Process-pool serving under failure: the robustness contract,
     measured.
 
@@ -1233,37 +1258,28 @@ def serve_cluster_rows(
       in-flight batches must be redelivered to the survivor and the
       slot respawned, with *zero* client-visible errors;
     - **scaling** (hosts with >= 4 cores only): 4 workers vs 1, the
-      process-parallel speedup.  Narrow hosts skip the row entirely
-      rather than record scheduler noise.
+      process-parallel speedup.  Narrow hosts skip the phase and its
+      ``scaling_*`` metrics entirely rather than record scheduler
+      noise; ``compare`` skips names absent from either side, so
+      records stay comparable across hosts of different widths.
 
-    The gated metrics are the zero-error flags, which are
-    host-portable; req/s is recorded for the trajectory only.
+    The gated metrics are the zero-error flags (1.0 = every request
+    served bit-identically with no error), which are host-portable;
+    req/s moves with core count and is recorded for the trajectory
+    only.
     """
     import os
     import signal
-    import threading
     import time
 
-    from repro.api import QuantConfig, quantize
-    from repro.nn.model_zoo import build_encoder
     from repro.serve import ServeConfig, Server
     from repro.serve.cluster import ClusterConfig
 
-    clients = clients if clients is not None else (4 if quick else 8)
-    requests_per_client = (
-        requests_per_client
-        if requests_per_client is not None
-        else (4 if quick else 8)
+    clients = 4 if quick else 8
+    requests_per_client = 4 if quick else 8
+    compiled, inputs, expected = _encoder_load(
+        bits=2, mu=4, layers=1, clients=clients
     )
-    encoder = build_encoder("transformer-base", scale=16, layers=1, seed=0)
-    compiled = quantize(encoder, QuantConfig(bits=2, mu=4)).compile(
-        batch_hint=1
-    )
-    compiled.warmup()
-    rng = np.random.default_rng(0)
-    dim = compiled.model.config.dim
-    inputs = [rng.standard_normal((4, dim)) for _ in range(clients)]
-    expected = [compiled(x[None])[0] for x in inputs]
     cluster_config = ClusterConfig(
         heartbeat_interval_s=0.1,
         heartbeat_timeout_s=2.0,
@@ -1284,39 +1300,17 @@ def serve_cluster_rows(
             )
         )
         server.add_model("zoo", compiled)
-        errors: list[BaseException] = []
-        mismatches: list[int] = []
 
-        def run_client(i: int) -> None:
-            for _ in range(requests_per_client):
-                try:
-                    out = server.predict("zoo", inputs[i], timeout=120.0)
-                except Exception as exc:  # noqa: BLE001 -- tallied
-                    errors.append(exc)
-                else:
-                    if not np.array_equal(out, expected[i]):
-                        mismatches.append(i)
+        def kill_worker() -> None:
+            time.sleep(0.02)
+            victim = server._runtimes["zoo"].pool._supervisor.handle(0)
+            os.kill(victim.pid, signal.SIGKILL)
 
         with server:
-            threads = [
-                threading.Thread(target=run_client, args=(i,))
-                for i in range(clients)
-            ]
-            start = time.perf_counter()
-            # The kill must land while requests are in flight, so the
-            # killed phase staggers the clients around the SIGKILL.
-            first = threads[: len(threads) // 2] if kill else threads
-            for t in first:
-                t.start()
-            if kill:
-                time.sleep(0.02)
-                victim = server._runtimes["zoo"].pool._supervisor.handle(0)
-                os.kill(victim.pid, signal.SIGKILL)
-                for t in threads[len(threads) // 2:]:
-                    t.start()
-            for t in threads:
-                t.join()
-            elapsed = time.perf_counter() - start
+            load = _drive_clients(
+                server, inputs, expected, requests_per_client,
+                midway=kill_worker if kill else None,
+            )
             stats = server.metrics()["models"]["zoo"]["cluster"]
             if kill:
                 # Wait out the supervisor's accounting of the death so
@@ -1329,46 +1323,15 @@ def serve_cluster_rows(
                     ):
                         break
                     time.sleep(0.1)
-        total = clients * requests_per_client
         return {
             "workers": workers,
-            "requests": total,
-            "seconds": elapsed,
-            "req_per_s": total / elapsed,
-            "errors": len(errors),
-            "mismatches": len(mismatches),
+            **load,
+            "clean": load["errors"] == 0 and load["mismatches"] == 0,
             "deaths": stats["deaths"],
             "respawns": stats["respawns"],
             "redelivered": stats["redelivered"],
-            "shared_kb": stats["shared_bytes"] / 1024,
         }
 
-    rows = [
-        {"kind": "cluster", **run_load(2)},
-        {"kind": "killed", **run_load(2, kill=True)},
-    ]
-    if (os.cpu_count() or 1) >= 4:
-        narrow = run_load(1)
-        wide = run_load(4)
-        rows.append(
-            {
-                "kind": "scaling",
-                **wide,
-                "scaling_vs_1worker": wide["req_per_s"]
-                / max(narrow["req_per_s"], 1e-9),
-            }
-        )
-    return rows
-
-
-def serve_cluster_experiment(quick: bool = False) -> list[Table]:
-    """Cluster serving: zero client-visible errors across worker death.
-
-    The robustness analogue of the ``serve`` experiment: same client
-    load, but through the supervised process pool -- steady state,
-    then with a worker SIGKILLed mid-load (redelivery must hide it),
-    then (on wide-enough hosts) the 4-vs-1 worker scaling.
-    """
     table = Table(
         "Cluster serving: supervised process pool, steady vs SIGKILL "
         "mid-load (zoo transformer encoder, 2-bit BCQ, one "
@@ -1383,9 +1346,28 @@ def serve_cluster_experiment(quick: bool = False) -> list[Table]:
             "narrow hosts would record scheduler noise, not scaling",
         ],
     )
-    for row in serve_cluster_rows(quick):
+    cluster = run_load(2)
+    killed = run_load(2, kill=True)
+    metrics = {
+        "cluster_req_per_s": cluster["req_per_s"],
+        "cluster_zero_errors": float(cluster["clean"]),
+        "killed_req_per_s": killed["req_per_s"],
+        "killed_worker_zero_errors": float(killed["clean"]),
+        "killed_worker_deaths": float(killed["deaths"]),
+        "killed_worker_redelivered": float(killed["redelivered"]),
+    }
+    phases = [("cluster", cluster), ("killed", killed)]
+    if (os.cpu_count() or 1) >= 4:
+        narrow = run_load(1)
+        wide = run_load(4)
+        phases.append(("scaling", wide))
+        metrics["scaling_req_per_s_w4"] = wide["req_per_s"]
+        metrics["scaling_vs_1worker"] = wide["req_per_s"] / max(
+            narrow["req_per_s"], 1e-9
+        )
+    for phase, row in phases:
         table.add_row(
-            row["kind"],
+            phase,
             row["workers"],
             row["requests"],
             row["req_per_s"],
@@ -1395,15 +1377,16 @@ def serve_cluster_experiment(quick: bool = False) -> list[Table]:
             row["respawns"],
             row["redelivered"],
         )
-    return [table]
+    return Measurement([table], metrics)
 
 
-def decode_rows(
+@gated("speedup_cached_len256", "identical_len256")
+def decode_experiment(
     quick: bool = False,
     *,
     lengths: tuple[int, ...] | None = None,
     sequence_counts: tuple[int, ...] | None = None,
-) -> list[dict]:
+) -> Measurement:
     """Autoregressive decode: KV-cached step loop vs full recompute.
 
     The paper's headline regime is the batch-1 GEMV of autoregressive
@@ -1433,6 +1416,28 @@ def decode_rows(
     from repro.serve.sequences import SequenceScheduler
     from repro.serve.telemetry import GenTelemetry
 
+    decode_table = Table(
+        "Decode throughput: KV-cached step loop vs full recompute "
+        "(DecoderLM, 3-bit BCQ, biqgemm, greedy)",
+        ["total len", "new tokens", "cached tok/s", "recompute tok/s",
+         "speedup", "tokens"],
+        notes=[
+            "shape to check: speedup grows with sequence length (the "
+            "recompute loop is O(t) forwards of O(t) work each) and "
+            "reaches >= 5x at 256-token sequences",
+            "tokens must read 'identical': the KV-cached chain emits "
+            "bit-for-bit the same ids as the recompute chain",
+        ],
+    )
+    scheduler_table = Table(
+        "Continuous batching: concurrent streams through the "
+        "SequenceScheduler (one coalesced step_many per tick)",
+        ["sequences", "aggregate tok/s", "coalescing ratio"],
+        notes=[
+            "coalescing ratio = tokens per decode tick; > 1 means the "
+            "scheduler is amortizing LUT construction across streams",
+        ],
+    )
     rng = np.random.default_rng(0)
     if quick:
         config = TransformerConfig(dim=32, heads=4, ff_dim=64, layers=2)
@@ -1455,7 +1460,7 @@ def decode_rows(
     prompt = rng.integers(0, vocab, size=prompt_len)
     compiled.generate(prompt, 4)  # warm: LUTs, arenas, cache buckets
 
-    rows: list[dict] = []
+    metrics: dict[str, float] = {}
     for length in lengths:
         new_tokens = length - prompt_len
         t0 = time.perf_counter()
@@ -1472,17 +1477,19 @@ def decode_rows(
             recompute.append(token)
         recompute_s = time.perf_counter() - t0
 
-        rows.append(
-            {
-                "kind": "decode",
-                "length": length,
-                "new_tokens": new_tokens,
-                "cached_tok_per_s": new_tokens / cached_s,
-                "recompute_tok_per_s": new_tokens / recompute_s,
-                "speedup": recompute_s / cached_s,
-                "identical": cached == recompute,
-            }
+        identical = cached == recompute
+        decode_table.add_row(
+            length,
+            new_tokens,
+            new_tokens / cached_s,
+            new_tokens / recompute_s,
+            recompute_s / cached_s,
+            "identical" if identical else "MISMATCH",
         )
+        metrics[f"cached_tok_per_s_len{length}"] = new_tokens / cached_s
+        metrics[f"recompute_tok_per_s_len{length}"] = new_tokens / recompute_s
+        metrics[f"speedup_cached_len{length}"] = recompute_s / cached_s
+        metrics[f"identical_len{length}"] = float(identical)
 
     decode_tokens = 16 if quick else 32
     for count in sequence_counts:
@@ -1512,152 +1519,11 @@ def decode_rows(
             for thread in threads:
                 thread.join()
             elapsed = time.perf_counter() - t0
-        rows.append(
-            {
-                "kind": "scheduler",
-                "sequences": count,
-                "tok_per_s": count * decode_tokens / elapsed,
-                "coalescing_ratio": telemetry.coalescing_ratio,
-            }
-        )
-    return rows
-
-
-def decode_experiment(quick: bool = False) -> list[Table]:
-    """Autoregressive decode: KV-cached generate() vs full recompute,
-    plus continuously-batched multi-stream throughput."""
-    decode_table = Table(
-        "Decode throughput: KV-cached step loop vs full recompute "
-        "(DecoderLM, 3-bit BCQ, biqgemm, greedy)",
-        ["total len", "new tokens", "cached tok/s", "recompute tok/s",
-         "speedup", "tokens"],
-        notes=[
-            "shape to check: speedup grows with sequence length (the "
-            "recompute loop is O(t) forwards of O(t) work each) and "
-            "reaches >= 5x at 256-token sequences",
-            "tokens must read 'identical': the KV-cached chain emits "
-            "bit-for-bit the same ids as the recompute chain",
-        ],
-    )
-    scheduler_table = Table(
-        "Continuous batching: concurrent streams through the "
-        "SequenceScheduler (one coalesced step_many per tick)",
-        ["sequences", "aggregate tok/s", "coalescing ratio"],
-        notes=[
-            "coalescing ratio = tokens per decode tick; > 1 means the "
-            "scheduler is amortizing LUT construction across streams",
-        ],
-    )
-    for row in decode_rows(quick):
-        if row["kind"] == "decode":
-            decode_table.add_row(
-                row["length"],
-                row["new_tokens"],
-                row["cached_tok_per_s"],
-                row["recompute_tok_per_s"],
-                row["speedup"],
-                "identical" if row["identical"] else "MISMATCH",
-            )
-        else:
-            scheduler_table.add_row(
-                row["sequences"],
-                row["tok_per_s"],
-                row["coalescing_ratio"],
-            )
-    return [decode_table, scheduler_table]
-
-
-def obs_overhead_rows(
-    quick: bool = False,
-    *,
-    batches: tuple[int, ...] | None = None,
-    repeats: int | None = None,
-) -> list[dict]:
-    """Observability cost: model-forward p50 with obs off, tracing on,
-    and the sampling profiler on.
-
-    The :mod:`repro.obs` contract is that *disabled* observability costs
-    one boolean read on the hot path; *enabled* tracing pays for span
-    objects, the profiler bridge, and (on engines that accept a
-    profiler) the un-fused kernel path; the *sampling profiler* is the
-    always-on tier and must stay under ~1% (it never touches the hot
-    path -- its cost is a 97 Hz ``sys._current_frames()`` walk on its
-    own thread, plus GIL contention).  This measures all three on the
-    steady-state substrate so the trade is a number, not a claim.
-    """
-    import time
-
-    import repro.obs as obs
-    from repro.api import QuantConfig, quantize
-    from repro.api.model import QuantMLP
-    from repro.nn.linear import Linear
-    from repro.obs.trace import get_tracer
-
-    rng = np.random.default_rng(0)
-    dims = (128, 256, 16) if quick else (512, 1024, 512, 64)
-    batches = batches if batches is not None else (
-        (1, 4) if quick else (1, 2, 8)
-    )
-    repeats = repeats if repeats is not None else (20 if quick else 60)
-    layers = [
-        Linear(
-            rng.standard_normal((dims[i + 1], dims[i])) * 0.05,
-            rng.standard_normal(dims[i + 1]) * 0.01,
-        )
-        for i in range(len(dims) - 1)
-    ]
-    compiled = quantize(QuantMLP(layers), QuantConfig(bits=3, mu=8)).compile(
-        batch_hint=1
-    )
-    compiled.warmup(sample=rng.standard_normal(dims[0]))
-
-    def p50(x) -> float:
-        for _ in range(max(5, repeats // 4)):
-            compiled(x)
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            compiled(x)
-            times.append(time.perf_counter() - t0)
-        times.sort()
-        return times[len(times) // 2]
-
-    rows: list[dict] = []
-    try:
-        for batch in batches:
-            x = rng.standard_normal((batch, dims[0]))
-            obs.disable()
-            off_p50 = p50(x)
-            obs.enable(tracing=True, drift=True, clear=True)
-            on_p50 = p50(x)
-            spans = get_tracer().stats()["recorded"]
-            obs.disable()
-            # Profiler only: the hot path stays on its fused fast path
-            # (no spans, no drift) while the sampler walks frames from
-            # its own thread at the default 97 Hz.
-            obs.enable(
-                tracing=False, drift=False, profile=True, clear=True
-            )
-            profiled_p50 = p50(x)
-            profiler = obs.get_profiler()
-            samples = profiler.stats()["samples"] if profiler else 0
-            obs.disable()
-            rows.append(
-                {
-                    "batch": batch,
-                    "off_p50_ms": off_p50 * 1e3,
-                    "on_p50_ms": on_p50 * 1e3,
-                    "overhead": (on_p50 - off_p50) / off_p50,
-                    "profiled_p50_ms": profiled_p50 * 1e3,
-                    "profiler_overhead": (profiled_p50 - off_p50) / off_p50,
-                    "profiler_samples": samples,
-                    "spans_recorded": spans,
-                }
-            )
-    finally:
-        obs.disable()
-        get_tracer().clear()
-    return rows
+        tok_per_s = count * decode_tokens / elapsed
+        scheduler_table.add_row(count, tok_per_s, telemetry.coalescing_ratio)
+        metrics[f"sched_tok_per_s_s{count}"] = tok_per_s
+        metrics[f"coalescing_s{count}"] = telemetry.coalescing_ratio
+    return Measurement([decode_table, scheduler_table], metrics)
 
 
 def profiler_cost(
@@ -1675,40 +1541,17 @@ def profiler_cost(
     rejects a whole attempt poisoned by a scheduling storm -- a real
     regression fails every attempt.
     """
-    import time
-
     import repro.obs as obs
-    from repro.api import QuantConfig, quantize
-    from repro.api.model import QuantMLP
-    from repro.nn.linear import Linear
 
-    rng = np.random.default_rng(0)
     # Sized so the quick forward stays well above the 200 us the 1%
     # gate needs to resolve, with every layer on the native kernel.
     dims = (512, 1024, 512, 64) if quick else (1024, 2048, 1024, 64)
     repeats = repeats if repeats is not None else (30 if quick else 60)
-    layers = [
-        Linear(
-            rng.standard_normal((dims[i + 1], dims[i])) * 0.05,
-            rng.standard_normal(dims[i + 1]) * 0.01,
-        )
-        for i in range(len(dims) - 1)
-    ]
-    compiled = quantize(QuantMLP(layers), QuantConfig(bits=3, mu=8)).compile(
-        batch_hint=1
-    )
-    compiled.warmup(sample=rng.standard_normal(dims[0]))
+    compiled, rng = compiled_mlp(dims)
     x = rng.standard_normal((2, dims[0]))
 
     def min_time() -> float:
-        for _ in range(8):
-            compiled(x)
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            compiled(x)
-            best = min(best, time.perf_counter() - t0)
-        return best
+        return time_samples(lambda: compiled(x), repeats=repeats, warmup=8)[0]
 
     best = None
     samples = 0
@@ -1738,9 +1581,26 @@ def profiler_cost(
     }
 
 
-def obs_overhead_experiment(quick: bool = False) -> list[Table]:
-    """Observability: traced vs untraced forward p50 (the no-op-path
-    cost claim, measured)."""
+@gated("profiler_cost_ratio")
+def obs_overhead_experiment(quick: bool = False) -> Measurement:
+    """Observability cost: model-forward p50 with obs off, tracing on,
+    and the sampling profiler on, plus the profiler's gated cost ratio.
+
+    The :mod:`repro.obs` contract is that *disabled* observability costs
+    one boolean read on the hot path; *enabled* tracing pays for span
+    objects, the profiler bridge, and (on engines that accept a
+    profiler) the un-fused kernel path; the *sampling profiler* is the
+    always-on tier and must stay under ~1% (it never touches the hot
+    path -- its cost is a 97 Hz ``sys._current_frames()`` walk on its
+    own thread, plus GIL contention).  This measures all three on the
+    steady-state substrate so the trade is a number, not a claim.  The
+    gated ``profiler_cost_ratio`` (profiled / off, baseline ~1.0) comes
+    from :func:`profiler_cost`, not the p50 columns: p50 over short
+    quick runs jitters far beyond the ~1% signal being gated.
+    """
+    import repro.obs as obs
+    from repro.obs.trace import get_tracer
+
     table = Table(
         "Observability overhead: CompiledModel forward p50, obs "
         "disabled vs tracing+drift enabled vs sampling profiler "
@@ -1768,20 +1628,54 @@ def obs_overhead_experiment(quick: bool = False) -> list[Table]:
             "bench_obs_overhead.py gates it under 1%",
         ],
     )
-    for row in obs_overhead_rows(quick):
-        table.add_row(
-            row["batch"],
-            row["off_p50_ms"],
-            row["on_p50_ms"],
-            100.0 * row["overhead"],
-            row["profiled_p50_ms"],
-            100.0 * row["profiler_overhead"],
-            row["spans_recorded"],
-        )
-    return [table]
+    dims = (128, 256, 16) if quick else (512, 1024, 512, 64)
+    repeats = 20 if quick else 60
+    compiled, rng = compiled_mlp(dims)
+    metrics: dict[str, float] = {}
+    try:
+        for b in (1, 4) if quick else (1, 2, 8):
+            x = rng.standard_normal((b, dims[0]))
+            obs.disable()
+            off = _p50(lambda: compiled(x), repeats)
+            obs.enable(tracing=True, drift=True, clear=True)
+            traced = _p50(lambda: compiled(x), repeats)
+            spans = get_tracer().stats()["recorded"]
+            obs.disable()
+            # Profiler only: the hot path stays on its fused fast path
+            # (no spans, no drift) while the sampler walks frames from
+            # its own thread at the default 97 Hz.
+            obs.enable(
+                tracing=False, drift=False, profile=True, clear=True
+            )
+            profiled = _p50(lambda: compiled(x), repeats)
+            obs.disable()
+            table.add_row(
+                b,
+                off * 1e3,
+                traced * 1e3,
+                100.0 * (traced - off) / off,
+                profiled * 1e3,
+                100.0 * (profiled - off) / off,
+                spans,
+            )
+            metrics[f"off_p50_b{b}_ms"] = off * 1e3
+            metrics[f"traced_p50_b{b}_ms"] = traced * 1e3
+            metrics[f"profiled_p50_b{b}_ms"] = profiled * 1e3
+    finally:
+        obs.disable()
+        get_tracer().clear()
+    cost = profiler_cost(quick)
+    metrics["profiler_cost_ratio"] = cost["ratio"]
+    metrics["profiler_off_min_ms"] = cost["off_min_ms"]
+    metrics["profiler_on_min_ms"] = cost["profiled_min_ms"]
+    table.notes.append(
+        f"profiler cost ratio (best of {cost['attempts']} interleaved "
+        f"min-of-N attempts, batch 2): {cost['ratio']:.4f}"
+    )
+    return Measurement([table], metrics)
 
 
-EXPERIMENTS: dict[str, Callable[[bool], list[Table]]] = {
+EXPERIMENTS: dict[str, Callable[[bool], list[Table] | Measurement]] = {
     "table1": table1,
     "table2": table2,
     "table3": table3,
@@ -1806,15 +1700,33 @@ EXPERIMENTS: dict[str, Callable[[bool], list[Table]]] = {
     "obs_overhead": obs_overhead_experiment,
     "decode": decode_experiment,
 }
-"""Experiment id -> callable (see DESIGN.md Section 4 for the mapping)."""
+"""Experiment id -> callable; ``python -m repro.bench list`` prints the
+ids.  Trajectory experiments (marked with :func:`gated`) return a
+:class:`Measurement`, the rest a list of tables."""
 
 
-def run_experiment(name: str, *, quick: bool = False) -> list[Table]:
-    """Run one registered experiment and return its tables."""
+def _lookup(name: str):
     try:
-        fn = EXPERIMENTS[name]
+        return EXPERIMENTS[name]
     except KeyError:
         raise ValueError(
             f"unknown experiment {name!r}; expected one of {sorted(EXPERIMENTS)}"
         ) from None
-    return fn(quick)
+
+
+def gated_metrics(name: str) -> tuple[str, ...] | None:
+    """The metric names experiment *name* gates on; None when it
+    records no trajectory."""
+    return getattr(_lookup(name), "gated", None)
+
+
+def measure(name: str, *, quick: bool = False) -> Measurement:
+    """Run one registered experiment: its tables and, for a trajectory
+    experiment, its metrics."""
+    result = _lookup(name)(quick)
+    return result if isinstance(result, Measurement) else Measurement(result)
+
+
+def run_experiment(name: str, *, quick: bool = False) -> list[Table]:
+    """Run one registered experiment and return its tables."""
+    return measure(name, quick=quick).tables

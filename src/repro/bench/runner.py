@@ -14,16 +14,18 @@ import numpy as np
 
 from repro._util import check_positive_int
 
-__all__ = ["time_callable"]
+__all__ = ["time_callable", "time_samples"]
 
 
-def time_callable(
+def time_samples(
     fn: Callable[[], object],
     *,
     repeats: int = 5,
     warmup: int = 1,
-) -> float:
-    """Median wall-clock seconds of ``fn()`` over *repeats* calls."""
+) -> list[float]:
+    """Sorted wall-clock seconds of *repeats* calls of ``fn()``, after
+    *warmup* untimed calls: ``[0]`` is the minimum, ``[repeats // 2]``
+    the p50."""
     check_positive_int(repeats, "repeats")
     if warmup < 0:
         raise ValueError("warmup must be >= 0")
@@ -34,4 +36,14 @@ def time_callable(
         t0 = time.perf_counter()
         fn()
         samples.append(time.perf_counter() - t0)
-    return float(np.median(samples))
+    return sorted(samples)
+
+
+def time_callable(
+    fn: Callable[[], object],
+    *,
+    repeats: int = 5,
+    warmup: int = 1,
+) -> float:
+    """Median wall-clock seconds of ``fn()`` over *repeats* calls."""
+    return float(np.median(time_samples(fn, repeats=repeats, warmup=warmup)))

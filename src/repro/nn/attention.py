@@ -161,6 +161,8 @@ def attn_scores(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     slice_shape = np.broadcast_shapes(
         q.shape[:-1] + (1,), k.shape[:-2] + (1,) + k.shape[-2:-1]
     )
+    if d == 0:  # an empty sum
+        return np.zeros(slice_shape, np.result_type(q, k))
     chunk = _fold_chunk(d, int(np.prod(slice_shape, dtype=np.int64)))
     acc = None
     for start in range(0, d, chunk):
@@ -205,7 +207,8 @@ def attn_context(attn: np.ndarray, v: np.ndarray, *, out=None) -> np.ndarray:
         attn.shape[:-1] + (1,), v.shape[:-2] + (1,) + v.shape[-1:]
     )
     chunk = _fold_chunk(t, int(np.prod(slice_shape, dtype=np.int64)))
-    acc = None
+    # t == 0 is an empty sum: zeros, which ``out`` receives as is.
+    acc = np.zeros(slice_shape, np.result_type(attn, v)) if t == 0 else None
     for start in range(0, t, chunk):
         stop = min(t, start + chunk)
         prod = (

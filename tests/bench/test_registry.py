@@ -21,7 +21,7 @@ FAST_EXPERIMENTS = [
 
 class TestRegistry:
     def test_all_paper_artifacts_registered(self):
-        # DESIGN.md Section 4: every table and figure has a target.
+        # Every paper table and figure has a target.
         expected = {
             "table1", "table2", "table3", "table4",
             "fig8", "fig9", "fig10",

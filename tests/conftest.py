@@ -9,8 +9,8 @@ import pytest
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
-        "smoke: cross-process end-to-end checks; CI runs them with "
-        "`pytest -m smoke`, and they also run in the full suite",
+        "smoke: cross-process end-to-end checks; they run in the "
+        "tier-1 suite, and `pytest -m smoke` selects them alone",
     )
 
 

@@ -23,7 +23,7 @@ the full causal recompute for prompt lengths that straddle the cache's
 bucket growth (capacities 32, 64 and 128).
 """
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -208,6 +208,23 @@ def test_other_dtypes_keep_the_numpy_fold():
             attention.attn_scores(q, k).astype(np.float64),
             got.astype(np.float64),
         )
+
+
+@pytest.mark.parametrize("path", ["native", "numpy"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_empty_contraction_gives_zeros(path, dtype):
+    """A head_dim of 0 (scores) or a key length of 0 (context) is an
+    empty sum: ``+0.0`` in the output shape and the operands' dtype.
+    The native fold hands this case to the numpy fold."""
+    empty_q, empty_v = np.zeros((2, 0), dtype), np.zeros((0, 4), dtype)
+    out = np.full((2, 4), np.nan, dtype)
+    with _numpy_fold() if path == "numpy" else nullcontext():
+        scores = attention.attn_scores(empty_q, np.zeros((3, 0), dtype))
+        ctx = attention.attn_context(empty_q, empty_v)
+        assert attention.attn_context(empty_q, empty_v, out=out) is out
+    for got, shape in ((scores, (2, 3)), (ctx, (2, 4)), (out, (2, 4))):
+        assert got.dtype == dtype and got.shape == shape
+        assert not np.any(got) and not np.any(np.signbit(got))
 
 
 CONFIG = TransformerConfig(dim=32, heads=4, ff_dim=64, layers=2)
