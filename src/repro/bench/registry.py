@@ -34,7 +34,9 @@ import numpy as np
 
 from repro.bench.paper_data import TABLE1_PAPER, TABLE2_PAPER_TOTALS, TABLE4_PAPER
 from repro.bench.report import Table
-from repro.bench.runner import time_callable, time_samples
+from repro.bench.runner import (
+    interleaved_ratio, time_callable, time_samples,
+)
 from repro.core.autotune import analytic_cost_ratio, analytic_mu
 from repro.core.kernel import BiQGemm
 from repro.core.lut import (
@@ -1526,58 +1528,47 @@ def decode_experiment(
     return Measurement([decode_table, scheduler_table], metrics)
 
 
-def profiler_cost(
-    quick: bool = False,
-    *,
-    attempts: int = 3,
-    repeats: int | None = None,
-) -> dict:
+def profiler_cost(quick: bool = False) -> dict:
     """The always-on sampling profiler's hot-path tax, measured to gate.
 
-    min-of-N forward times with the profiler off vs on (default 97 Hz),
-    interleaved and repeated *attempts* times; the reported ratio is
-    the best attempt.  min-of-N rejects additive noise (every slower
-    sample is the same work plus interference), and best-of-attempts
-    rejects a whole attempt poisoned by a scheduling storm -- a real
-    regression fails every attempt.
+    Forward times with the profiler off vs on (default 97 Hz) in
+    interleaved off-on-on-off blocks, pooled into one median per state
+    (:func:`~repro.bench.runner.interleaved_ratio`): one ratio over all
+    the blocks, not the best of several, so host drift between the two
+    states cannot read as a speed-up.  Short blocks (4 timed calls) over
+    many rounds spread the host's slow spells over both states: on a
+    2-core VM with steal, 100 rounds read 0.997-1.004 in six runs, where
+    4 rounds of 10 calls read 0.996-1.023.
     """
     import repro.obs as obs
 
     # Sized so the quick forward stays well above the 200 us the 1%
     # gate needs to resolve, with every layer on the native kernel.
     dims = (512, 1024, 512, 64) if quick else (1024, 2048, 1024, 64)
-    repeats = repeats if repeats is not None else (30 if quick else 60)
+    rounds = 100 if quick else 200
     compiled, rng = compiled_mlp(dims)
     x = rng.standard_normal((2, dims[0]))
-
-    def min_time() -> float:
-        return time_samples(lambda: compiled(x), repeats=repeats, warmup=8)[0]
-
-    best = None
     samples = 0
-    try:
-        for _ in range(max(1, attempts)):
-            obs.disable()
-            off = min_time()
-            obs.enable(
-                tracing=False, drift=False, profile=True, clear=True
-            )
-            on = min_time()
-            profiler = obs.get_profiler()
-            if profiler is not None:
-                samples = max(samples, profiler.stats()["samples"])
-            obs.disable()
-            if best is None or on / off < best[0]:
-                best = (on / off, off, on)
-    finally:
+
+    def switch(on: bool) -> None:
+        nonlocal samples
+        if on:
+            obs.enable(tracing=False, drift=False, profile=True, clear=True)
+            return
+        profiler = obs.get_profiler()
+        if profiler is not None:
+            samples += profiler.stats()["samples"]
         obs.disable()
-    ratio, off, on = best
+
+    ratio, off, on = interleaved_ratio(
+        lambda: compiled(x), switch, rounds=rounds
+    )
     return {
         "ratio": ratio,
-        "off_min_ms": off * 1e3,
-        "profiled_min_ms": on * 1e3,
+        "off_p50_ms": off * 1e3,
+        "profiled_p50_ms": on * 1e3,
         "profiler_samples": samples,
-        "attempts": attempts,
+        "rounds": rounds,
     }
 
 
@@ -1666,11 +1657,11 @@ def obs_overhead_experiment(quick: bool = False) -> Measurement:
         get_tracer().clear()
     cost = profiler_cost(quick)
     metrics["profiler_cost_ratio"] = cost["ratio"]
-    metrics["profiler_off_min_ms"] = cost["off_min_ms"]
-    metrics["profiler_on_min_ms"] = cost["profiled_min_ms"]
+    metrics["profiler_off_p50_ms"] = cost["off_p50_ms"]
+    metrics["profiler_on_p50_ms"] = cost["profiled_p50_ms"]
     table.notes.append(
-        f"profiler cost ratio (best of {cost['attempts']} interleaved "
-        f"min-of-N attempts, batch 2): {cost['ratio']:.4f}"
+        f"profiler cost ratio (pooled medians of {cost['rounds']} "
+        f"off-on-on-off rounds, batch 2): {cost['ratio']:.4f}"
     )
     return Measurement([table], metrics)
 

@@ -7,6 +7,7 @@ experiments stay runnable without pytest.
 
 from __future__ import annotations
 
+import statistics
 import time
 from typing import Callable
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from repro._util import check_positive_int
 
-__all__ = ["time_callable", "time_samples"]
+__all__ = ["interleaved_ratio", "time_callable", "time_samples"]
 
 
 def time_samples(
@@ -47,3 +48,46 @@ def time_callable(
 ) -> float:
     """Median wall-clock seconds of ``fn()`` over *repeats* calls."""
     return float(np.median(time_samples(fn, repeats=repeats, warmup=warmup)))
+
+
+def interleaved_ratio(
+    fn: Callable[[], object],
+    switch: Callable[[bool], None],
+    *,
+    rounds: int,
+    repeats: int = 4,
+    warmup: int = 1,
+    timer: Callable[[], float] = time.perf_counter,
+) -> tuple[float, float, float]:
+    """``(on / off, off, on)``: the median seconds of ``fn()`` with a
+    setting on over its median with the setting off.
+
+    Each round runs four blocks in the order off, on, on, off; a block
+    calls ``switch(state)`` when the state changes, then *warmup*
+    untimed and *repeats* timed calls.  Samples pool across rounds into
+    one median per state.  The off and on samples sit symmetrically
+    about the same centre in time, so a drift of the host's speed that
+    is linear in time moves both medians alike and leaves the ratio at
+    the true cost.  The setting is switched off on return.
+    """
+    check_positive_int(rounds, "rounds")
+    check_positive_int(repeats, "repeats")
+    samples: dict[bool, list[float]] = {False: [], True: []}
+    state = None
+    try:
+        for _ in range(rounds):
+            for on in (False, True, True, False):
+                if on != state:
+                    switch(on)
+                    state = on
+                for _ in range(warmup):
+                    fn()
+                for _ in range(repeats):
+                    t0 = timer()
+                    fn()
+                    samples[on].append(timer() - t0)
+    finally:
+        switch(False)
+    off = statistics.median(samples[False])
+    on = statistics.median(samples[True])
+    return on / off, off, on

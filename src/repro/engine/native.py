@@ -1,25 +1,33 @@
-"""Build, cache and bind the native library (``_lutq.c``).
+"""Build, cache and bind the native library (``_lutq.c`` + ``_json.c``).
 
-:func:`load` compiles the package's C source once with the host
-``gcc`` and binds it through stdlib :mod:`ctypes`.  The library holds
-the LUT query kernel, through which the ``biqgemm`` engine
-(:mod:`repro.engine.compiled`) runs every native call, and the
-attention folds -- the ``QK^T`` and ``AV`` products of
-:mod:`repro.nn.attention` and the denominator of
-:func:`repro.nn.functional.softmax`.  It loads lazily, on the first
-call that wants it, never at import.  There is no switch: when no
-library can be built or loaded (no compiler, unwritable cache, foreign
-platform) :func:`load` logs one warning for the process and returns
-``None``, and the engine and the attention folds serve every call
-through their bit-identical numpy fallbacks.
+:func:`load` compiles the package's two C sources once with the host
+``gcc`` into one shared library and binds it through stdlib
+:mod:`ctypes`.  The library holds:
+
+- the LUT query kernel (``_lutq.c``), through which the ``biqgemm``
+  engine (:mod:`repro.engine.compiled`) runs every native call;
+- the attention folds (``_lutq.c``) -- the ``QK^T`` and ``AV`` products
+  of :mod:`repro.nn.attention` and the denominator of
+  :func:`repro.nn.functional.softmax`;
+- the ``/predict`` JSON codec (``_json.c``, with the Ryu power tables
+  of ``_pow5.h``) that :mod:`repro.serve.wire` uses to read a request's
+  ``"input"`` array and to write the reply's ``"output"``, byte for
+  byte what :mod:`json` reads and writes.
+
+It loads lazily, on the first call that wants it, never at import.
+There is no switch: when no library can be built or loaded (no
+compiler, unwritable cache, foreign platform) :func:`load` logs one
+warning for the process and returns ``None``, and every caller serves
+through its numpy or :mod:`json` fallback, which gives the same bits
+and bytes.
 
 The shared library is cached in ``$XDG_CACHE_HOME/repro`` (default
-``~/.cache/repro``) under a name keyed by a hash of the source, the
-compiler flags and the platform, so an edited source or a different
-machine never loads a stale build.  A build writes a temporary file and
-publishes it with an atomic :func:`os.replace`: processes that start
-together (cluster workers) may each build, but none ever loads a
-partial file.  A cache hit spawns no subprocess.
+``~/.cache/repro``) under a name keyed by a hash of every source file,
+the compiler flags and the platform, so an edited source or a
+different machine never loads a stale build.  A build writes a
+temporary file and publishes it with an atomic :func:`os.replace`:
+processes that start together (cluster workers) may each build, but
+none ever loads a partial file.  A cache hit spawns no subprocess.
 """
 
 from __future__ import annotations
@@ -45,7 +53,11 @@ __all__ = [
 
 _LOG = logging.getLogger("repro.engine.native")
 
-SOURCE = Path(__file__).with_name("_lutq.c")
+SOURCES = tuple(
+    Path(__file__).with_name(name)
+    for name in ("_lutq.c", "_json.c", "_pow5.h")
+)
+"""Every file the build reads; the ``.c`` files are compiled."""
 
 CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 """Compiler flags.  ``-ffp-contract=off`` keeps ``y += acc * alpha``
@@ -108,6 +120,22 @@ class Kernel(NamedTuple):
     float64 array *x* (along its last *geom* dim) by the row's left-fold
     sum, in place.  Returns 0, or nonzero as *fold_dot*."""
 
+    json_parse_input: Callable[..., int]
+    """``json_parse_input(body, len, out, cap, geom)``: parses the
+    ``"input"`` array of the JSON object *body* into at most *cap*
+    float64 values at *out*, and writes ``[ndim, start, end, shape...]``
+    (``JSON_MAX_DIMS`` = 32 shape slots) to the int64 array at *geom*.
+    Returns the value count, or -1 for a body outside the fast path."""
+
+    json_format_bytes: Callable[..., int]
+    """``json_format_bytes(ndim, shape)``: the buffer size
+    *json_format* needs for a float64 array of this shape."""
+
+    json_format: Callable[..., int]
+    """``json_format(x, ndim, shape, out)``: writes the C-ordered
+    float64 array at *x* as ``json.dumps(x.tolist())`` writes it, and
+    returns the byte count."""
+
 
 def address(arr: np.ndarray) -> int:
     """The address of *arr*'s first element.
@@ -133,15 +161,18 @@ def cache_dir() -> Path:
     return Path(base) / "repro"
 
 
-def _library_path(source: bytes) -> Path:
+def _library_path() -> Path:
     # CRC-32, not hashlib: the key only tells builds apart, and
     # hashlib's OpenSSL import costs every serving process ~3 MiB RSS.
-    tag = f"{' '.join(CFLAGS)}|{sys.platform}-{platform.machine()}"
-    key = zlib.crc32(tag.encode(), zlib.crc32(source))
+    key = zlib.crc32(
+        f"{' '.join(CFLAGS)}|{sys.platform}-{platform.machine()}".encode()
+    )
+    for source in SOURCES:
+        key = zlib.crc32(source.read_bytes(), key)
     return cache_dir() / f"lutq-{key:08x}.so"
 
 
-def _build(source_path: Path, target: Path) -> None:
+def _build(target: Path) -> None:
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(
         prefix=f".{target.name}.", suffix=".tmp", dir=target.parent
@@ -149,7 +180,10 @@ def _build(source_path: Path, target: Path) -> None:
     os.close(fd)
     try:
         subprocess.run(
-            ["gcc", *CFLAGS, "-o", tmp, str(source_path)],
+            [
+                "gcc", *CFLAGS, "-o", tmp,
+                *(str(s) for s in SOURCES if s.suffix == ".c"),
+            ],
             check=True,
             capture_output=True,
             timeout=120,
@@ -184,11 +218,26 @@ def _bind(path: Path) -> Kernel:
     fold_softmax.argtypes = [ctypes.c_int64, ctypes.c_void_p,
                              ctypes.c_void_p]
     fold_softmax.restype = ctypes.c_int
+    json_parse_input = lib.json_parse_input
+    json_parse_input.argtypes = [ctypes.c_char_p, ctypes.c_int64,
+                                 ctypes.c_void_p, ctypes.c_int64,
+                                 ctypes.c_void_p]
+    json_parse_input.restype = ctypes.c_int64
+    json_format_bytes = lib.json_format_bytes
+    json_format_bytes.argtypes = [ctypes.c_int64, ctypes.c_void_p]
+    json_format_bytes.restype = ctypes.c_int64
+    json_format = lib.json_format
+    json_format.argtypes = [ctypes.c_void_p, ctypes.c_int64,
+                            ctypes.c_void_p, ctypes.c_void_p]
+    json_format.restype = ctypes.c_int64
     return Kernel(
         run=run,
         scratch_bytes=scratch_bytes,
         fold_dot=fold_dot,
         fold_softmax=fold_softmax,
+        json_parse_input=json_parse_input,
+        json_format_bytes=json_format_bytes,
+        json_format=json_format,
     )
 
 
@@ -209,9 +258,9 @@ def load() -> Kernel | None:
     with _lock:
         if _kernel is _UNSET:
             try:
-                path = _library_path(SOURCE.read_bytes())
+                path = _library_path()
                 if not path.exists():
-                    _build(SOURCE, path)
+                    _build(path)
                 _kernel = _bind(path)
                 _path = path
             except (
@@ -219,9 +268,9 @@ def load() -> Kernel | None:
             ) as exc:
                 detail = getattr(exc, "stderr", None) or b""
                 _LOG.warning(
-                    "native library unavailable, the biqgemm engine and "
-                    "the attention folds serve through their numpy "
-                    "fallbacks: %s %s",
+                    "native library unavailable, the biqgemm engine, "
+                    "the attention folds and the /predict JSON codec "
+                    "serve through their numpy and json fallbacks: %s %s",
                     exc,
                     detail.decode(errors="replace").strip()[:500],
                 )
@@ -232,11 +281,11 @@ def load() -> Kernel | None:
 def status() -> dict:
     """``{"loaded": bool, "path": str | None}`` for this process.
 
-    ``loaded: True`` means both the ``biqgemm`` engine and the
-    attention folds run natively; ``False`` after a failed load means
-    both serve through their numpy fallbacks.  Never builds: before the
-    first :func:`load` (no ``biqgemm`` call or attention block yet) it
-    reports ``loaded: False``.
+    ``loaded: True`` means the ``biqgemm`` engine, the attention folds
+    and the ``/predict`` JSON codec run natively; ``False`` after a
+    failed load means all three serve through their fallbacks.  Never
+    builds: before the first :func:`load` (no ``biqgemm`` call,
+    attention block or ``/predict`` yet) it reports ``loaded: False``.
     """
     kernel = _kernel
     loaded = kernel is not None and kernel is not _UNSET

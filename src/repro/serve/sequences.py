@@ -311,6 +311,13 @@ class SequenceScheduler:
         from repro.gen.sampler import Sampler
 
         check_positive_int(max_new_tokens, "max_new_tokens")
+        if deadline_s is not None and not deadline_s <= threading.TIMEOUT_MAX:
+            # Waits take the remaining time as a timeout, and a longer
+            # one overflows the platform's clock.
+            raise ValueError(
+                f"deadline_s must be at most {threading.TIMEOUT_MAX:g}, "
+                f"got {deadline_s}"
+            )
         ids = np.asarray(prompt, dtype=np.int64)
         if ids.ndim == 1:
             ids = ids[None, :]

@@ -51,6 +51,7 @@ import numpy as np
 from repro.api.model import CompiledModel, QuantModel
 from repro.engine.native import status as native_status
 from repro.obs import runtime as _obs
+from repro.serve import wire
 from repro.serve.batcher import Batcher, BatcherClosed, QueueFullError
 from repro.serve.pool import WorkerPool
 from repro.serve.sequences import GenerationStream, SequenceScheduler
@@ -988,7 +989,11 @@ def _make_handler(server: Server):
         def _reply(
             self, status: int, payload: dict, headers: dict | None = None
         ) -> None:
-            body = json.dumps(payload).encode("utf-8")
+            self._send(status, json.dumps(payload).encode("utf-8"), headers)
+
+        def _send(
+            self, status: int, body: bytes, headers: dict | None = None
+        ) -> None:
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
@@ -1082,7 +1087,7 @@ def _make_handler(server: Server):
                 return
             rid = uuid.uuid4().hex[:16]
             try:
-                request = self._read_request()
+                request = wire.decode_predict(self._read_body())
             except ValueError as exc:
                 self._reply(400, {"error": str(exc), "request_id": rid})
                 return
@@ -1103,14 +1108,8 @@ def _make_handler(server: Server):
             except Exception as exc:  # noqa: BLE001 -- HTTP boundary
                 self._error(500, exc, rid)
             else:
-                self._reply(
-                    200,
-                    {
-                        "model": request["model"],
-                        "output": np.asarray(output).tolist(),
-                        "shape": list(np.asarray(output).shape),
-                        "request_id": rid,
-                    },
+                self._send(
+                    200, wire.encode_predict(request["model"], output, rid)
                 )
 
         def _do_generate(self) -> None:
@@ -1127,7 +1126,7 @@ def _make_handler(server: Server):
             """
             rid = uuid.uuid4().hex[:16]
             try:
-                request = self._read_generate_request()
+                request = wire.decode_generate(self._read_body())
             except ValueError as exc:
                 self._reply(400, {"error": str(exc), "request_id": rid})
                 return
@@ -1191,59 +1190,12 @@ def _make_handler(server: Server):
             self.wfile.write(json.dumps(event).encode("utf-8") + b"\n")
             self.wfile.flush()
 
-        def _read_generate_request(self) -> dict:
+        def _read_body(self) -> bytes:
             length = int(self.headers.get("Content-Length") or 0)
             if length <= 0:
                 raise ValueError("request body is required")
             if length > _MAX_BODY_BYTES:
                 raise ValueError("request body too large")
-            try:
-                payload = json.loads(self.rfile.read(length))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"invalid JSON body: {exc}") from exc
-            if not isinstance(payload, dict) or "prompt" not in payload:
-                raise ValueError(
-                    'body must be a JSON object with a "prompt" field '
-                    "(a list of token ids)"
-                )
-            try:
-                prompt = np.asarray(payload["prompt"], dtype=np.int64)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"invalid prompt: {exc}") from exc
-            request = {
-                "model": str(payload.get("model", "default")),
-                "prompt": prompt,
-                "max_new_tokens": int(payload.get("max_new_tokens", 16)),
-                "temperature": float(payload.get("temperature", 0.0)),
-                "seed": int(payload.get("seed", 0)),
-            }
-            if payload.get("top_k") is not None:
-                request["top_k"] = int(payload["top_k"])
-            if payload.get("eos_id") is not None:
-                request["eos_id"] = int(payload["eos_id"])
-            if payload.get("deadline_ms") is not None:
-                request["deadline_s"] = float(payload["deadline_ms"]) / 1e3
-            return request
-
-        def _read_request(self) -> dict:
-            length = int(self.headers.get("Content-Length") or 0)
-            if length <= 0:
-                raise ValueError("request body is required")
-            if length > _MAX_BODY_BYTES:
-                raise ValueError("request body too large")
-            try:
-                payload = json.loads(self.rfile.read(length))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"invalid JSON body: {exc}") from exc
-            if not isinstance(payload, dict) or "input" not in payload:
-                raise ValueError(
-                    'body must be a JSON object with an "input" field'
-                )
-            dtype = payload.get("dtype", "float32")
-            try:
-                x = np.asarray(payload["input"], dtype=np.dtype(dtype))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"invalid input array: {exc}") from exc
-            return {"model": str(payload.get("model", "default")), "x": x}
+            return self.rfile.read(length)
 
     return Handler

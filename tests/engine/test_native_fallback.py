@@ -175,3 +175,21 @@ def test_concurrent_builds_into_one_empty_cache_all_load(tmp_path):
     assert [p.name for p in (cache / "repro").iterdir()] == [
         os.path.basename(paths.pop())
     ]
+
+
+def test_cache_key_covers_every_source(monkeypatch, tmp_path):
+    # The library is built from several files (the LUT kernel, the JSON
+    # codec and its generated table); editing any one must change the
+    # cached library's name, or a stale build would load.
+    copies = []
+    for source in native.SOURCES:
+        copy = tmp_path / source.name
+        copy.write_bytes(source.read_bytes())
+        copies.append(copy)
+    monkeypatch.setattr(native, "SOURCES", tuple(copies))
+    monkeypatch.setattr(native, "cache_dir", lambda: tmp_path / "cache")
+    names = {native._library_path()}
+    for copy in copies:
+        copy.write_bytes(copy.read_bytes() + b"\n")
+        names.add(native._library_path())
+    assert len(names) == 1 + len(copies)

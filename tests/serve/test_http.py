@@ -1,5 +1,8 @@
-"""HTTP frontend tests: the four endpoints, error mapping, concurrency."""
+"""HTTP frontend tests: the four endpoints, error mapping, concurrency,
+and fuzzed bodies (always a 4xx or a 200, never a 500 or a dropped
+connection)."""
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -7,8 +10,11 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import QuantConfig, QuantMLP, quantize
+from repro.engine import native
 from repro.nn.linear import Linear
 from repro.serve import ServeConfig, Server
 
@@ -216,3 +222,153 @@ class TestConcurrentClients:
         server.stop()
         with pytest.raises(urllib.error.URLError):
             _get(base, "/healthz")
+
+
+def _decoder_lm():
+    from repro.gen.model import DecoderLM
+    from repro.nn.transformer import TransformerConfig
+
+    model = DecoderLM(
+        TransformerConfig(dim=16, heads=2, ff_dim=32, layers=1), 20
+    )
+    return quantize(model, QuantConfig(bits=2, mu=4)).compile(batch_hint=1)
+
+
+@pytest.fixture(scope="module")
+def mixed_server():
+    """One server holding the MLP (``/predict``) and a decoder LM
+    (``/generate``), shared by the fuzzed-body tests."""
+    server = Server(
+        config=ServeConfig(workers=1, max_batch=8, max_latency_ms=2.0)
+    )
+    server.add_model(
+        "mlp", quantize(_mlp(), QuantConfig(bits=2, mu=4)).compile()
+    )
+    server.add_model("lm", _decoder_lm())
+    httpd = server.serve_http(port=0)
+    yield httpd.server_address[1]
+    server.stop()
+
+
+def _raw_post(port, path, body: bytes) -> tuple[int, bytes]:
+    """POST raw bytes; a dropped connection raises (and fails the
+    test) instead of returning a status."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        conn.request(
+            "POST", path, body=body,
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        return response.status, response.read()
+    finally:
+        conn.close()
+
+
+def _assert_answered(status: int, data: bytes) -> None:
+    assert status == 200 or 400 <= status < 500, (status, data[:300])
+    # A stream that started (200) must not end in a server error.
+    assert b'"error"' not in data or status != 200, data[-300:]
+
+
+class TestMalformedBodies:
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/generate", b'{"model": "lm", "prompt": [1e30]}'),
+            ("/generate",
+             b'{"model": "lm", "prompt": [1], "max_new_tokens": null}'),
+            ("/generate", b'{"model": "lm", "prompt": [1], "top_k": []}'),
+            ("/generate",
+             b'{"model": "lm", "prompt": [1], "max_new_tokens": 1e400}'),
+            ("/generate",
+             b'{"model": "lm", "prompt": [1], "deadline_ms": 1e400}'),
+            ("/predict",
+             b'{"model": "mlp", "input": [' + b"1" * 401 + b"]}"),
+            ("/predict", b'{"model": "mlp", "input": ' + b"[" * 5000
+             + b"]" * 5000 + b"}"),
+            ("/predict",
+             b'{"model": "mlp", "input": [1, 2, 3, 4, 5, 6], '
+             b'"dtype": "longdouble"}'),
+        ],
+    )
+    def test_gets_a_400(self, mixed_server, path, body):
+        status, data = _raw_post(mixed_server, path, body)
+        assert status == 400, data
+        assert json.loads(data)["error"]
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_bodies_get_a_status(self, mixed_server, data):
+        path = data.draw(st.sampled_from(["/predict", "/generate"]))
+        strategy = PREDICT_BODIES if path == "/predict" else GENERATE_BODIES
+        body = json.dumps(data.draw(strategy)).encode()
+        if data.draw(st.integers(0, 9)) == 0:
+            body = body[: data.draw(st.integers(1, len(body)))]
+        _assert_answered(*_raw_post(mixed_server, path, body))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# Valid-looking values first, so requests get past decoding and into
+# the model as often as they are rejected early.
+PREDICT_BODIES = st.fixed_dictionaries(
+    {"input": st.lists(st.floats(), min_size=6, max_size=6) | JSON_VALUES},
+    optional={
+        "model": st.sampled_from(["mlp", "lm", "nope"]) | JSON_VALUES,
+        "dtype": st.sampled_from(
+            ["float16", "float32", "float64", "int64", "bool", "complex128",
+             "U5", "object", "longdouble", "M8[s]", "bogus"]
+        ) | JSON_VALUES,
+    },
+)
+# max_new_tokens stays small when it is a number: a valid huge count is
+# a real (slow) stream, not a malformed body.
+GENERATE_BODIES = st.fixed_dictionaries(
+    {
+        "model": st.just("lm"),
+        "prompt": st.lists(st.integers(-3, 23), max_size=4) | JSON_VALUES,
+    },
+    optional={
+        "max_new_tokens": st.integers(-1, 3)
+        | st.sampled_from([None, 2.5, "2", [], {}, 1e300, float("inf")]),
+        "temperature": st.floats() | JSON_VALUES,
+        "top_k": st.integers(-2, 30) | JSON_VALUES,
+        "seed": st.integers() | JSON_VALUES,
+        "eos_id": st.integers() | JSON_VALUES,
+        "deadline_ms": st.floats() | JSON_VALUES,
+    },
+)
+
+
+class TestNativeJson:
+    """The /predict round trip gives the same bytes with and without
+    the native JSON codec (the fallback is what a host without a C
+    compiler serves with)."""
+
+    def test_reply_bytes_match_the_json_fallback(
+        self, http_server, monkeypatch
+    ):
+        _, base, compiled = http_server
+        port = int(base.rsplit(":", 1)[1])
+        x = np.random.default_rng(4).standard_normal((3, 6))
+        body = json.dumps(
+            {"model": "mlp", "input": x.tolist(), "dtype": "float64"}
+        ).encode()
+
+        def strip_id(data):
+            reply = json.loads(data)
+            assert reply.pop("request_id")
+            return reply, data[: data.index(b'"request_id"')]
+
+        status, fast = _raw_post(port, "/predict", body)
+        monkeypatch.setattr(native, "load", lambda: None)
+        status_json, slow = _raw_post(port, "/predict", body)
+        assert status == status_json == 200
+        assert strip_id(fast) == strip_id(slow)
+        assert np.array_equal(json.loads(fast)["output"], compiled(x))
