@@ -1534,11 +1534,14 @@ def profiler_cost(quick: bool = False) -> dict:
     Forward times with the profiler off vs on (default 97 Hz) in
     interleaved off-on-on-off blocks, pooled into one median per state
     (:func:`~repro.bench.runner.interleaved_ratio`): one ratio over all
-    the blocks, not the best of several, so host drift between the two
-    states cannot read as a speed-up.  Short blocks (4 timed calls) over
-    many rounds spread the host's slow spells over both states: on a
-    2-core VM with steal, 100 rounds read 0.997-1.004 in six runs, where
-    4 rounds of 10 calls read 0.996-1.023.
+    the blocks, not the best of several, so a drift of host speed that
+    is linear in time cancels out of it.  Short blocks
+    (:data:`~repro.bench.runner.BLOCK_CALLS` timed calls) over many
+    rounds spread the host's slow spells over both states: on a 2-core
+    VM with steal, 100 rounds read 0.997-1.004 in six standalone runs,
+    where 4 rounds of 10 calls read 0.996-1.023.  Inside the full
+    experiment the same host still read 0.971-0.996, so a 1% budget is
+    not resolvable there.
     """
     import repro.obs as obs
 

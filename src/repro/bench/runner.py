@@ -50,28 +50,33 @@ def time_callable(
     return float(np.median(time_samples(fn, repeats=repeats, warmup=warmup)))
 
 
+# The timed calls in one interleaved block, and the untimed calls that
+# first run the state in (its caches warm, the profiler's first tick).
+BLOCK_CALLS = 4
+BLOCK_WARMUP = 1
+
+
 def interleaved_ratio(
     fn: Callable[[], object],
     switch: Callable[[bool], None],
     *,
     rounds: int,
-    repeats: int = 4,
-    warmup: int = 1,
     timer: Callable[[], float] = time.perf_counter,
 ) -> tuple[float, float, float]:
     """``(on / off, off, on)``: the median seconds of ``fn()`` with a
     setting on over its median with the setting off.
 
     Each round runs four blocks in the order off, on, on, off; a block
-    calls ``switch(state)`` when the state changes, then *warmup*
-    untimed and *repeats* timed calls.  Samples pool across rounds into
-    one median per state.  The off and on samples sit symmetrically
-    about the same centre in time, so a drift of the host's speed that
-    is linear in time moves both medians alike and leaves the ratio at
-    the true cost.  The setting is switched off on return.
+    calls ``switch(state)`` when the state changes, then
+    :data:`BLOCK_WARMUP` untimed and :data:`BLOCK_CALLS` timed calls.
+    Samples pool across rounds into one median per state.  The off and
+    on samples sit symmetrically about the same centre in time, so a
+    drift of the host's speed that is linear in time moves both medians
+    alike and leaves the ratio at the true cost; drift of other shapes
+    is only spread over both states, not cancelled.  The setting is
+    switched off on return.
     """
     check_positive_int(rounds, "rounds")
-    check_positive_int(repeats, "repeats")
     samples: dict[bool, list[float]] = {False: [], True: []}
     state = None
     try:
@@ -80,9 +85,9 @@ def interleaved_ratio(
                 if on != state:
                     switch(on)
                     state = on
-                for _ in range(warmup):
+                for _ in range(BLOCK_WARMUP):
                     fn()
-                for _ in range(repeats):
+                for _ in range(BLOCK_CALLS):
                     t0 = timer()
                     fn()
                     samples[on].append(timer() - t0)

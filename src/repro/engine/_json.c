@@ -163,19 +163,22 @@ static int parse_number(cursor *c, double *out)
 }
 
 /* A non-empty rectangular array of numbers, '[' under the cursor, into
- * out[0..cap); its shape into shape[0..*ndim).  The count, or -1. */
+ * out[0..cap); its shape into shape[0..*ndim), *ndim <= max_dims.
+ * The count, or -1. */
 static int64_t parse_array(cursor *c, double *out, int64_t cap,
-                           int64_t *shape, int64_t *ndim)
+                           int64_t *shape, int64_t max_dims, int64_t *ndim)
 {
     int64_t counts[JSON_MAX_DIMS];
     int64_t depth = 0, dims = -1, n = 0, d;
-    for (d = 0; d < JSON_MAX_DIMS; d++)
+    if (max_dims > JSON_MAX_DIMS)
+        max_dims = JSON_MAX_DIMS;
+    for (d = 0; d < max_dims; d++)
         shape[d] = -1;
     for (;;) {
         /* a value is expected */
         skip_ws(c);
         if (peek(c) == '[') {
-            if (depth == JSON_MAX_DIMS || (dims >= 0 && depth >= dims))
+            if (depth == max_dims || (dims >= 0 && depth >= dims))
                 return -1;
             counts[depth++] = 0;
             c->p++;
@@ -217,15 +220,18 @@ static int64_t parse_array(cursor *c, double *out, int64_t cap,
 /* Find the one top-level "input" member of the JSON object in
  * buf[0..len) and parse its array value (see parse_array).
  *
- * geom receives [ndim, start, end, shape...]: the array spans
- * buf[start..end), so the caller can hand the rest to json.loads.
+ * geom[0..geom_cap) receives [ndim, start, end, shape...]: the array
+ * spans buf[start..end), so the caller can hand the rest to json.loads.
+ * Arrays of more than geom_cap - 3 (or JSON_MAX_DIMS) dims are declined.
  * Returns the number of values, or -1 to decline the body.  Any key
  * holding a backslash is declined, since it might decode to "input". */
 int64_t json_parse_input(const char *buf, int64_t len, double *out,
-                         int64_t cap, int64_t *geom)
+                         int64_t cap, int64_t *geom, int64_t geom_cap)
 {
     cursor c = {buf, buf + len};
     int64_t count = -1;
+    if (geom_cap < 4)
+        return -1;
     skip_ws(&c);
     if (peek(&c) != '{')
         return -1;
@@ -250,7 +256,7 @@ int64_t json_parse_input(const char *buf, int64_t len, double *out,
             if (count >= 0 || peek(&c) != '[')
                 return -1; /* a duplicate, or not an array */
             geom[1] = c.p - buf;
-            count = parse_array(&c, out, cap, geom + 3, geom);
+            count = parse_array(&c, out, cap, geom + 3, geom_cap - 3, geom);
             if (count < 0)
                 return -1;
             geom[2] = c.p - buf;
@@ -308,13 +314,46 @@ static inline int multiple_of_pow2(uint64_t v, uint32_t p)
     return (v & ((1ull << p) - 1)) == 0;
 }
 
-/* (m * mul) >> j for the 128-bit table entry mul, j >= 64. */
+/* (m * mul) >> j for the 128-bit table entry mul (low word first),
+ * 64 <= j < 192.  Compilers without a 128-bit integer type (or a build
+ * with -DJSON_PORTABLE_MUL) take four 32x32-bit products instead; both
+ * give the same bits. */
+#if defined(__SIZEOF_INT128__) && !defined(JSON_PORTABLE_MUL)
 static inline uint64_t mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
 {
     __uint128_t b0 = (__uint128_t)m * mul[0];
     __uint128_t b2 = (__uint128_t)m * mul[1];
     return (uint64_t)(((b0 >> 64) + b2) >> (j - 64));
 }
+#else
+/* The low 64 bits of a * b; the high 64 into *hi. */
+static inline uint64_t mul_64x64(uint64_t a, uint64_t b, uint64_t *hi)
+{
+    uint64_t a_lo = (uint32_t)a, a_hi = a >> 32;
+    uint64_t b_lo = (uint32_t)b, b_hi = b >> 32;
+    uint64_t ll = a_lo * b_lo, lh = a_lo * b_hi;
+    uint64_t hl = a_hi * b_lo, hh = a_hi * b_hi;
+    uint64_t mid = hl + (ll >> 32);             /* cannot overflow */
+    uint64_t mid2 = lh + (uint32_t)mid;         /* cannot overflow */
+    *hi = hh + (mid >> 32) + (mid2 >> 32);
+    return (mid2 << 32) | (uint32_t)ll;
+}
+
+static inline uint64_t mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
+{
+    uint64_t hi0, hi1, lo1, sum;
+    int32_t s = j - 64;
+    mul_64x64(m, mul[0], &hi0);
+    lo1 = mul_64x64(m, mul[1], &hi1);
+    sum = hi0 + lo1;                            /* bits 64..127 */
+    hi1 += sum < hi0;                           /* bits 128..191 */
+    if (s == 0)
+        return sum;
+    if (s >= 64)
+        return hi1 >> (s - 64);
+    return (hi1 << (64 - s)) | (sum >> s);
+}
+#endif
 
 /* The shortest decimal output * 10^exp that reads back as the finite,
  * nonzero double with these fields (Ryu's d2d). */

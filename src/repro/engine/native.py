@@ -121,11 +121,12 @@ class Kernel(NamedTuple):
     sum, in place.  Returns 0, or nonzero as *fold_dot*."""
 
     json_parse_input: Callable[..., int]
-    """``json_parse_input(body, len, out, cap, geom)``: parses the
-    ``"input"`` array of the JSON object *body* into at most *cap*
-    float64 values at *out*, and writes ``[ndim, start, end, shape...]``
-    (``JSON_MAX_DIMS`` = 32 shape slots) to the int64 array at *geom*.
-    Returns the value count, or -1 for a body outside the fast path."""
+    """``json_parse_input(body, len, out, cap, geom, geom_cap)``:
+    parses the ``"input"`` array of the JSON object *body* into at most
+    *cap* float64 values at *out*, and writes ``[ndim, start, end,
+    shape...]`` into the *geom_cap* int64 slots at *geom*.  Returns the
+    value count, or -1 for a body outside the fast path (which includes
+    arrays of more than ``geom_cap - 3`` or 32 dims)."""
 
     json_format_bytes: Callable[..., int]
     """``json_format_bytes(ndim, shape)``: the buffer size
@@ -221,7 +222,7 @@ def _bind(path: Path) -> Kernel:
     json_parse_input = lib.json_parse_input
     json_parse_input.argtypes = [ctypes.c_char_p, ctypes.c_int64,
                                  ctypes.c_void_p, ctypes.c_int64,
-                                 ctypes.c_void_p]
+                                 ctypes.c_void_p, ctypes.c_int64]
     json_parse_input.restype = ctypes.c_int64
     json_format_bytes = lib.json_format_bytes
     json_format_bytes.argtypes = [ctypes.c_int64, ctypes.c_void_p]

@@ -49,6 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.api.model import CompiledModel, QuantModel
+from repro.engine import native
 from repro.engine.native import status as native_status
 from repro.obs import runtime as _obs
 from repro.serve import wire
@@ -931,6 +932,9 @@ class Server:
         until interrupted.
         """
         self.start()
+        # The /predict JSON codec lives in the native library: load (or
+        # build, ~3 s cold) it now, not inside the first request.
+        native.load()
         handler = _make_handler(self)
         with self._lock:
             if self._httpd is not None:

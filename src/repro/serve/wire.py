@@ -40,7 +40,9 @@ __all__ = ["decode_generate", "decode_predict", "encode_predict"]
 _FAST_DTYPES = {
     name: np.dtype(name) for name in ("float16", "float32", "float64")
 }
-_GEOM_SLOTS = 3 + 32  # [ndim, start, end] + JSON_MAX_DIMS shape slots
+# [ndim, start, end] + shape slots; C declines deeper arrays (and any
+# over its own JSON_MAX_DIMS = 32), which then take the json path.
+_GEOM_SLOTS = 3 + 32
 
 
 def _loads(body: bytes):
@@ -72,7 +74,8 @@ def _decode_predict_native(kernel, body: bytes) -> dict | None:
     values = np.empty(cap, dtype=np.float64)
     geom = np.empty(_GEOM_SLOTS, dtype=np.int64)
     count = kernel.json_parse_input(
-        body, len(body), values.ctypes.data, cap, geom.ctypes.data
+        body, len(body), values.ctypes.data, cap, geom.ctypes.data,
+        _GEOM_SLOTS,
     )
     if count < 0:
         return None

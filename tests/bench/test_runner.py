@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.bench.runner import interleaved_ratio, time_callable
+from repro.bench.runner import (
+    BLOCK_CALLS, BLOCK_WARMUP, interleaved_ratio, time_callable,
+)
 
 
 class TestTimeCallable:
@@ -55,8 +57,7 @@ class TestInterleavedRatio:
     def test_drift_cannot_push_the_ratio_below_one(self, drift):
         host = _DriftingHost(drift)
         ratio, off, on = interleaved_ratio(
-            host.call, host.switch, rounds=3, repeats=7, warmup=2,
-            timer=host.timer,
+            host.call, host.switch, rounds=3, timer=host.timer,
         )
         assert ratio == pytest.approx(1.0, abs=1e-9)
         assert off == pytest.approx(on, rel=1e-9)
@@ -67,7 +68,7 @@ class TestInterleavedRatio:
         for on in (False, True):
             naive.switch(on)
             t0 = naive.timer()
-            for _ in range(42):
+            for _ in range(3 * 2 * (BLOCK_WARMUP + BLOCK_CALLS)):
                 naive.call()
             sequential.append(naive.timer() - t0)
         assert (sequential[1] / sequential[0] < 1.0) == (drift < 0)
@@ -76,15 +77,14 @@ class TestInterleavedRatio:
     def test_a_real_cost_reads_through_drift(self, drift):
         host = _DriftingHost(drift, tax=1.05)
         ratio, _, _ = interleaved_ratio(
-            host.call, host.switch, rounds=3, repeats=7, timer=host.timer,
+            host.call, host.switch, rounds=3, timer=host.timer,
         )
         assert ratio == pytest.approx(1.05, rel=1e-3)
 
     def test_switches_per_block_change_and_ends_off(self):
         host = _DriftingHost(0.0)
         interleaved_ratio(
-            host.call, host.switch, rounds=2, repeats=1, warmup=0,
-            timer=host.timer,
+            host.call, host.switch, rounds=2, timer=host.timer,
         )
         assert host.switches == [False, True, False, True, False, False]
-        assert host.calls == 8
+        assert host.calls == 2 * 4 * (BLOCK_WARMUP + BLOCK_CALLS)

@@ -24,7 +24,10 @@ without a C compiler has).  The Ryu power table ``_pow5.h`` is checked
 against a regeneration from Python integers.
 """
 
+import ctypes
 import json
+import shutil
+import subprocess
 from contextlib import contextmanager
 
 import numpy as np
@@ -223,6 +226,34 @@ def test_typical_body_takes_the_fast_path(dtype, monkeypatch):
     assert request["x"].tobytes() == x.tobytes()
 
 
+def test_parser_declines_arrays_deeper_than_its_shape_slots():
+    kernel = native.load()
+    if kernel is None:
+        pytest.skip("native library unavailable")
+
+    def parse(body, slots):
+        values = np.empty(8, dtype=np.float64)
+        # Sentinels past the slots the parser was given must survive.
+        geom = np.full(slots + 4, -7, dtype=np.int64)
+        count = kernel.json_parse_input(
+            body, len(body), values.ctypes.data, 8, geom.ctypes.data, slots
+        )
+        assert (geom[slots:] == -7).all()
+        return count, geom
+
+    flat, nested = b'{"input": [1, 2]}', b'{"input": [[1, 2]]}'
+    assert parse(flat, 4)[0] == 2
+    assert parse(nested, 4)[0] == -1
+    count, geom = parse(nested, 5)
+    assert (count, geom[0], geom[3], geom[4]) == (2, 2, 1, 2)
+    assert parse(flat, 3)[0] == -1
+    deep = b'{"input": ' + b"[" * 33 + b"1" + b"]" * 33 + b"}"
+    assert parse(deep, 3 + 40)[0] == -1
+    with _mode("native"):
+        got = _outcome(wire.decode_predict, deep)
+    assert got == _outcome(wire._decode_predict_json, deep)
+
+
 # ----------------------------------------------------------------------
 # Format
 # ----------------------------------------------------------------------
@@ -286,3 +317,29 @@ def test_encode_any_layout_and_other_dtypes(mode):
         for arr in cases:
             arr = np.asarray(arr)
             assert wire.encode_predict("m", arr, "r") == _reply("m", arr, "r")
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc")
+def test_portable_multiply_writes_the_same_bytes(tmp_path):
+    # Hosts without a 128-bit integer type build Ryu's multiply from
+    # 32x32-bit products; force that branch and compare with repr.
+    lib_path = tmp_path / "json_portable.so"
+    source = native.SOURCES[0].with_name("_json.c")
+    subprocess.run(
+        ["gcc", *native.CFLAGS, "-DJSON_PORTABLE_MUL", "-o", str(lib_path),
+         str(source)],
+        check=True, capture_output=True, timeout=120,
+    )
+    fmt = ctypes.CDLL(str(lib_path)).json_format
+    fmt.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+                    ctypes.c_void_p]
+    fmt.restype = ctypes.c_int64
+    raw = np.random.default_rng(3).integers(
+        0, np.iinfo(np.uint64).max, size=1 << 14, dtype=np.uint64,
+        endpoint=True,
+    )
+    arr = np.concatenate([raw.view(np.float64), np.array(SPECIALS)])
+    shape = np.array([arr.size], dtype=np.int64)
+    out = np.empty(arr.size * 32 + 2, dtype=np.uint8)
+    size = fmt(arr.ctypes.data, 1, shape.ctypes.data, out.ctypes.data)
+    assert out[:size].tobytes() == json.dumps(arr.tolist()).encode()
