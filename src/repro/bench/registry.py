@@ -1032,10 +1032,11 @@ def steady_state_experiment(quick: bool = False) -> Measurement:
 
 @gated(
     "speedup_vs_biqgemm_b1",
-    "speedup_vs_biqgemm_b2",
     "speedup_vs_best_b1",
+    "speedup_vs_gemm_b64",
     "identical_b1",
     "identical_b2",
+    "identical_b64",
 )
 def compiled_kernels_experiment(
     quick: bool = False, *, repeats: int | None = None
@@ -1056,6 +1057,12 @@ def compiled_kernels_experiment(
     batch-invariant numpy reference; ``crossover_batch`` is the
     modelled batch at which the planner would leave the LUT engine
     (0 = not up to 1024).
+
+    A second table times the encoder's served config: 3-bit, mu=8,
+    float64, m=128 by n=512, 64 columns.  ``speedup_vs_gemm_b64`` is a
+    plain ``W @ X`` p50 over the native engine's p50 (below 1: the LUT
+    kernel is slower), and ``identical_b64`` checks the native output
+    against the batch-invariant numpy reference.
     """
     from repro.core.profiling import measure_hot_loop
     from repro.engine import (
@@ -1159,7 +1166,56 @@ def compiled_kernels_experiment(
         "modelled planner crossover away from biqgemm: "
         f"batch {crossover if crossover else '> 1024'}"
     )
-    return Measurement([table], metrics)
+    return Measurement(
+        [table, _served_config_table(metrics, repeats)], metrics
+    )
+
+
+def _served_config_table(metrics: dict[str, float], repeats: int) -> Table:
+    """The encoder's served layer config, native engine vs plain GEMM;
+    adds the ``*_b64`` metrics to *metrics*."""
+    from repro.engine import EngineBuildRequest, QuantSpec, build_engine
+
+    m, n, batch = 128, 512, 64
+    spec = QuantSpec(bits=3, mu=8)
+    rng = np.random.default_rng(1)
+    w = rng.standard_normal((m, n))
+    request = EngineBuildRequest(spec=spec, weight=w)
+    compiled = build_engine("biqgemm", request)
+    reference = BiQGemm.from_bcq(request.get_bcq(), mu=8)
+    reference.batch_invariant = True
+    x = rng.standard_normal((n, batch))
+    identical = compiled.matmul(x).tobytes() == reference.matmul(x).tobytes()
+    # Interleaved, so a drift of the host's speed moves both p50s alike.
+    state = {"native": False}
+
+    def call():
+        return compiled.matmul(x) if state["native"] else w @ x
+
+    _, g50, n50 = interleaved_ratio(
+        call, lambda native: state.update(native=native), rounds=repeats
+    )
+    metrics.update({
+        f"compiled_p50_b{batch}_us": n50 * 1e6,
+        f"gemm_p50_b{batch}_us": g50 * 1e6,
+        f"speedup_vs_gemm_b{batch}": g50 / n50,
+        f"identical_b{batch}": float(identical),
+    })
+    table = Table(
+        "Compiled kernels at the encoder's served config: 3-bit mu=8, "
+        "float64, 64 columns (measured p50 on this host)",
+        ["m x n", "batch", "native p50 us", "W @ X p50 us", "vs gemm",
+         "identical"],
+        notes=[
+            "vs gemm = plain W @ X p50 / native p50; below 1 the LUT "
+            "kernel loses to the GEMM",
+        ],
+    )
+    table.add_row(
+        f"{m}x{n}", batch, n50 * 1e6, g50 * 1e6, g50 / n50,
+        "ok" if identical else "MISMATCH",
+    )
+    return table
 
 
 def serve_experiment(

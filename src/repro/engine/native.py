@@ -64,8 +64,11 @@ CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 and the attention folds' ``acc + a * b`` a separate multiply and add
 (no fused multiply-add), as numpy computes them;
 ``-ffast-math``/``-Ofast`` would reassociate the folds and are
-never used.  No ``-march=native``: it measured no gain at batch 1 and
-the cached library stays portable across hosts of one architecture."""
+never used.  No ``-march``: on x86-64 the LUT kernel's wider tiles
+carry ``target_clones`` for x86-64-v3 (AVX2) and the baseline ISA, and
+an ifunc picks one when the library loads, so one cached build serves
+every x86-64 host with the same bits (``_lutq.c``'s header).  An
+AVX-512 clone measured slower than the AVX2 one and is not built."""
 
 DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 """Activation dtypes the LUT kernel computes in (other dtypes fall

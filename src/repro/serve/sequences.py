@@ -46,7 +46,12 @@ from repro.obs import runtime as _obs
 from repro.serve.batcher import Batcher, BatcherClosed, QueueFullError
 from repro.serve.telemetry import GenTelemetry
 
-__all__ = ["GenerationStream", "SequenceScheduler"]
+__all__ = ["GenerationStream", "MAX_SEQUENCE_TOKENS", "SequenceScheduler"]
+
+MAX_SEQUENCE_TOKENS = 1 << 17
+"""Most positions one sequence may hold, prompt plus generated tokens.
+A stream reserves its KV cache for all of them when it is admitted, so
+a longer request is refused with a ``ValueError`` (HTTP 400)."""
 
 
 class GenerationStream:
@@ -304,8 +309,10 @@ class SequenceScheduler:
         """Admit one sequence; returns its token stream.
 
         Raises :class:`~repro.serve.batcher.QueueFullError` when
-        ``max_sequences`` streams are already live (backpressure) and
-        ``RuntimeError`` when the scheduler is stopped.  Sampling
+        ``max_sequences`` streams are already live (backpressure),
+        ``ValueError`` when the prompt plus ``max_new_tokens`` exceeds
+        :data:`MAX_SEQUENCE_TOKENS`, and ``RuntimeError`` when the
+        scheduler is stopped.  Sampling
         controls mirror :meth:`repro.api.CompiledModel.generate`.
         """
         from repro.gen.sampler import Sampler
@@ -325,6 +332,13 @@ class SequenceScheduler:
             raise ValueError(
                 f"prompt must be (prompt_len,) or (1, prompt_len) token "
                 f"ids, got shape {np.asarray(prompt).shape}"
+            )
+        if ids.shape[1] + max_new_tokens > MAX_SEQUENCE_TOKENS:
+            raise ValueError(
+                f"max_new_tokens must be at most "
+                f"{MAX_SEQUENCE_TOKENS - ids.shape[1]} for a "
+                f"{ids.shape[1]}-token prompt (a sequence holds at most "
+                f"{MAX_SEQUENCE_TOKENS} tokens), got {max_new_tokens}"
             )
         sampler = Sampler(temperature=temperature, top_k=top_k, seed=seed)
         with self._lock:

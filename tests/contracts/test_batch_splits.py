@@ -8,7 +8,9 @@ cutting the columns into contiguous slices at generated points gives,
 slice by slice, the bits of the whole batch, and a 1-D vector gives the
 bits of its column.  A compiled model planned at ``batch_hint=64``
 (which puts layers on both engines) then answers each row of a batch
-as it answers that row alone.
+as it answers that row alone.  The native kernel cuts a batch into full
+column chunks and a tail of power-of-two widths, so every batch from 1
+to 70 is also checked against the columns run one at a time.
 """
 
 import numpy as np
@@ -73,3 +75,21 @@ def test_compiled_model_rows_match_alone():
     full = compiled(x)
     for i in range(len(x)):
         assert _bits(compiled(x[i : i + 1])[0]) == _bits(full[i]), i
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_every_batch_width_matches_its_columns(dtype):
+    # m = 37 leaves a partial row block; n = 300 spans several L1
+    # sub-tiles of the float64 chunks.
+    rng = np.random.default_rng(7)
+    engine = build_engine(
+        "biqgemm",
+        EngineBuildRequest(
+            spec=QuantSpec(bits=3, mu=8), weight=rng.standard_normal((37, 300))
+        ),
+    )
+    x = rng.standard_normal((300, 70)).astype(dtype)
+    columns = np.stack([engine.matmul(x[:, j]) for j in range(70)], axis=1)
+    for batch in range(1, 71):
+        got = engine.matmul(x[:, :batch])
+        assert _bits(got) == _bits(columns[:, :batch]), batch

@@ -6,8 +6,10 @@ inner batch-invariant :class:`~repro.core.kernel.BiQGemm` followed by
 the plain bias + activation epilogue, bit for bit, over generated
 shapes, bit widths, LUT units, batches, dtypes, memory layouts and
 non-finite inputs -- and when threads share one engine.  Batches run
-to 150, across the kernel's column-chunk edges (32 float and 4 double
+to 150, across the kernel's column-chunk edges (8 float and 4 double
 columns) and past 64, the batch cap of the earlier per-batch traces.
+A second build of the kernel without its x86-64-v3 clones (what a host
+without AVX2 runs) gives the loaded build's bits.
 
 "Bit for bit" compares the raw bits of every element, signed zeros
 included, with one exception: where the reference holds a NaN, the
@@ -16,14 +18,19 @@ IEEE 754 leaves those unspecified for arithmetic results, and both
 numpy's loops and a C compiler may commute the operands of an add.
 """
 
+import ctypes
+import shutil
+import subprocess
 import sys
 import threading
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.kernel import BiQGemm
+from repro.core.tiling import choose_tiles
 from repro.core.keys import KeyMatrix
 from repro.engine import native
 from repro.engine.compiled import CompiledKernelEngine
@@ -34,7 +41,8 @@ LAYOUTS = ("contiguous", "row-strided", "col-strided", "fortran",
 SPECIALS = (np.nan, np.inf, -np.inf, -0.0)
 BATCHES = st.one_of(
     st.integers(1, 150),
-    st.sampled_from((1, 2, 3, 4, 5, 31, 32, 33, 63, 64, 65, 96, 150)),
+    st.sampled_from((1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 63, 64, 65, 96,
+                     150)),
 )
 
 
@@ -211,3 +219,79 @@ def test_threads_sharing_one_engine(m, n, bits, mu, batches, seed):
             _assert_same_bits(y, want)
     for dt in (np.float32, np.float64):
         _assert_native_served(engine, np.dtype(dt))
+
+
+@pytest.fixture(scope="module")
+def portable_run(tmp_path_factory):
+    """``lutq_run`` of ``_lutq.c`` built with ``-DLUTQ_NO_CLONES``: the
+    baseline-ISA code alone, which a host without AVX2 also runs."""
+    if shutil.which("gcc") is None or native.load() is None:
+        pytest.skip("needs gcc and the native library")
+    lib_path = tmp_path_factory.mktemp("lutq") / "lutq_portable.so"
+    subprocess.run(
+        ["gcc", *native.CFLAGS, "-DLUTQ_NO_CLONES", "-o", str(lib_path),
+         str(native.SOURCES[0])],
+        check=True, capture_output=True, timeout=120,
+    )
+    lib = ctypes.CDLL(str(lib_path))
+    lib.lutq_run.argtypes = native.load().run.argtypes
+    lib.lutq_run.restype = ctypes.c_int
+    lib.lutq_scratch_bytes.argtypes = [ctypes.POINTER(native.Plan)]
+    lib.lutq_scratch_bytes.restype = ctypes.c_int64
+    return lib
+
+
+def _run(run, scratch_bytes, plan, x, dtype):
+    ref = ctypes.byref(plan)
+    scratch = np.empty(scratch_bytes(ref) // 8 + 1)
+    y = np.full((plan.m, x.shape[1]), np.nan, dtype)
+    rc = run(ref, x.shape[1], scratch.ctypes.data, x.ctypes.data,
+             *x.strides, y.ctypes.data)
+    assert rc == 0
+    return y
+
+
+@given(
+    m=st.integers(1, 70),
+    n=st.integers(1, 400),
+    bits=st.integers(1, 4),
+    mu=st.sampled_from((3, 5, 8, 9, 10)),
+    batch=st.integers(1, 70),
+    dtype=st.sampled_from((np.float32, np.float64)),
+    split_tiles=st.booleans(),
+    strided=st.booleans(),
+    bias=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_portable_build_gives_the_same_bits(
+    portable_run, m, n, bits, mu, batch, dtype, split_tiles, strided, bias,
+    seed,
+):
+    # mu 9-10 store uint16 keys and sub-tile a float64 chunk two or four
+    # groups at a time; split_tiles cuts the groups into several tiles.
+    rng = np.random.default_rng(seed)
+    groups = -(-n // mu)
+    keys = rng.integers(0, 1 << mu, size=(bits, m, groups)).astype(
+        np.uint8 if mu <= 8 else np.uint16
+    )
+    alphas = rng.uniform(0.05, 2.0, size=(bits, m)).astype(dtype)
+    bias_vec = rng.standard_normal(m).astype(dtype) if bias else None
+    tile_g = choose_tiles(m, groups, mu, 32,
+                          itemsize=np.dtype(dtype).itemsize).tile_g
+    if split_tiles:
+        tile_g = int(rng.integers(1, groups + 1))
+    plan = native.Plan(
+        m=m, n=n, groups=groups, tile_g=tile_g, mu=mu, bits=bits,
+        fp64=int(dtype == np.float64), key_bytes=keys.itemsize,
+        keys=keys.ctypes.data, alphas=alphas.ctypes.data,
+        bias=None if bias_vec is None else bias_vec.ctypes.data,
+    )
+    x = rng.standard_normal((n, batch)).astype(dtype)
+    if strided:
+        x = _layout(x, "col-strided")
+    kernel = native.load()
+    want = _run(kernel.run, kernel.scratch_bytes, plan, x, dtype)
+    got = _run(portable_run.lutq_run, portable_run.lutq_scratch_bytes, plan,
+               x, dtype)
+    assert got.tobytes() == want.tobytes()

@@ -17,6 +17,7 @@ from repro.api import QuantConfig, QuantMLP, quantize
 from repro.engine import native
 from repro.nn.linear import Linear
 from repro.serve import ServeConfig, Server
+from repro.serve.sequences import MAX_SEQUENCE_TOKENS
 
 
 def _mlp(seed=0, dims=(6, 10, 4)):
@@ -296,6 +297,16 @@ class TestMalformedBodies:
         status, data = _raw_post(mixed_server, path, body)
         assert status == 400, data
         assert json.loads(data)["error"]
+
+    @pytest.mark.parametrize("max_new", [1 << 40, MAX_SEQUENCE_TOKENS - 2])
+    def test_too_long_a_sequence_gets_a_400(self, mixed_server, max_new):
+        # Admission reserves the KV cache for prompt + max_new_tokens
+        # positions: 2^40 used to be a 500 (MemoryError).
+        body = json.dumps({"model": "lm", "prompt": [1, 2, 3],
+                           "max_new_tokens": max_new}).encode()
+        status, data = _raw_post(mixed_server, "/generate", body)
+        assert status == 400, data
+        assert "max_new_tokens" in json.loads(data)["error"]
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
