@@ -2,39 +2,21 @@
 
 Records (a) the batch size at which the cost-model planner switches a
 layer from BiQGEMM to dense BLAS -- the crossover the paper's Fig. 10
-plots -- and (b) what planning costs with a cold vs. warm plan cache,
-the number a serving loop pays per call.  The rendered `dispatch`
+plots -- and (b) what one plan costs, the price each ``"auto"`` layer
+pays once, at construction or compile.  The rendered `dispatch`
 experiment table is written to ``benchmarks/out/dispatch.txt``.
 """
 
 import pytest
 
 from benchmarks.conftest import write_artifact
-from repro.engine import (
-    QuantSpec,
-    clear_plan_cache,
-    crossover_batch,
-    plan_backend,
-)
+from repro.engine import QuantSpec, crossover_batch, plan_backend
 from repro.bench.registry import run_experiment
 
 
-def test_plan_cold(benchmark):
-    """Cost-model ranking with an empty plan cache (first call)."""
+def test_plan(benchmark):
+    """One cost-model ranking: what each auto layer pays once."""
     spec = QuantSpec(bits=3, backend="auto", machine="pc")
-
-    def plan_uncached():
-        clear_plan_cache()
-        return plan_backend(1024, 1024, spec=spec, batch_hint=32)
-
-    assert benchmark(plan_uncached) in ("biqgemm", "dense")
-
-
-def test_plan_cached(benchmark):
-    """The steady-state serving path: one dict lookup per call."""
-    spec = QuantSpec(bits=3, backend="auto", machine="pc")
-    clear_plan_cache()
-    plan_backend(1024, 1024, spec=spec, batch_hint=32)  # warm the cache
     assert benchmark(
         lambda: plan_backend(1024, 1024, spec=spec, batch_hint=32)
     ) in ("biqgemm", "dense")
@@ -49,7 +31,6 @@ def test_crossover_batches_recorded(benchmark):
     """
 
     def sweep():
-        clear_plan_cache()
         out = {}
         for mkey in ("pc", "mobile"):
             for bits in (1, 2, 3):

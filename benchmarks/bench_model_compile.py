@@ -2,8 +2,7 @@
 
 Times the three phases of the :mod:`repro.api` deployment flow on a
 scaled-down Transformer encoder -- the offline quantize step, the
-one-pass compile (planning all layers through the shared plan cache),
-and warmed-up serving -- plus the v3 whole-model artifact round trip.
+one-pass compile (planning every layer once), and warmed-up serving -- plus the v3 whole-model artifact round trip.
 The rendered `model_compile` experiment table is written to
 ``benchmarks/out/model_compile.txt``.
 """
@@ -14,7 +13,6 @@ import pytest
 from benchmarks.conftest import write_artifact
 from repro.api import QuantConfig, load, quantize, save
 from repro.bench.registry import run_experiment
-from repro.engine import clear_plan_cache
 from repro.nn.model_zoo import build_encoder
 
 CONFIG = QuantConfig(bits=3, mu=8, overrides={"ffn.*": {"bits": 2}})
@@ -30,15 +28,10 @@ def test_quantize_model(benchmark):
     assert len(qm.named_layers()) == 12
 
 
-def test_compile_cold_cache(benchmark):
-    """One planning pass over all layers, empty plan cache."""
+def test_compile(benchmark):
+    """One planning pass over all layers."""
     qm = quantize(_encoder(), CONFIG)
-
-    def compile_cold():
-        clear_plan_cache()
-        return qm.compile(batch_hint=1)
-
-    compiled = benchmark(compile_cold)
+    compiled = benchmark(lambda: qm.compile(batch_hint=1))
     assert set(compiled.plans.values()) <= {"biqgemm", "dense"}
 
 

@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.api import QuantConfig, load, quantize, save
-from repro.engine import plan_cache_stats
 from repro.nn import build_encoder
 
 
@@ -39,11 +38,7 @@ def main() -> None:
     # What did the one-pass planner decide, and what did it cost?
     report = compiled.cost_report()
     print(report)
-    stats = plan_cache_stats()
-    print(
-        f"\nplan cache: {stats['misses']} distinct shapes priced, "
-        f"{stats['hits']} layers served from cache\n"
-    )
+    print(f"\nlayers per engine: {report.by_backend()}\n")
 
     # Deployment hop: the artifact carries compiled engine state (keys,
     # scales, plans, config) -- never float weights.

@@ -108,7 +108,7 @@ def main() -> None:
 
     print("\nmetrics (prometheus exposition, excerpt):")
     for line in prometheus.splitlines():
-        if line.startswith(("repro_serve_", "repro_plan_cache_")):
+        if line.startswith(("repro_serve_", "repro_engine_builds_")):
             print(f"  {line}")
 
     # Exemplars: latency buckets annotated with the trace id of a

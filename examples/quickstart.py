@@ -7,9 +7,10 @@ Runs in a few seconds::
 Walks the full pipeline of the paper: binary-coding quantization
 (Eq. 1-2), offline key compilation (Fig. 5), LUT build + query
 (Algorithms 1-2), compares accuracy and weight footprint against the
-float baseline, and finishes with cost-model auto-dispatch: the same
-layer served by BiQGEMM at decode batch and by dense BLAS at scoring
-batch (paper Fig. 10's crossover).
+float baseline, and finishes with the cost-model planner: BiQGEMM wins
+at decode batch and dense BLAS at scoring batch (paper Fig. 10's
+crossover), and ``compile(batch_hint=b)`` pins each layer to the winner
+at its serving batch.
 """
 
 import numpy as np
@@ -58,19 +59,24 @@ def main() -> None:
         f"{np.abs(dense_eq2 - lut_out).max():.2e} (exact up to fp rounding)"
     )
 
-    # backend="auto": the cost-model planner picks the engine per batch
-    # (the paper's Section V: BiQGEMM at small batch, BLAS at large).
-    from repro.nn import QuantLinear, QuantSpec
+    # The cost-model planner ranks the engines per batch (the paper's
+    # Section V: BiQGEMM at small batch, BLAS at large).  A model plans
+    # once, at its serving batch: compile(batch_hint=b) pins every
+    # layer to the winner there, and that engine serves every batch.
+    from repro.api import QuantConfig, quantize
+    from repro.nn import Linear
 
-    layer = QuantLinear(weights, spec=QuantSpec(bits=3, backend="auto"))
-    print("\nauto dispatch on the 'pc' machine model:")
+    model = quantize([Linear(weights)], QuantConfig(bits=3))
+    print("\nplanner on the 'pc' machine model:")
     for b in (1, 8, 256):
         plan = dispatch((m, n), bits=3, batch_hint=b, machine="pc")
-        assert plan == layer.planned_backend(batch=b)
-        print(f"  batch {b:>4}: planner picks {plan!r}")
-    out = layer(rng.standard_normal((1, n)))  # a decode step on BiQGEMM
-    print(f"  decode-step output shape {out.shape}, "
-          f"compiled engines: {layer.compiled_backends}")
+        compiled = model.compile(batch_hint=b)
+        assert compiled.plans == {"0": plan}, compiled.plans
+        print(f"  batch {b:>4}: planner picks {plan!r}; "
+              f"compile(batch_hint={b}) pins it")
+    (_, layer), = compiled.named_layers()
+    out = layer(rng.standard_normal((1, n)))  # one row, same engine
+    print(f"  one-row output shape {out.shape} on {layer.planned_backend()!r}")
 
 
 if __name__ == "__main__":

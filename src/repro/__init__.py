@@ -21,8 +21,8 @@ Public API overview
 ``repro.engine``
     The unified engine registry (the serving backends ``biqgemm``,
     ``dense`` and ``int8`` behind one protocol) and the
-    cost-model dispatch planner that resolves ``backend="auto"`` per
-    shape, batch and machine.
+    cost-model dispatch planner that resolves ``backend="auto"`` once
+    per layer from its shape, batch hint and machine.
 ``repro.hw``
     Simulated hardware substrate: the paper's Table III machine
     configurations, a roofline cost model, the Table II memory model and

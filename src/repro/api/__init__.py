@@ -18,8 +18,8 @@ the small-batch regime.  This package is that pipeline as four verbs::
 - :func:`quantize` -- walk any :mod:`repro.nn` model (or layer list, or
   trained MLP) and quantize every projection under its per-layer spec;
 - :meth:`QuantModel.compile` -- one planning pass over all layers
-  through the shared :mod:`repro.engine.dispatch` plan cache, pinning
-  each layer to its planned backend;
+  through the :mod:`repro.engine.dispatch` planner, pinning each layer
+  to its planned backend;
 - :class:`CompiledModel` -- callable serving handle with ``warmup()``,
   ``cost_report()`` and ``save()``;
 - :func:`save` / :func:`load` -- the v3 whole-model artifact (manifest

@@ -41,10 +41,11 @@ SPEC_FIELDS: tuple[str, ...] = tuple(
 """The per-layer knobs a config (and its overrides) can set."""
 
 # Spec fields that saved artifacts may still carry but QuantSpec no
-# longer has.  ``a_bits`` configured the removed ``xnor`` engine; every
-# v3 artifact saved before its removal records it in the config and in
-# each layer spec.
-_LEGACY_SPEC_FIELDS = frozenset({"a_bits"})
+# longer has.  ``a_bits`` configured the removed ``xnor`` engine, and
+# ``planner`` chose between the cost model and the removed host
+# micro-benchmark ranking; v3 artifacts saved before their removal
+# record them in the config and in each layer spec.
+_LEGACY_SPEC_FIELDS = frozenset({"a_bits", "planner"})
 
 
 def upgrade_legacy_spec(data: Mapping[str, Any]) -> dict[str, Any]:
@@ -126,7 +127,6 @@ class QuantConfig:
     backend: str = "auto"
     machine: str = "pc"
     batch_hint: int | None = None
-    planner: str = "model"
     fuse: str | None = None
     overrides: dict[str, dict[str, Any]] = field(default_factory=dict)
 
@@ -153,7 +153,6 @@ class QuantConfig:
             backend=self.backend,
             machine=self.machine,
             batch_hint=self.batch_hint,
-            planner=self.planner,
             fuse=self.fuse,
         )
 

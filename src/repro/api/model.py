@@ -15,8 +15,8 @@ the numpy :class:`~repro.train.mlp.MLPClassifier`):
     The quantized-but-unplanned model: named layers, shapes, callable.
 :meth:`QuantModel.compile`
     One planning pass over all layers through
-    :func:`repro.api.planner.plan_layers` (shared plan cache), pinning
-    each layer to its planned backend.
+    :func:`repro.api.planner.plan_layers`, pinning each layer to its
+    planned backend.
 :class:`CompiledModel`
     The servable result: callable inference, ``warmup()``,
     ``cost_report()``, ``save()`` to the v3 whole-model artifact.
@@ -414,27 +414,22 @@ class QuantModel:
         return sum(layer.weight_nbytes for _, layer in self._layers)
 
     def __call__(self, *args, **kwargs):
-        """Run the underlying model (per-call auto-dispatch until
-        compiled)."""
+        """Run the underlying model (each ``"auto"`` layer on the engine
+        planned at its spec's batch hint until compiled)."""
         return self.model(*args, **kwargs)
 
     def compile(
         self,
         *,
         batch_hint: int | None = None,
-        planner: str | None = None,
         machine: str | None = None,
     ) -> "CompiledModel":
         """Plan every layer in one pass and pin the choices.
 
         ``batch_hint`` is the expected serving batch (defaults to the
-        config's hint, else 1); ``planner="autotune"`` ranks candidates
-        by host micro-benchmark instead of the cost model; *machine*
-        re-prices on another Table III config.  All plans go through the
-        shared plan cache -- a deep stack prices each distinct shape
-        once -- and each layer is pinned to its planned backend, so the
-        compiled model keeps serving it even if the plan cache is
-        cleared afterwards.
+        config's hint, else 1); *machine* re-prices on another Table III
+        config.  Each layer is pinned to its planned backend and serves
+        every batch on it.
 
         Compiling again re-pins the shared layers; any previously
         returned :class:`CompiledModel` is superseded and refuses to
@@ -463,7 +458,6 @@ class QuantModel:
             self.gemm_shapes(),
             self.config,
             batch_hint=hint,
-            planner=planner,
             machine=machine,
             fusions=_fusion_sites(self.model, self._layers),
         )
@@ -473,9 +467,10 @@ class QuantModel:
             )
         if _obs.DRIFT:
             # Drift telemetry: park each pinned plan's predicted cost on
-            # the key serving measurements will land on.  plan_backend
-            # already records all candidates on plan-cache misses; this
-            # covers plans resolved from warm cache lines.
+            # the key serving measurements will land on.  This is the
+            # one place predictions are recorded; it covers every pinned
+            # layer, auto or concrete, and the drift report backfills
+            # the candidates that were not chosen.
             from repro.obs.drift import record_prediction
 
             bucket = batch_bucket(hint)

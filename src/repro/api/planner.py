@@ -4,9 +4,7 @@ Both :meth:`repro.api.QuantModel.compile` and
 :func:`repro.nn.model_zoo.model_backend_plan` route through
 :func:`plan_layers`, so there is exactly one place where per-layer
 specs meet the :mod:`repro.engine.dispatch` planner -- cost-model fixes
-and cache behaviour apply everywhere at once.  Plans come from the
-process-wide plan cache: a BERT-large pass prices each *distinct*
-``(m, n, spec, batch)`` once and every deeper layer is a dict hit.
+apply everywhere at once.
 """
 
 from __future__ import annotations
@@ -44,25 +42,11 @@ class LayerPlan:
     spec: QuantSpec
 
 
-def _effective_spec(
-    spec: QuantSpec,
-    *,
-    planner: str | None,
-    machine: str | None,
-) -> QuantSpec:
-    if planner is not None:
-        spec = replace(spec, planner=planner)
-    if machine is not None:
-        spec = replace(spec, machine=machine)
-    return spec
-
-
 def plan_layers(
     shapes: Iterable[tuple[str, int, int]],
     config: QuantConfig,
     *,
     batch_hint: int = 1,
-    planner: str | None = None,
     machine: str | None = None,
     fusions: Mapping[str, str] | None = None,
 ) -> list[LayerPlan]:
@@ -71,8 +55,7 @@ def plan_layers(
     Per-layer specs come from :meth:`QuantConfig.spec_for` (globs
     applied), concrete backends pass through, and ``"auto"`` resolves
     via :func:`repro.engine.dispatch.plan_backend` at *batch_hint*.
-    *planner* / *machine* override the config for this pass only (the
-    ``CompiledModel.compile(planner="autotune")`` path).
+    *machine* overrides the config's for this pass only.
 
     *fusions* maps layer names to the activation that follows them in
     the model graph (:meth:`QuantModel.compile`'s fusion planning pass);
@@ -83,9 +66,9 @@ def plan_layers(
     fusions = fusions or {}
     plans: list[LayerPlan] = []
     for name, m, n in shapes:
-        spec = _effective_spec(
-            config.spec_for(name), planner=planner, machine=machine
-        )
+        spec = config.spec_for(name)
+        if machine is not None:
+            spec = replace(spec, machine=machine)
         if spec.backend == AUTO_BACKEND:
             backend = plan_backend(m, n, spec=spec, batch_hint=batch_hint)
             act = fusions.get(name)

@@ -743,9 +743,8 @@ def model_compile_experiment(quick: bool = False) -> list[Table]:
     Exercises the whole :mod:`repro.api` pipeline on scaled-down
     Section II-C encoders: one mixed-bit-width config (3-bit attention,
     2-bit feed-forward via a glob override), a one-pass compile at the
-    decode and scoring batch hints, the per-model cost report, the plan
-    cache's shape-sharing across a deep stack, and a v3 whole-model
-    artifact round trip with byte-identical outputs.
+    decode and scoring batch hints, the per-model cost report, and a v3
+    whole-model artifact round trip with byte-identical outputs.
     """
     import tempfile
     from pathlib import Path
@@ -753,20 +752,17 @@ def model_compile_experiment(quick: bool = False) -> list[Table]:
     import numpy as np
 
     from repro.api import QuantConfig, load, quantize, save
-    from repro.engine import clear_plan_cache, plan_cache_stats
     from repro.nn.model_zoo import build_encoder
 
     table = Table(
         "Model compile: one-pass planning + v3 artifact round trip "
         "(3-bit, ffn.* overridden to 2-bit, mu=8)",
         ["model", "scale", "b hint", "gemms", "biqgemm", "dense",
-         "pred s/pass", "cache hit %", "artifact KB", "roundtrip"],
+         "pred s/pass", "artifact KB", "roundtrip"],
         notes=[
             "shape to check: attention projections on BiQGEMM at decode "
             "batch, feed-forward shapes migrate to dense as the batch "
             "hint grows (paper Fig. 10 applied per layer)",
-            "cache hit % counts plan-cache hits during compile: deep "
-            "stacks price each distinct shape once",
             "roundtrip = save -> load in-process, outputs byte-identical",
         ],
     )
@@ -779,16 +775,12 @@ def model_compile_experiment(quick: bool = False) -> list[Table]:
     rng = np.random.default_rng(0)
     for key, scale, layers in settings:
         for batch_hint in (1, 128):
-            clear_plan_cache()
             encoder = build_encoder(key, scale=scale, layers=layers, seed=0)
             compiled = quantize(encoder, config).compile(
                 batch_hint=batch_hint
             )
             report = compiled.cost_report()
             counts = report.by_backend()
-            stats = plan_cache_stats()
-            planned = stats["hits"] + stats["misses"]
-            hit_pct = 100.0 * stats["hits"] / planned if planned else 0.0
             x = rng.standard_normal((1, 3, compiled.model.config.dim))
             expected = compiled(x)
             with tempfile.TemporaryDirectory() as tmp:
@@ -804,7 +796,6 @@ def model_compile_experiment(quick: bool = False) -> list[Table]:
                 counts.get("biqgemm", 0),
                 counts.get("dense", 0),
                 report.total_seconds,
-                hit_pct,
                 nbytes / 1024,
                 "ok" if roundtrip else "MISMATCH",
             )
@@ -1233,7 +1224,7 @@ def serve_experiment(
     zoo transformer encoder, compiled at the decode hint, to the same
     concurrent client load twice through :class:`repro.serve.Server`:
     batcher off (``max_batch=1``, every request executes alone) and on
-    (coalescing toward the plan-cache buckets).  Every output is
+    (coalescing toward the power-of-two buckets).  Every output is
     checked bit-identical to unbatched execution.  The metrics --
     ``<mode>_req_per_s``, ``<mode>_mean_batch`` and ``<mode>_failed``
     (errors plus mismatches) per mode, and ``speedup_batcher`` -- carry

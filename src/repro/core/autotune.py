@@ -1,4 +1,4 @@
-"""Empirical tuning: LUT-unit selection and backend micro-benchmarks.
+"""Empirical tuning: LUT-unit selection.
 
 LUT-unit (paper Section IV-A): ``mu`` trades table count against table
 size -- larger ``mu`` replaces more arithmetic per lookup but grows each
@@ -9,12 +9,6 @@ reports that ``mu = 8`` is "close to the value optimized in theory"
 across its matrix sizes, and that hardware (SRAM) limits the practical
 maximum.  :func:`empirical_mu` re-derives the choice by timing the real
 kernel.
-
-:func:`empirical_backend` applies the same verify-empirically loop one
-level up: it times every candidate engine of the :mod:`repro.engine`
-registry on synthetic data of the target shape and returns the fastest.
-It is the ``planner="autotune"`` fallback of the dispatch planner, for
-hosts that match none of the modelled Table III machines.
 """
 
 from __future__ import annotations
@@ -30,7 +24,6 @@ from repro.core.keys import MAX_MU
 __all__ = [
     "analytic_mu",
     "analytic_cost_ratio",
-    "empirical_backend",
     "empirical_mu",
 ]
 
@@ -102,56 +95,3 @@ def empirical_mu(
     best = min(timings, key=timings.__getitem__)
     return best, timings
 
-
-def empirical_backend(
-    m: int,
-    n: int,
-    batch: int,
-    *,
-    bits: int = 3,
-    mu: int = 8,
-    candidates: Sequence[str] | None = None,
-    repeats: int = 3,
-    seed: int = 0,
-) -> tuple[str, dict[str, float]]:
-    """Micro-benchmark registered engines and return the fastest.
-
-    Builds each candidate (default: the registry's lossless engines)
-    from one shared synthetic quantization of the target shape, times
-    ``matmul`` on synthetic activations, and returns
-    ``(best_backend, {backend: median_seconds})``.  Compile time is
-    excluded -- engines are compiled once offline in deployment.  Uses
-    a fixed seed so results are reproducible on a given host.
-    """
-    check_positive_int(m, "m")
-    check_positive_int(n, "n")
-    check_positive_int(batch, "batch")
-    check_positive_int(repeats, "repeats")
-    from repro.engine import (
-        EngineBuildRequest,
-        QuantSpec,
-        build_engine,
-        lossless_engines,
-    )
-
-    names = tuple(candidates) if candidates is not None else lossless_engines()
-    if not names:
-        raise ValueError("candidates must be non-empty")
-    rng = np.random.default_rng(seed)
-    spec = QuantSpec(bits=bits, mu=mu)
-    request = EngineBuildRequest(
-        spec=spec, weight=rng.standard_normal((m, n))
-    )
-    x = rng.standard_normal((n, batch)).astype(np.float32)
-    timings: dict[str, float] = {}
-    for name in names:
-        engine = build_engine(name, request)
-        engine.matmul(x)  # warm-up
-        samples = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            engine.matmul(x)
-            samples.append(time.perf_counter() - t0)
-        timings[name] = float(np.median(samples))
-    best = min(timings, key=timings.__getitem__)
-    return best, timings

@@ -3,9 +3,10 @@
 The platform layer between the kernels (:mod:`repro.core`,
 :mod:`repro.gemm`) and the model substrate (:mod:`repro.nn`): every
 matmul backend registers here behind one protocol, and the planner
-resolves ``backend="auto"`` per shape/batch/machine with the roofline
-cost model -- realising the paper's Section V observation that the
-best kernel is situational (BiQGEMM at small batch, BLAS at large).
+resolves ``backend="auto"`` once per layer, from its shape, batch hint
+and machine, with the roofline cost model -- realising the paper's
+Section V observation that the best kernel is situational (BiQGEMM at
+small batch, BLAS at large).
 Only serving engines are registered; the paper's sGEMM,
 unpack-then-GEMM and XNOR kernels stay in :mod:`repro.gemm` as
 paper-bench baselines.
@@ -20,8 +21,8 @@ paper-bench baselines.
   fallback and reference);
 - :mod:`repro.engine.adapters` -- registrations for ``dense`` and
   ``int8``;
-- :mod:`repro.engine.dispatch` -- the planner, its plan cache, and
-  the Fig. 10 crossover probe.
+- :mod:`repro.engine.dispatch` -- the planner and the Fig. 10
+  crossover probe.
 
 >>> import numpy as np
 >>> from repro.engine import QuantSpec, dispatch
@@ -45,19 +46,15 @@ from repro.engine.registry import (
     lossless_engines,
     register_engine,
     registered_engines,
-    spec_candidates,
-    weight_required,
 )
 from repro.engine import adapters as _adapters  # populate the registry
 from repro.engine import compiled as _compiled  # the LUT engine
 from repro.engine.dispatch import (
     batch_bucket,
     batch_buckets,
-    clear_plan_cache,
     crossover_batch,
     dispatch,
     plan_backend,
-    plan_cache_stats,
     plan_costs,
     resolve_backend,
     validate_spec,
@@ -76,18 +73,14 @@ __all__ = [
     "batch_bucket",
     "batch_buckets",
     "build_engine",
-    "clear_plan_cache",
     "crossover_batch",
     "dispatch",
     "engine_entry",
     "lossless_engines",
     "plan_backend",
-    "plan_cache_stats",
     "plan_costs",
     "register_engine",
     "registered_engines",
     "resolve_backend",
-    "spec_candidates",
     "validate_spec",
-    "weight_required",
 ]

@@ -105,19 +105,14 @@ class QuantSpec:
         Engine selection: any name registered in
         :mod:`repro.engine.registry` (``"biqgemm"``, ``"dense"``,
         ``"int8"``), or ``"auto"`` to let the cost-model planner choose
-        per shape/batch/machine.
+        from the shape, ``batch_hint`` and machine.
     machine:
         :data:`~repro.hw.machine.MACHINES` key the ``"auto"`` planner
         prices candidates on (ignored for concrete backends).
     batch_hint:
-        Expected serving batch for ``"auto"`` planning.  ``None`` (the
-        default) re-plans per call from the observed batch, so one layer
-        can serve both the GEMV decode regime and large-batch scoring
-        with the engine that wins each; an int pins the plan.
-    planner:
-        ``"model"`` prices candidates with the roofline cost model;
-        ``"autotune"`` micro-benchmarks them on this host via
-        :func:`repro.core.autotune.empirical_backend`.
+        Expected serving batch for ``"auto"`` planning.  ``"auto"``
+        resolves once per layer, at this batch (1 when ``None``), and
+        the layer serves every batch on that one engine.
     fuse:
         Name of the activation fused into the engine's epilogue
         (``"relu"``, ``"gelu"``, ``"sigmoid"`` or ``"tanh"``), or
@@ -132,7 +127,6 @@ class QuantSpec:
     backend: Backend = "biqgemm"
     machine: str = "pc"
     batch_hint: int | None = None
-    planner: Literal["model", "autotune"] = "model"
     fuse: str | None = None
 
     def __post_init__(self) -> None:
@@ -148,8 +142,8 @@ class EngineBuildRequest:
     Holds the float weight and/or its BCQ quantization.  The BCQ solve
     (the expensive offline step) runs at most once per request, no
     matter how many engines are built from it -- the property that lets
-    an ``"auto"`` layer keep compiled engines for several backends
-    without re-quantizing.
+    a layer re-pinned onto another backend, and its serving replicas,
+    rebuild engines without re-quantizing.
 
     Either *weight* or *bcq* must be provided; engines that need the
     original float weight (``int8``, which quantizes on a uniform grid
@@ -211,8 +205,8 @@ class EngineBuildRequest:
         """Drop the float weight, keeping only the quantized state.
 
         Matches the paper's deployment model (only compiled state
-        ships); callers do this once no reachable backend
-        :func:`~repro.engine.registry.weight_required` the original.
+        ships); callers do this once the backend they serve does not
+        need the original (``EngineEntry.needs_weight``).
         Quantizes first if that has not happened yet.
         """
         self.get_bcq()

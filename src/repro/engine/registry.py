@@ -38,12 +38,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
-from repro.engine.base import (
-    AUTO_BACKEND,
-    EngineBuildRequest,
-    MatmulEngine,
-    QuantSpec,
-)
+from repro.engine.base import EngineBuildRequest, MatmulEngine, QuantSpec
 from repro.hw.costmodel import CostEstimate, estimate_backend
 from repro.hw.machine import MachineConfig
 
@@ -58,8 +53,6 @@ __all__ = [
     "register_engine",
     "registered_engines",
     "roofline_cost",
-    "spec_candidates",
-    "weight_required",
 ]
 
 CostFn = Callable[[MachineConfig, int, int, int, QuantSpec], CostEstimate]
@@ -178,24 +171,6 @@ def registered_engines() -> tuple[str, ...]:
 def lossless_engines() -> tuple[str, ...]:
     """Backends computing the exact BCQ product (the ``auto`` candidates)."""
     return tuple(sorted(name for name, e in _REGISTRY.items() if e.lossless))
-
-
-def spec_candidates(spec: QuantSpec) -> tuple[str, ...]:
-    """Backends a spec could resolve to.
-
-    A concrete backend resolves to itself; ``"auto"`` can resolve to
-    any lossless engine.
-    """
-    if spec.backend == AUTO_BACKEND:
-        return lossless_engines()
-    return (engine_entry(spec.backend).name,)
-
-
-def weight_required(spec: QuantSpec) -> bool:
-    """Whether any backend reachable from *spec* needs the float weight."""
-    return any(
-        engine_entry(name).needs_weight for name in spec_candidates(spec)
-    )
 
 
 # Engine compiles are rare, heavy, offline-ish events (the paper's

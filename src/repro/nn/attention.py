@@ -4,10 +4,10 @@ One attention block holds four ``(n x n)`` projection matrices (Q, K, V
 and the output projection) -- precisely the GEMMs the paper quantizes.
 The projections are injected through the linear factory so the whole
 block can run on any registered engine; with
-``QuantSpec(backend="auto")`` all four share one plan-cache entry (same
-``(m, n, bits)`` key), so the planner prices the shape once and every
-projection follows the batch regime -- BiQGEMM for single-token
-decoding, dense BLAS for long prefills.  The ``QK^T`` / ``AV`` products
+``QuantSpec(backend="auto")`` all four share one ``(m, n, bits)``
+shape, so the planner picks the same engine for each: BiQGEMM at a
+single-token ``batch_hint``, dense BLAS at a long-prefill one.  The
+``QK^T`` / ``AV`` products
 operate on two activations and stay dense float (weight-only
 quantization).
 

@@ -5,12 +5,12 @@ The binary-coding quantization literature the paper builds on
 to exactly the ``W_mat @ cols`` products BiQGEMM accelerates, with
 ``W_mat`` of shape ``(out_channels, in_channels * kh * kw)`` and one
 column per output pixel -- so the *batch* dimension of the paper's
-analysis becomes ``N * out_h * out_w``, typically large.  That makes
-convolution the workload where ``backend="auto"`` earns its keep:
+analysis becomes ``N * out_h * out_w``, typically large.
 :class:`QuantConv2d` runs its GEMM through the same registry-dispatched
-:class:`~repro.nn.linear.QuantLinear` machinery as every other layer,
-and the planner routinely picks the dense path for the huge pixel
-batches while the NLP layers stay on BiQGEMM.
+:class:`~repro.nn.linear.QuantLinear` machinery as every other layer;
+with ``backend="auto"``, set ``batch_hint`` to the expected pixel count
+and the planner picks the engine for that regime (usually dense BLAS,
+while decode-batch NLP layers stay on BiQGEMM).
 
 Layout: NCHW activations, OIHW weights.
 """
@@ -136,8 +136,8 @@ class QuantConv2d:
     The OIHW weight is flattened to ``(out_channels, in*kh*kw)``,
     quantized per output channel (the BCQ convention for conv layers)
     and served through an inner :class:`~repro.nn.linear.QuantLinear`,
-    so any registered backend -- including ``"auto"`` dispatch over the
-    ``N * out_h * out_w`` pixel batch -- applies to convolutions with
+    so any registered backend -- including ``"auto"``, planned once at
+    ``spec.batch_hint`` pixel columns -- applies to convolutions with
     no conv-specific code.
 
     ``spec`` accepts a :class:`~repro.nn.linear.QuantSpec` or a
@@ -191,9 +191,9 @@ class QuantConv2d:
         """Deployed bytes for the engine serving the batch hint."""
         return self._linear.weight_nbytes
 
-    def planned_backend(self, batch: int = 1) -> str:
-        """The backend the planner resolves at *batch* pixel columns."""
-        return self._linear.planned_backend(batch)
+    def planned_backend(self) -> str:
+        """The backend serving every pixel batch."""
+        return self._linear.planned_backend()
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Convolve NCHW input; returns NCHW output."""
@@ -209,9 +209,8 @@ class QuantConv2d:
         oh = _out_size(h, self.kh, self.stride, self.pad)
         ow = _out_size(w, self.kw, self.stride, self.pad)
         cols = im2col(xa, self.kh, self.kw, stride=self.stride, pad=self.pad)
-        pixels = cols.shape[1]
-        if pixels:
-            out = self._linear.engine_for(pixels).matmul(cols)
+        if cols.shape[1]:
+            out = self._linear.engine_for().matmul(cols)
         else:
             out = np.zeros((self.out_channels, 0))
         out = out.reshape(self.out_channels, n, oh, ow).transpose(1, 0, 2, 3)

@@ -6,14 +6,15 @@ to whatever engine the :mod:`repro.engine` registry resolves for its
 :class:`~repro.engine.base.QuantSpec` -- by name (``"biqgemm"``, the
 paper's LUT kernel on the native code path, ``"dense"``, ``"int8"``,
 or anything registered later), or via the cost-model planner with
-``backend="auto"``.  With ``auto`` and no ``batch_hint``, the layer
-re-plans per call from the observed batch, so a single layer serves
-the GEMV decode regime on BiQGEMM and large-batch scoring on dense
-BLAS, exactly the situational-winner behaviour of the paper's Section
-V; compiled engines are cached per backend, and plans come from the
-process-wide plan cache.  The paper's
-sGEMM, unpack-then-GEMM and XNOR kernels are paper-bench baselines in
-:mod:`repro.gemm`, not serving engines, so no layer runs them.
+``backend="auto"``.  ``auto`` resolves once, at construction, at the
+spec's ``batch_hint`` (1 when unset), the rule
+:meth:`repro.api.QuantModel.compile` applies too.  The layer then
+holds that one engine for every batch, so each row of a batch is
+computed exactly as it would be alone.  The paper's Section V
+situational winner is chosen per layer by the batch it is planned for,
+not per call.  The paper's sGEMM, unpack-then-GEMM and XNOR kernels
+are paper-bench baselines in :mod:`repro.gemm`, not serving engines,
+so no layer runs them.
 
 ``spec=`` selects the quantization behaviour: a
 :class:`~repro.engine.base.QuantSpec`, or a
@@ -50,7 +51,6 @@ from repro.engine import (
     engine_entry,
     resolve_backend,
     validate_spec,
-    weight_required,
 )
 from repro.quant.bcq import BCQTensor
 
@@ -169,10 +169,11 @@ class QuantLinear:
     The float weight is quantized once at construction (the expensive
     offline step) and then dropped unless a reachable backend declares
     it needs the original (matching deployment, where only compiled
-    state ships).  Engines compile lazily on first use and are cached
-    per backend name, so an ``"auto"`` layer that serves two batch
-    regimes keeps both compiled engines without re-quantizing.
-    ``dequantized`` reconstructs the effective weight for analysis.
+    state ships).  The layer runs one backend (``"auto"`` is resolved
+    at construction) on one engine, compiled lazily on first use and
+    rebuilt only when :meth:`pin_backend` changes the backend or the
+    fused activation.  ``dequantized`` reconstructs the effective
+    weight for analysis.
 
     Besides ``spec=QuantSpec(...)``, the constructor accepts a
     :class:`~repro.api.QuantConfig` (its base spec).
@@ -190,15 +191,16 @@ class QuantLinear:
         self.bias = _check_bias(bias, w.shape[0])
         validate_spec(spec)
         self.spec = spec
-        self._request = EngineBuildRequest(spec=spec, weight=w, bias=self.bias)
-        if not weight_required(spec):
-            # Solves BCQ (the state every reachable backend builds
-            # from) and drops the float weight.  Backends that fit
-            # their own grid to the float weight (int8) skip the BCQ
-            # solve entirely unless it is asked for.
-            self._request.release_weight()
         self._shape = (int(w.shape[0]), int(w.shape[1]))
-        self._engines: dict[str, MatmulEngine] = {}
+        self._backend = resolve_backend(spec, *self._shape)
+        self._request = EngineBuildRequest(spec=spec, weight=w, bias=self.bias)
+        if not engine_entry(self._backend).needs_weight:
+            # Solves BCQ (the state the backend builds from) and drops
+            # the float weight.  Backends that fit their own grid to
+            # the float weight (int8) skip the BCQ solve entirely
+            # unless it is asked for.
+            self._request.release_weight()
+        self._engine: MatmulEngine | None = None
         self._build_lock = threading.Lock()
 
     @classmethod
@@ -214,8 +216,9 @@ class QuantLinear:
         The deserialization path of the v3 whole-model artifact: no
         float weight exists and no quantization runs.  ``spec.backend``
         must be the concrete backend *engine* implements.  When the
-        engine exposes its BCQ state the layer can still compile other
-        BCQ-derived backends; otherwise it serves exactly this one.
+        engine exposes its BCQ state the layer can still be re-pinned
+        onto other BCQ-derived backends; otherwise it serves exactly
+        this one.
         """
         if AUTO_BACKEND == spec.backend:
             raise ValueError(
@@ -234,7 +237,8 @@ class QuantLinear:
             else None
         )
         obj._shape = (int(m), int(n))
-        obj._engines = {spec.backend: engine}
+        obj._backend = spec.backend
+        obj._engine = engine
         obj._build_lock = threading.Lock()
         return obj
 
@@ -271,7 +275,8 @@ class QuantLinear:
             spec=spec, bcq=self._request.get_bcq(), bias=self.bias
         )
         obj._shape = self._shape
-        obj._engines = {}
+        obj._backend = resolve_backend(spec, *self._shape)
+        obj._engine = None
         obj._build_lock = threading.Lock()
         obj._batch_invariant = self._batch_invariant
         return obj
@@ -288,11 +293,8 @@ class QuantLinear:
         In batch-invariant mode every activation column's result is
         bit-identical whether it arrives alone (a decode step's GEMV)
         or batched with others (the prefill GEMM) -- the contract the
-        KV-cache bit-identity tests pin.  Every call plans at batch 1
-        (``engine_for(1)``), so an ``auto`` spec cannot route a prefill
-        onto a different engine than the decode-step GEMV; on that
-        engine, invariant-by-construction backends
-        (``engine.batch_invariant``) run batched natively while the
+        KV-cache bit-identity tests pin.  Invariant-by-construction
+        engines (``engine.batch_invariant``) run batched natively; the
         rest fall back to one engine call per column for multi-column
         inputs, trading batched throughput for invariance.  Single
         columns always take the engine's native path.
@@ -307,22 +309,22 @@ class QuantLinear:
         self._batch_invariant = bool(flag)
 
     def clone_shared(self) -> "QuantLinear":
-        """A layer sharing this one's compiled engines and quantized
+        """A layer sharing this one's compiled engine and quantized
         state, with independent mutable bookkeeping.
 
         The serving replica path (:meth:`repro.api.CompiledModel.clone`):
         compiled engines are immutable after build and their ``matmul``
         holds no per-call state, so replicas can share them -- but each
-        replica gets its own engine dict and build lock, so a worker
-        thread lazily compiling an additional backend never mutates a
-        dict another thread is reading.
+        replica gets its own engine slot and build lock, so re-pinning
+        or lazily building one replica never touches another.
         """
         obj = QuantLinear.__new__(QuantLinear)
         obj.bias = self.bias
         obj.spec = self.spec
         obj._request = self._request
         obj._shape = self._shape
-        obj._engines = dict(self._engines)
+        obj._backend = self._backend
+        obj._engine = self._engine
         obj._build_lock = threading.Lock()
         obj._batch_invariant = self._batch_invariant
         return obj
@@ -350,9 +352,12 @@ class QuantLinear:
         their own grid to the float weight (int8) report the engine's
         effective weight.
         """
-        if self._request is not None and not weight_required(self.spec):
+        if (
+            self._request is not None
+            and not engine_entry(self._backend).needs_weight
+        ):
             return self.bcq.dequantize()
-        engine = self.engine_for(self.spec.batch_hint or 1)
+        engine = self.engine_for()
         engine_dequantize = getattr(engine, "dequantized", None)
         if engine_dequantize is not None:
             return engine_dequantize()
@@ -366,9 +371,9 @@ class QuantLinear:
             "artifact carries no dequantizable state"
         )
 
-    def planned_backend(self, batch: int = 1) -> str:
-        """The concrete backend this layer would run at *batch* columns."""
-        return resolve_backend(self.spec, *self._shape, batch)
+    def planned_backend(self) -> str:
+        """The concrete backend this layer runs, at every batch."""
+        return self._backend
 
     def pin_backend(
         self,
@@ -379,17 +384,15 @@ class QuantLinear:
     ) -> None:
         """Freeze this layer onto *backend* (the compile step's pin).
 
-        Replaces the spec's backend (and ``batch_hint``) so every later
-        call resolves to the pinned engine without consulting the
-        planner -- plans survive :func:`~repro.engine.clear_plan_cache`.
-        Already-compiled engines stay cached.
+        Replaces the spec's backend (and ``batch_hint``).  The compiled
+        engine is kept when the backend and the fused activation stay
+        the same, and rebuilt on next use otherwise.
 
         *fuse* sets the epilogue activation fused into a ``"biqgemm"``
         engine (the fusion planning pass of
         :meth:`repro.api.QuantModel.compile`).  Omitting it keeps the
-        spec's current value; passing a different value evicts any
-        cached ``"biqgemm"`` engine, which baked the old epilogue in
-        at build time.
+        spec's current value; an engine built with the old epilogue
+        baked in is dropped.
         """
         engine_entry(backend)
         if fuse is _KEEP:
@@ -398,12 +401,20 @@ class QuantLinear:
             self.spec, backend=backend, batch_hint=batch_hint, fuse=fuse
         )
         validate_spec(new)
-        if fuse != self.spec.fuse:
-            with self._build_lock:
-                self._engines.pop("biqgemm", None)
-        self.spec = new
-        if self._request is not None:
-            self._request.spec = new
+        with self._build_lock:
+            if (backend, fuse) != (self._backend, self.spec.fuse):
+                if self._request is None:
+                    raise ValueError(
+                        "layer restored from a compiled artifact without "
+                        f"BCQ state serves only {self._backend!r} with "
+                        f"fuse={self.spec.fuse!r}; cannot build "
+                        f"{backend!r} with fuse={fuse!r}"
+                    )
+                self._engine = None
+            self._backend = backend
+            self.spec = new
+            if self._request is not None:
+                self._request.spec = new
 
     @property
     def fused_activation(self) -> str | None:
@@ -416,42 +427,36 @@ class QuantLinear:
         """
         if self.spec.fuse is None:
             return None
-        engine = self.engine_for(self.spec.batch_hint or 1)
-        return getattr(engine, "activation", None)
+        return getattr(self.engine_for(), "activation", None)
 
     @property
     def compiled_backends(self) -> tuple[str, ...]:
-        """Backends compiled (and cached) by this layer so far."""
-        return tuple(sorted(self._engines))
+        """The backend whose engine is compiled, or ``()`` before the
+        first use."""
+        return () if self._engine is None else (self._backend,)
 
     def engine_for(self, batch: int = 1) -> MatmulEngine:
-        """The compiled engine serving *batch* columns (built on demand).
+        """The compiled engine (built on demand); it serves every
+        *batch*.
 
-        Thread-safe: concurrent callers racing on a cold backend build
-        it exactly once (double-checked under the layer's build lock),
-        so serving workers can share a layer without duplicating the
-        compile or tearing the engine dict.
+        Thread-safe: concurrent callers racing on a cold layer build
+        its engine exactly once (double-checked under the layer's build
+        lock), so serving workers can share a layer without duplicating
+        the compile.
         """
-        name = self.planned_backend(batch)
-        engine = self._engines.get(name)
+        engine = self._engine
         if engine is None:
             with self._build_lock:
-                engine = self._engines.get(name)
+                engine = self._engine
                 if engine is None:
-                    if self._request is None:
-                        raise ValueError(
-                            f"layer restored from a compiled artifact "
-                            f"serves only {self.compiled_backends}; "
-                            f"cannot build {name!r}"
-                        )
-                    engine = build_engine(name, self._request)
-                    self._engines[name] = engine
+                    engine = build_engine(self._backend, self._request)
+                    self._engine = engine
         return engine
 
     @property
     def weight_nbytes(self) -> int:
-        """Deployed weight bytes for the backend serving the batch hint."""
-        return int(self.engine_for(self.spec.batch_hint or 1).weight_nbytes)
+        """Deployed weight bytes of the serving engine."""
+        return int(self.engine_for().weight_nbytes)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Apply to ``(..., n)`` activations; returns ``(..., m)``."""
@@ -469,16 +474,10 @@ class QuantLinear:
         cols = arr.reshape(-1, n).T  # engines use (n, tokens)
         tokens = cols.shape[1]
         if not tokens:
-            # Zero tokens: nothing to plan or multiply.
+            # Zero tokens: nothing to multiply.
             out = np.zeros((m, 0), dtype=arr.dtype).T.reshape(lead + (m,))
             return _add_bias(out, self.bias)
-        # Batch-invariant mode plans at batch 1 regardless of the
-        # observed batch: an auto spec replanned at the prefill batch
-        # could pick a *different* engine than the lone decode-step
-        # GEMV (engine_for(1)), and two engines' columns differ by more
-        # than summation order -- so every call, batched or not, runs
-        # on the engine a single column would use.
-        engine = self.engine_for(1 if self._batch_invariant else tokens)
+        engine = self.engine_for()
         if _obs.ACTIVE:
             # Observability on: wrap the product in a span and/or a
             # drift measurement.  Off (the default), this is one
@@ -552,7 +551,7 @@ class QuantLinear:
         """
         from repro.obs import trace as _trace
 
-        backend = self.planned_backend(1 if self._batch_invariant else tokens)
+        backend = self._backend
         n = self._shape[1]
         profiler = None
         if _obs.TRACING and getattr(engine, "accepts_profiler", False):

@@ -125,9 +125,7 @@ def model_backend_plan(
     of ``backend="auto"`` under :meth:`repro.api.QuantModel.compile`:
     at decode batch the attention projections all land on the BiQGEMM
     kernel (``biqgemm``), while large batches (or many-bit specs) push
-    the big feed-forward shapes onto the dense path.  Plans come from the
-    shared plan cache, so a full BERT-large sweep prices each distinct
-    shape once.
+    the big feed-forward shapes onto the dense path.
 
     Routes through the same :func:`repro.api.plan_layers` pass that
     :meth:`repro.api.QuantModel.compile` uses, so cost-model fixes and

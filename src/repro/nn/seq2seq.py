@@ -5,10 +5,10 @@ assembles the complete inference path -- embeddings, positional
 encodings, encoder stack, decoder stack with causal masking, and the
 vocabulary generator -- on top of the pluggable linear backends, so a
 whole translation step can execute with every projection on BiQGEMM.
-Greedy decoding is the paper's motivating regime for auto-dispatch:
-with ``QuantSpec(backend="auto")`` the encoder sees the full source
-batch while each decode step is GEMV-like, and every projection picks
-its engine per observed batch through the shared plan cache.
+Greedy decoding is the paper's motivating regime: each decode step is
+GEMV-like, and with ``QuantSpec(backend="auto")`` every projection
+plans its one engine at the spec's ``batch_hint`` (batch 1 when unset,
+the decode step).
 (Weights here are random; the point is the runnable system and the
 float-vs-quantized output comparison, not trained translation quality --
 see DESIGN.md Section 2 on the BLEU substitution.)

@@ -6,9 +6,8 @@ and ``(4n x n)`` matrices"; decoders add a cross-attention block.  This
 module builds exactly that, post-norm as in the original Transformer,
 with all projection weights flowing through the pluggable linear
 factory so encoder stacks can execute on BiQGEMM end to end -- or on
-cost-model auto-dispatch (``QuantSpec(backend="auto")``), where the
-attention and feed-forward shapes of one layer each resolve once in
-the plan cache and all deeper layers reuse those plans for free.
+cost-model auto-dispatch (``QuantSpec(backend="auto")``), where each
+projection resolves its one engine at construction.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ Three coordinated pieces, all disabled by default and free when off:
   ``engine.matmul`` -> ``kernel.build/query/replace``), exported as
   ``chrome://tracing`` trace-event JSON.
 - :mod:`repro.obs.metrics` -- one process-wide registry of counters,
-  gauges and histograms that serve, engine dispatch, the plan cache,
-  workspace arenas and the batcher publish into; exported as JSON and
+  gauges and histograms that serve, engine builds, workspace arenas
+  and the batcher publish into; exported as JSON and
   Prometheus text exposition.
 - :mod:`repro.obs.drift` -- cost-model drift telemetry: the planner's
   predicted seconds recorded next to measured wall time per

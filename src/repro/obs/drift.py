@@ -1,17 +1,17 @@
 """Cost-model drift telemetry: predicted vs. measured engine cost.
 
-The planner (:func:`repro.engine.dispatch.plan_backend`,
-:func:`repro.api.planner.plan_layers`) chooses among the engines by a
+The planner (:func:`repro.api.planner.plan_layers` over
+:func:`repro.engine.dispatch.plan_backend`) chooses among the engines by a
 roofline cost model.  That model is a *prediction*; this module records
 it next to reality so the question "where does the planner's ranking
 disagree with measured wall time" has a standing answer instead of a
 one-off benchmark.
 
 Data model: one entry per ``(backend, m, n, bits, bucket)`` where
-``bucket`` is the plan-cache batch bucket (next power of two -- the same
+``bucket`` is the planner's batch bucket (next power of two -- the same
 granularity the planner prices, so predictions and measurements land on
 the same key).  Each entry keeps the latest **predicted** seconds (from
-the cost model, captured at plan/compile time) and a bounded window of
+the cost model, captured at compile time) and a bounded window of
 **measured** seconds (wall time of real ``engine.matmul`` calls,
 captured by the traced layer path when drift telemetry is enabled).
 
@@ -129,10 +129,11 @@ class DriftRecorder:
     ) -> None:
         """Store the cost model's predicted seconds for a candidate.
 
-        Called from the planner on plan-cache misses (for *every*
-        candidate it priced, not just the winner -- regret analysis
-        needs the losers' prices too).  Latest prediction wins; the
-        model is deterministic per key, so repeats are identical anyway.
+        Called by :meth:`repro.api.QuantModel.compile` for each pinned
+        layer; the drift report backfills the candidates it did not
+        choose (regret analysis needs the losers' prices too).  Latest
+        prediction wins; the model is deterministic per key, so repeats
+        are identical anyway.
         """
         with self._lock:
             entry = self._entry(backend, m, n, bits, bucket, mu, machine)

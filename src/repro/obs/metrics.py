@@ -1,7 +1,7 @@
 """Unified metrics registry: counters, gauges, histograms, exporters.
 
-One registry for the whole process: serve, engine dispatch, the plan
-cache, workspace arenas and the batcher all publish here, so a single
+One registry for the whole process: serve, engine builds, workspace
+arenas and the batcher all publish here, so a single
 scrape answers "where do time, memory and mispredictions go" instead of
 five subsystem-private snapshot dicts.  Two publishing styles:
 
@@ -9,8 +9,8 @@ five subsystem-private snapshot dicts.  Two publishing styles:
   telemetry) hand their instruments straight to the registry
   (:meth:`MetricsRegistry.register_histogram`) or increment a
   :class:`Counter` / :class:`Gauge` they created once;
-- **pull**: subsystems with existing snapshot functions (plan cache,
-  workspace arenas, engine builds) register a **collector** callback
+- **pull**: subsystems with existing snapshot functions (workspace
+  arenas, engine builds) register a **collector** callback
   that copies their counters into the registry at scrape time -- zero
   hot-path cost, which is what keeps the disabled-observability serving
   loop free.
@@ -535,20 +535,6 @@ def _default_collectors(registry: MetricsRegistry) -> None:
     stays importable (and cheap) without the engine stack.
     """
 
-    def plan_cache(reg: MetricsRegistry) -> None:
-        from repro.engine.dispatch import plan_cache_stats
-
-        stats = plan_cache_stats()
-        reg.gauge(
-            "repro_plan_cache_size", "memoized backend plans"
-        ).set(stats["size"])
-        reg.counter(
-            "repro_plan_cache_hits_total", "plan cache hits"
-        ).set(stats["hits"])
-        reg.counter(
-            "repro_plan_cache_misses_total", "plan cache misses"
-        ).set(stats["misses"])
-
     def engine_builds(reg: MetricsRegistry) -> None:
         from repro.engine.registry import engine_build_counts
 
@@ -617,9 +603,7 @@ def _default_collectors(registry: MetricsRegistry) -> None:
             "loaded in this process",
         ).set(1.0 if status()["loaded"] else 0.0)
 
-    for fn in (
-        plan_cache, engine_builds, workspaces, tracing, drift, native_kernel
-    ):
+    for fn in (engine_builds, workspaces, tracing, drift, native_kernel):
         registry.register_collector(fn)
 
 
@@ -629,8 +613,8 @@ _DEFAULT_LOCK = threading.Lock()
 
 def get_registry() -> MetricsRegistry:
     """The process-wide default registry (created on first use), with
-    the plan-cache / engine-build / workspace / tracing / drift /
-    native-kernel collectors pre-wired."""
+    the engine-build / workspace / tracing / drift / native-kernel
+    collectors pre-wired."""
     global _DEFAULT
     if _DEFAULT is None:
         with _DEFAULT_LOCK:

@@ -6,7 +6,7 @@ columns share it (paper Section III), and every crossover the
 :mod:`repro.engine` planner prices is batch-dependent.  This package is
 the deployment shape that implies -- a serving runtime that *creates*
 the batches the kernels want by coalescing concurrent single requests
-into plan-cache-aligned micro-batches:
+into power-of-two micro-batches:
 
 - :class:`ModelStore` -- named+versioned compiled models loaded from v3
   artifacts, LRU memory budgeting, atomic hot-swap on reload;

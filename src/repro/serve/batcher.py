@@ -1,15 +1,17 @@
-"""Dynamic micro-batching: coalesce requests onto plan-cache buckets.
+"""Dynamic micro-batching: coalesce requests onto power-of-two buckets.
 
 BiQGEMM builds its lookup tables once per *call* and reuses them for
 every input column, so a batch of 16 coalesced requests pays one table
-build instead of 16 (paper Section III-B); the cost-model crossovers in
-:mod:`repro.engine.dispatch` are likewise batch-bucketed.  This module
-is the queueing policy that exploits both facts:
+build instead of 16 (paper Section III-B).  The planner prices, and
+drift telemetry keys its measurements on, the same power-of-two batch
+buckets (:func:`repro.engine.batch_bucket`), so a batch released on a
+boundary is measured on the key its prediction was recorded under.
+This module is the queueing policy:
 
 - requests enter a bounded FIFO (admission control: a full queue raises
   :class:`QueueFullError` instead of growing without bound);
 - a free worker coalesces the pending requests toward the **next
-  plan-cache bucket boundary** (:func:`repro.engine.batch_buckets`),
+  bucket boundary** (:func:`repro.engine.batch_buckets`),
   waiting at most ``max_latency_ms`` beyond the oldest request's
   arrival -- bucket filled or deadline hit, whichever comes first;
 - only shape/dtype-compatible requests coalesce (they must stack into
@@ -214,7 +216,8 @@ class Batcher:
         self.max_latency = max_latency_ms / 1e3
         self.max_queue = max_queue
         self.telemetry = telemetry or ModelTelemetry()
-        # Bucket targets shared with the dispatch planner's cache keys.
+        # Bucket targets shared with the planner's pricing and the drift
+        # telemetry keys.
         self.buckets = batch_buckets(max_batch)
         self._queue: list[PendingRequest] = []
         self._cond = threading.Condition()
@@ -296,7 +299,7 @@ class Batcher:
     def _target(self, count: int) -> int:
         """The coalescing target for *count* compatible pending requests.
 
-        The next plan-cache bucket boundary at or above *count* -- except
+        The next bucket boundary at or above *count* -- except
         that a lone request always waits for a second (otherwise bucket 1
         would disable coalescing entirely) -- capped at ``max_batch``.
         A count already on a boundary > 1 *is* the target: release now.

@@ -152,42 +152,70 @@ def encode_predict(model: str, output, request_id: str) -> bytes:
 # ----------------------------------------------------------------------
 # /generate
 # ----------------------------------------------------------------------
-# (field, conversion, default); a field with default None is optional
-# and JSON null leaves it out.
+def _integer(value) -> bool:
+    # bool subclasses int, but JSON true/false are not integers.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value) -> bool:
+    return _integer(value) or isinstance(value, float)
+
+
+# (field, accepted JSON type, conversion, default); a field with default
+# None is optional and JSON null leaves it out.
 _GENERATE_FIELDS = (
-    ("max_new_tokens", int, 16),
-    ("temperature", float, 0.0),
-    ("seed", int, 0),
-    ("top_k", int, None),
-    ("eos_id", int, None),
-    ("deadline_ms", float, None),
+    ("max_new_tokens", _integer, int, 16),
+    ("temperature", _number, float, 0.0),
+    ("seed", _integer, int, 0),
+    ("top_k", _integer, int, None),
+    ("eos_id", _integer, int, None),
+    ("deadline_ms", _number, float, None),
 )
 
 
 def decode_generate(body: bytes) -> dict:
     """The keyword arguments of :meth:`Server.generate` (plus
-    ``"model"``) from a ``/generate`` body."""
+    ``"model"``) from a ``/generate`` body.
+
+    Token ids and counts must be JSON integers and ``temperature`` /
+    ``deadline_ms`` JSON numbers; any other value (a fraction, a
+    string, ``true``) raises a :class:`ValueError` naming the field
+    instead of being coerced.
+    """
     payload = _loads(body)
     if not isinstance(payload, dict) or "prompt" not in payload:
         raise ValueError(
             'body must be a JSON object with a "prompt" field '
             "(a list of token ids)"
         )
+    ids = payload["prompt"]
+    if not isinstance(ids, list):
+        raise ValueError("invalid prompt: expected a list of JSON integers")
+    for token in ids:
+        if not _integer(token):
+            raise ValueError(
+                f"invalid prompt: expected JSON integers, got {token!r}"
+            )
     try:
-        prompt = np.asarray(payload["prompt"], dtype=np.int64)
-    except (TypeError, ValueError, OverflowError) as exc:
+        prompt = np.asarray(ids, dtype=np.int64)
+    except OverflowError as exc:
         raise ValueError(f"invalid prompt: {exc}") from exc
     request = {
         "model": str(payload.get("model", "default")),
         "prompt": prompt,
     }
-    for key, convert, default in _GENERATE_FIELDS:
+    for key, accepts, convert, default in _GENERATE_FIELDS:
         value = payload.get(key, default)
         if value is None and default is None:
             continue
+        if not accepts(value):
+            kind = "an integer" if accepts is _integer else "a number"
+            raise ValueError(
+                f"invalid {key}: expected {kind}, got {value!r}"
+            )
         try:
             request[key] = convert(value)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except OverflowError as exc:
             raise ValueError(f"invalid {key}: {exc}") from exc
     if "deadline_ms" in request:
         request["deadline_s"] = request.pop("deadline_ms") / 1e3

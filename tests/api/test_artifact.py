@@ -340,7 +340,8 @@ class TestLegacyManifests:
     registered as ``compiled`` beside a numpy ``biqgemm`` engine: both
     names load onto the native ``biqgemm`` engine, bit-identically.
     From while that engine kept per-batch traces: their
-    ``specialization`` entry is ignored."""
+    ``specialization`` entry is ignored.  From while specs chose a
+    planner: their ``planner`` field is ignored."""
 
     def _resave(self, compiled, path, edit, edit_arrays=None):
         save(compiled, path)
@@ -435,6 +436,29 @@ class TestLegacyManifests:
         assert reloaded.config == compiled.config
         assert reloaded.plans == compiled.plans
         assert np.array_equal(reloaded(x), expected)
+
+    def test_planner_is_ignored_and_outputs_are_bit_identical(
+        self, rng, tmp_path
+    ):
+        compiled = _compiled_encoder()
+        xs = [rng.standard_normal((b, 4, 32)) for b in (1, 3)]
+        expected = [compiled(x) for x in xs]
+
+        def add_planner(manifest):
+            manifest["config"]["planner"] = "model"
+            manifest["config"]["overrides"]["ffn.*"]["planner"] = "model"
+            for entry in manifest["layers"]:
+                entry["spec"]["planner"] = "model"
+
+        path = tmp_path / "legacy.npz"
+        self._resave(compiled, path, add_planner)
+        manifest, _ = load_model_artifact(path)
+        assert manifest["config"]["planner"] == "model"
+        reloaded = load(path)
+        assert reloaded.config == compiled.config
+        assert reloaded.plans == compiled.plans
+        for x, want in zip(xs, expected):
+            assert reloaded(x).tobytes() == want.tobytes()
 
     def test_trace_specialization_entry_is_ignored(self, rng, tmp_path):
         # Artifacts saved while the native engine kept resident

@@ -1,23 +1,11 @@
-"""Tests for QuantModel.compile / CompiledModel (planning, cache, cost)."""
+"""Tests for QuantModel.compile / CompiledModel (planning, cost)."""
 
 import numpy as np
 import pytest
 
 from repro.api import QuantConfig, quantize
-from repro.engine import (
-    QuantSpec,
-    clear_plan_cache,
-    plan_backend,
-    plan_cache_stats,
-)
+from repro.engine import QuantSpec, plan_backend
 from repro.nn import build_encoder
-
-
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_plan_cache()
-    yield
-    clear_plan_cache()
 
 
 CFG = QuantConfig(bits=3, mu=4, overrides={"ffn.*": {"bits": 4}})
@@ -135,44 +123,3 @@ class TestCostReport:
     def test_report_renders(self):
         text = str(_compiled().cost_report())
         assert "L0.attn.q" in text and "batch_hint=1" in text
-
-
-class TestPlanCacheBehaviour:
-    """Satellite: cache accounting and isolation across compiled models."""
-
-    def test_deep_stack_hits_cache_for_repeated_shapes(self):
-        compiled = _compiled(layers=3)
-        stats = plan_cache_stats()
-        # 18 auto layers, but only 3 distinct (m, n, bits) shapes:
-        # attention (d,d)@3b, ff1 (f,d)@4b, ff2 (d,f)@4b.
-        assert stats["misses"] == 3
-        assert stats["hits"] == 15
-        assert len(compiled.plans) == 18
-
-    def test_two_models_share_the_process_cache(self):
-        _compiled(layers=1)
-        misses_after_first = plan_cache_stats()["misses"]
-        _compiled(layers=1, seed=1)
-        stats = plan_cache_stats()
-        assert stats["misses"] == misses_after_first  # all hits
-        assert stats["hits"] >= 6
-
-    def test_compiled_model_survives_cache_clear(self, rng):
-        """Pinned plans are the model's own state, not cache entries."""
-        compiled = _compiled(batch_hint=1).warmup()
-        plans_before = compiled.plans
-        x = rng.standard_normal((1, 2, 32))
-        y_before = compiled(x)
-        clear_plan_cache()
-        assert compiled.plans == plans_before
-        assert np.array_equal(compiled(x), y_before)
-        for name, layer in compiled.named_layers():
-            assert layer.planned_backend(512) == plans_before[name]
-
-    def test_clear_between_compiles_isolates_accounting(self):
-        _compiled(layers=1)
-        clear_plan_cache()
-        assert plan_cache_stats() == {"size": 0, "hits": 0, "misses": 0}
-        _compiled(layers=1, seed=1)
-        stats = plan_cache_stats()
-        assert stats["misses"] == 3  # re-priced from scratch, no leakage

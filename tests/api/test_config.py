@@ -84,10 +84,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="machine"):
             QuantConfig(machine="cray")
 
-    def test_bad_planner_rejected(self):
-        with pytest.raises(ValueError, match="planner"):
-            QuantConfig(planner="oracle")
-
     def test_empty_pattern_rejected(self):
         with pytest.raises(ValueError, match="pattern"):
             QuantConfig(overrides={"": {"bits": 2}})

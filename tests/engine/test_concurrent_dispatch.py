@@ -1,89 +1,18 @@
-"""Concurrency regression tests: plan cache and engine-build path.
+"""Concurrency regression tests: the engine-build path.
 
-The serving runtime dispatches from many worker threads at once; these
-tests pin down the two invariants that makes safe: (1) concurrent
-``plan_backend`` calls never corrupt the plan cache and always agree on
-the choice, (2) a cold engine is compiled exactly once no matter how
-many threads race into ``QuantLinear.engine_for``.
+The serving runtime calls layers from many worker threads at once;
+these tests pin down what makes that safe: a cold engine is
+compiled exactly once no matter how many threads race into
+``QuantLinear.engine_for``, and the lazy BCQ solve is single-flight.
 """
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-import pytest
 
-from repro.engine import (
-    QuantSpec,
-    batch_bucket,
-    clear_plan_cache,
-    plan_backend,
-    plan_cache_stats,
-)
+from repro.engine import QuantSpec
 from repro.nn.linear import QuantLinear
-
-
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_plan_cache()
-    yield
-    clear_plan_cache()
-
-
-class TestConcurrentPlanning:
-    def test_many_threads_agree_and_cache_stays_consistent(self):
-        spec = QuantSpec(bits=3, backend="auto")
-        shapes = [(256, 256), (512, 256), (1024, 1024)]
-        batches = [1, 4, 32, 128, 512]
-
-        def plan_all(seed):
-            rng = np.random.default_rng(seed)
-            out = {}
-            for _ in range(40):
-                m, n = shapes[rng.integers(len(shapes))]
-                b = batches[rng.integers(len(batches))]
-                out[(m, n, b)] = plan_backend(
-                    m, n, spec=spec, batch_hint=b
-                )
-            return out
-
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(plan_all, range(16)))
-
-        # Every thread saw the same plan for the same key.
-        merged = {}
-        for result in results:
-            for key, choice in result.items():
-                assert merged.setdefault(key, choice) == choice
-        # And each key matches a fresh single-threaded plan.
-        for (m, n, b), choice in merged.items():
-            assert choice == plan_backend(m, n, spec=spec, batch_hint=b)
-        # Cache size is bounded by the distinct (shape, bucket) keys --
-        # no duplicate or torn entries.
-        distinct = {
-            (m, n, batch_bucket(b)) for (m, n, b) in merged
-        }
-        assert plan_cache_stats()["size"] == len(distinct)
-
-    def test_clear_during_planning_does_not_corrupt(self):
-        spec = QuantSpec(bits=2, backend="auto")
-        stop = threading.Event()
-
-        def clearer():
-            while not stop.is_set():
-                clear_plan_cache()
-
-        thread = threading.Thread(target=clearer)
-        thread.start()
-        try:
-            for _ in range(200):
-                assert plan_backend(512, 512, spec=spec, batch_hint=1) in (
-                    "biqgemm",
-                    "dense",
-                )
-        finally:
-            stop.set()
-            thread.join()
 
 
 class TestConcurrentEngineBuild:

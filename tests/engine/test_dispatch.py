@@ -5,21 +5,13 @@ import pytest
 from repro.engine import (
     QuantSpec,
     batch_bucket,
-    clear_plan_cache,
     crossover_batch,
     dispatch,
     plan_backend,
-    plan_cache_stats,
     plan_costs,
+    resolve_backend,
 )
 from repro.hw.machine import MACHINES
-
-
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_plan_cache()
-    yield
-    clear_plan_cache()
 
 
 class TestBatchBucket:
@@ -83,8 +75,8 @@ class TestPlanRegimes:
         assert plan == "biqgemm"
 
     def test_modified_machine_config_not_served_stale_plan(self):
-        # A custom config sharing a stock machine's name must get its
-        # own cache line, not the stock plan.
+        # A custom config sharing a stock machine's name is priced on
+        # its own numbers, not the stock machine's.
         import dataclasses
 
         pc = MACHINES["pc"]
@@ -129,91 +121,29 @@ class TestPlanCosts:
         best = min(costs, key=lambda k: costs[k].seconds)
         assert plan_backend(512, 512, spec=spec, batch_hint=8) == best
 
-
-class TestPlanCache:
-    def test_repeated_plans_hit_cache(self):
+    def test_batch_priced_at_its_bucket(self):
         spec = QuantSpec(bits=3)
-        plan_backend(256, 256, spec=spec, batch_hint=4)
-        before = plan_cache_stats()
-        for _ in range(5):
-            plan_backend(256, 256, spec=spec, batch_hint=4)
-        after = plan_cache_stats()
-        assert after["hits"] == before["hits"] + 5
-        assert after["misses"] == before["misses"]
-
-    def test_same_bucket_shares_entry(self):
-        spec = QuantSpec(bits=3)
-        plan_backend(256, 256, spec=spec, batch_hint=17)
-        size_before = plan_cache_stats()["size"]
-        plan_backend(256, 256, spec=spec, batch_hint=32)  # same bucket
-        assert plan_cache_stats()["size"] == size_before
-
-    def test_fused_and_unfused_specs_get_distinct_entries(self):
-        # The biqgemm engine's fusion credit changes its price; a fused
-        # plan served to an unfused spec -- or vice versa -- would pin
-        # the wrong engine.  The cache key must include ``fuse``.
-        fused = plan_backend(
-            1024, 1024, spec=QuantSpec(bits=1, fuse="relu"), batch_hint=1
-        )
-        unfused = plan_backend(
-            1024, 1024, spec=QuantSpec(bits=1), batch_hint=1
-        )
-        assert plan_cache_stats()["size"] == 2
-        for spec, cached in (
-            (QuantSpec(bits=1, fuse="relu"), fused),
-            (QuantSpec(bits=1), unfused),
-        ):
-            fresh = plan_backend(
-                1024, 1024, spec=spec, batch_hint=1, use_cache=False
+        for batch in (3, 17, 129):
+            costs = plan_costs(
+                1024, 1024, spec=spec, batch_hint=batch_bucket(batch)
             )
-            assert cached == fresh, spec.fuse
-
-    def test_distinct_shapes_get_distinct_entries(self):
-        spec = QuantSpec(bits=3)
-        plan_backend(256, 256, spec=spec, batch_hint=1)
-        plan_backend(512, 256, spec=spec, batch_hint=1)
-        assert plan_cache_stats()["size"] == 2
-
-    def test_clear_resets(self):
-        plan_backend(64, 64, spec=QuantSpec(), batch_hint=1)
-        clear_plan_cache()
-        assert plan_cache_stats() == {"size": 0, "hits": 0, "misses": 0}
+            best = min(costs, key=lambda k: costs[k].seconds)
+            assert (
+                plan_backend(1024, 1024, spec=spec, batch_hint=batch)
+                == best
+            ), batch
 
 
-class TestAutotunePlanner:
-    def test_autotune_picks_a_lossless_engine(self):
-        # Tiny shape so the micro-benchmark stays fast.
-        spec = QuantSpec(bits=1, mu=2, planner="autotune")
-        plan = plan_backend(16, 16, spec=spec, batch_hint=2)
-        assert plan in {"biqgemm", "dense"}
+class TestResolveBackend:
+    def test_concrete_backend_passes_through(self):
+        for backend in ("biqgemm", "dense", "int8"):
+            spec = QuantSpec(backend=backend, batch_hint=512)
+            assert resolve_backend(spec, 1024, 1024) == backend
 
-    def test_autotune_result_cached(self):
-        spec = QuantSpec(bits=1, mu=2, planner="autotune")
-        first = plan_backend(16, 16, spec=spec, batch_hint=2)
-        before = plan_cache_stats()["hits"]
-        assert plan_backend(16, 16, spec=spec, batch_hint=2) == first
-        assert plan_cache_stats()["hits"] == before + 1
-
-    def test_bad_planner_rejected(self):
-        spec = QuantSpec(planner="oracle")
-        with pytest.raises(ValueError, match="planner"):
-            plan_backend(8, 8, spec=spec, use_cache=False)
-
-
-class TestEmpiricalBackend:
-    def test_returns_candidate_and_timings(self):
-        from repro.core.autotune import empirical_backend
-
-        best, timings = empirical_backend(
-            12, 8, 2, bits=1, mu=2, repeats=1,
-            candidates=("dense", "biqgemm"),
-        )
-        assert best in ("dense", "biqgemm")
-        assert set(timings) == {"dense", "biqgemm"}
-        assert all(t >= 0 for t in timings.values())
-
-    def test_empty_candidates_rejected(self):
-        from repro.core.autotune import empirical_backend
-
-        with pytest.raises(ValueError, match="non-empty"):
-            empirical_backend(4, 4, 1, candidates=())
+    def test_auto_plans_at_the_hint_or_batch_one(self):
+        # pc, 3-bit, 1024^2: biqgemm below the batch-128 crossover,
+        # dense from it on.
+        for hint, plan in ((None, "biqgemm"), (1, "biqgemm"),
+                           (256, "dense")):
+            spec = QuantSpec(bits=3, backend="auto", batch_hint=hint)
+            assert resolve_backend(spec, 1024, 1024) == plan, hint

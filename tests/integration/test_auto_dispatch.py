@@ -8,9 +8,8 @@ agree to float tolerance, whichever engine the planner picked).
 """
 
 import numpy as np
-import pytest
 
-from repro.engine import QuantSpec, clear_plan_cache
+from repro.engine import QuantSpec
 from repro.nn.attention import MultiHeadAttention
 from repro.nn.conv import QuantConv2d, conv2d_reference
 from repro.nn.linear import QuantLinear
@@ -21,13 +20,6 @@ from repro.nn.transformer import TransformerConfig, TransformerEncoder
 
 AUTO = QuantSpec(bits=2, mu=4, backend="auto")
 ORACLE = QuantSpec(bits=2, mu=4, backend="dense")
-
-
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_plan_cache()
-    yield
-    clear_plan_cache()
 
 
 class TestAutoInEveryLayer:
@@ -81,8 +73,7 @@ class TestAutoInEveryLayer:
         layer = QuantConv2d(w, stride=1, pad=1, spec=AUTO)
         expected = conv2d_reference(x, layer.dequantized(), stride=1, pad=1)
         assert np.allclose(layer(x), expected, atol=1e-8)
-        # The pixel batch is what the planner saw, not the image count.
-        assert layer.planned_backend(batch=2 * 6 * 6) in ("biqgemm", "dense")
+        assert layer.planned_backend() in ("biqgemm", "dense")
 
     def test_seq2seq_greedy_decode(self, rng):
         config = TransformerConfig(dim=16, heads=2, ff_dim=32, layers=1)

@@ -79,14 +79,29 @@ class TestDriftRecorder:
             Linear(rng.standard_normal((8, 16)), rng.standard_normal(8)),
         ]
         drift.enable(reset=True)
-        quantize(QuantMLP(layers), QuantConfig(bits=2, mu=4)).compile(
-            batch_hint=6
-        )
+        try:
+            quantize(QuantMLP(layers), QuantConfig(bits=2, mu=4)).compile(
+                batch_hint=6
+            )
+        finally:
+            drift.disable()
         entries = get_recorder().snapshot()
         assert {(e["m"], e["n"]) for e in entries if e["bucket"] == 8} == {
             (16, 24),
             (8, 16),
         }
+
+    def test_planning_alone_records_no_prediction(self):
+        """compile() is the one place predictions are recorded: the
+        planner itself is a pure function."""
+        from repro.engine import QuantSpec, plan_backend
+
+        drift.enable(reset=True)
+        try:
+            plan_backend(64, 64, spec=QuantSpec(bits=3), batch_hint=4)
+        finally:
+            drift.disable()
+        assert len(get_recorder()) == 0
 
     def test_save_load_roundtrip(self, tmp_path):
         rec = DriftRecorder()

@@ -224,8 +224,6 @@ class TestDefaultRegistry:
     def test_default_collectors_publish_core_families(self):
         text = get_registry().to_prometheus()
         for family in (
-            "repro_plan_cache_size",
-            "repro_plan_cache_hits_total",
             "repro_workspace_arenas",
             "repro_workspace_bytes_resident",
             "repro_trace_enabled",

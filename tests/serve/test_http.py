@@ -357,6 +357,81 @@ GENERATE_BODIES = st.fixed_dictionaries(
 )
 
 
+# Values a strict JSON-integer field must refuse rather than coerce: a
+# fraction or float (2.7 -> 2), a numeric string ("5" -> 5), a boolean
+# (true -> 1).
+NOT_INTEGERS = (
+    st.floats() | st.booleans() | st.integers(0, 30).map(str)
+    | st.text(max_size=3) | st.lists(st.integers(0, 3), max_size=2)
+)
+NOT_NUMBERS = (
+    st.booleans() | st.integers(0, 30).map(str) | st.text(max_size=3)
+    | st.lists(st.floats(), max_size=2)
+)
+GENERATE_INTEGER_FIELDS = ("max_new_tokens", "seed", "top_k", "eos_id")
+GENERATE_NUMBER_FIELDS = ("temperature", "deadline_ms")
+
+
+def _stream_tokens(port, body: dict) -> list[int]:
+    status, data = _raw_post(port, "/generate", json.dumps(body).encode())
+    assert status == 200, data
+    events = [json.loads(line) for line in data.splitlines()]
+    assert events[-1]["done"], events[-1]
+    return [event["token"] for event in events[:-1]]
+
+
+class TestGenerateFieldTypes:
+    """``/generate`` takes token ids and counts only as JSON integers
+    and ``temperature`` / ``deadline_ms`` only as JSON numbers."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_wrong_typed_field_gets_a_400_naming_it(self, mixed_server, data):
+        field = data.draw(
+            st.sampled_from(
+                ("prompt",) + GENERATE_INTEGER_FIELDS + GENERATE_NUMBER_FIELDS
+            ),
+            label="field",
+        )
+        body = {"model": "lm", "prompt": [1, 2], "max_new_tokens": 2}
+        if field == "prompt":
+            ids = data.draw(st.lists(st.integers(0, 19), max_size=3))
+            at = data.draw(st.integers(0, len(ids)))
+            ids.insert(at, data.draw(NOT_INTEGERS, label="bad id"))
+            body["prompt"] = ids
+        elif field in GENERATE_INTEGER_FIELDS:
+            body[field] = data.draw(NOT_INTEGERS, label="bad value")
+        else:
+            body[field] = data.draw(NOT_NUMBERS, label="bad value")
+        status, reply = _raw_post(
+            mixed_server, "/generate", json.dumps(body).encode()
+        )
+        assert status == 400, reply
+        assert field in json.loads(reply)["error"]
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        ids=st.lists(st.integers(0, 19), min_size=1, max_size=5),
+        max_new=st.integers(1, 4),
+        temperature=st.sampled_from([0, 0.0, 0.8, 2]),
+        top_k=st.none() | st.integers(1, 20),
+        seed=st.integers(0, 2**31),
+    )
+    def test_well_formed_body_streams_the_model_tokens(
+        self, mixed_server, ids, max_new, temperature, top_k, seed
+    ):
+        body = {"model": "lm", "prompt": ids, "max_new_tokens": max_new,
+                "temperature": temperature, "seed": seed,
+                "deadline_ms": 60000}
+        if top_k is not None:
+            body["top_k"] = top_k
+        expected = _decoder_lm().generate(
+            np.asarray(ids), max_new, temperature=float(temperature),
+            top_k=top_k, seed=seed,
+        )
+        assert _stream_tokens(mixed_server, body) == expected
+
+
 class TestNativeJson:
     """The /predict round trip gives the same bytes with and without
     the native JSON codec (the fallback is what a host without a C

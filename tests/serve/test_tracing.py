@@ -266,7 +266,7 @@ class TestHttpObservability:
         assert 'repro_serve_latency_seconds_bucket{model="m",le="+Inf"}' in text
         assert "# TYPE repro_serve_queue_depth summary" in text
         assert 'repro_serve_requests_total{model="m"}' in text
-        assert "repro_plan_cache_size" in text
+        assert "repro_engine_builds_total" in text
 
     def test_metrics_json_is_the_default(self, http_server):
         _, base = http_server
