@@ -91,7 +91,7 @@ def main() -> None:
         t.start()
     for t in threads:
         t.join()
-    # Scrape before stop(): teardown prunes the per-model serve series
+    # Scrape before stop(): teardown retracts the per-model serve series
     # (a scrape must never report a model that no longer serves).
     prometheus = get_registry().to_prometheus()
     from repro.obs.slo import get_engine

@@ -223,7 +223,7 @@ def _describe_decoder_lm(model: Any):
 
 def _rebuild_decoder_lm(desc, layers_by_path):
     from repro.api.model import _walk
-    from repro.gen.model import DecoderLM, mark_batch_invariant
+    from repro.gen.model import DecoderLM
     from repro.nn.transformer import TransformerConfig
 
     # A real seeded rebuild (not _ZeroRng): the embedding table is part
@@ -255,9 +255,6 @@ def _rebuild_decoder_lm(desc, layers_by_path):
             f"artifact payloads {sorted(remaining)} match no layer of the "
             "declared decoder structure"
         )
-    # The walk swapped fresh QuantLinears in; restore the decode
-    # bit-identity contract on them.
-    mark_batch_invariant(model)
     return model
 
 

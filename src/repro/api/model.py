@@ -701,12 +701,8 @@ class CompiledModel:
                     f"decode API (missing {attr}); generate() needs a "
                     "DecoderLM-style model"
                 )
-        from repro.gen.model import mark_batch_invariant
         from repro.gen.sampler import Sampler
 
-        # quantize()/apply_config() may have swapped layers in since
-        # construction; re-marking is idempotent and cheap.
-        mark_batch_invariant(model)
         ids = np.asarray(prompt, dtype=np.int64)
         if ids.ndim == 1:
             ids = ids[None, :]

@@ -1463,7 +1463,6 @@ def decode_experiment(
     from repro.gen.model import DecoderLM
     from repro.nn.transformer import TransformerConfig
     from repro.serve.sequences import SequenceScheduler
-    from repro.serve.telemetry import GenTelemetry
 
     decode_table = Table(
         "Decode throughput: KV-cached step loop vs full recompute "
@@ -1542,15 +1541,11 @@ def decode_experiment(
 
     decode_tokens = 16 if quick else 32
     for count in sequence_counts:
-        telemetry = GenTelemetry()
         prompts = [
             rng.integers(0, vocab, size=prompt_len) for _ in range(count)
         ]
         with SequenceScheduler(
-            compiled,
-            max_sequences=count,
-            name=f"bench{count}",
-            telemetry=telemetry,
+            compiled, max_sequences=count, name=f"bench{count}"
         ) as scheduler:
             barrier = threading.Barrier(count)
 
@@ -1569,9 +1564,10 @@ def decode_experiment(
                 thread.join()
             elapsed = time.perf_counter() - t0
         tok_per_s = count * decode_tokens / elapsed
-        scheduler_table.add_row(count, tok_per_s, telemetry.coalescing_ratio)
+        coalescing = scheduler.metrics.coalescing_ratio.value
+        scheduler_table.add_row(count, tok_per_s, coalescing)
         metrics[f"sched_tok_per_s_s{count}"] = tok_per_s
-        metrics[f"coalescing_s{count}"] = telemetry.coalescing_ratio
+        metrics[f"coalescing_s{count}"] = coalescing
     return Measurement([decode_table, scheduler_table], metrics)
 
 

@@ -17,16 +17,12 @@ A KV-cached :meth:`step` is bit-identical to the last position of the
 full causal recompute only if every projection engine computes each
 activation *column* identically whether it arrives alone (the step's
 GEMV) or alongside the rest of the prefix (the recompute's batched
-GEMM).  BiQGEMM's tiled kernels and the exact-integer int8 path are
-column-invariant by construction; BLAS-backed engines are not (BLAS
-retiles by operand size).  :func:`mark_batch_invariant` therefore
-flips every quantized layer of a model into
-:attr:`~repro.nn.linear.QuantLinear.batch_invariant` mode, where
-non-invariant engines fall back to computing multi-column inputs one
-column at a time -- invariance by construction, at batched-prefill
-cost only on those engines.  :class:`DecoderLM` marks its own layers
-at construction and :meth:`repro.api.CompiledModel.generate` re-marks
-after quantization, so decode users never see the difference.
+GEMM).  Every engine a quantized layer can hold is column-invariant by
+construction: BiQGEMM's tiled kernels fold each column on its own,
+``dense`` runs one GEMV per column (a stacked ``matmul``), and
+``int8`` quantizes activations per column and multiplies exactly in
+integers.  So a layer hands a whole prefill or decode tick to its
+engine in one call, and the bits still match the lone step.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from repro.nn.embedding import Embedding, positional_encoding
 from repro.nn.linear import QuantSpec, make_linear, split_builder_spec
 from repro.nn.transformer import TransformerConfig, TransformerEncoder
 
-__all__ = ["DecoderLM", "causal_mask", "mark_batch_invariant"]
+__all__ = ["DecoderLM", "causal_mask"]
 
 
 def causal_mask(seq: int) -> np.ndarray:
@@ -47,25 +43,6 @@ def causal_mask(seq: int) -> np.ndarray:
     see identical bits."""
     check_positive_int(seq, "seq")
     return np.triu(np.ones((seq, seq), dtype=bool), k=1)
-
-
-def mark_batch_invariant(model) -> int:
-    """Flip every quantized layer of *model* into batch-invariant mode.
-
-    Returns the number of layers marked.  Idempotent; float
-    :class:`~repro.nn.linear.Linear` layers (no engines) are skipped --
-    a float model's decode is only ``allclose`` to its recompute, which
-    is why the bit-identity contract is stated for quantized models.
-    """
-    from repro.api.model import named_quant_layers
-
-    marked = 0
-    for _, layer in named_quant_layers(model):
-        mark = getattr(layer, "set_batch_invariant", None)
-        if mark is not None:
-            mark(True)
-            marked += 1
-    return marked
 
 
 class DecoderLM:
@@ -131,7 +108,6 @@ class DecoderLM:
             from repro.api.model import apply_config
 
             apply_config(self, qconfig)
-        mark_batch_invariant(self)
 
     # ------------------------------------------------------------------
     def _positions(self, length: int) -> np.ndarray:

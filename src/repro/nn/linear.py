@@ -278,35 +278,7 @@ class QuantLinear:
         obj._backend = resolve_backend(spec, *self._shape)
         obj._engine = None
         obj._build_lock = threading.Lock()
-        obj._batch_invariant = self._batch_invariant
         return obj
-
-    # Class-level default so every construction path (__init__,
-    # from_engine, with_spec, clone_shared via __new__) starts
-    # non-invariant without each having to set it.
-    _batch_invariant = False
-
-    @property
-    def batch_invariant(self) -> bool:
-        """Whether this layer guarantees column-wise bit-identity.
-
-        In batch-invariant mode every activation column's result is
-        bit-identical whether it arrives alone (a decode step's GEMV)
-        or batched with others (the prefill GEMM) -- the contract the
-        KV-cache bit-identity tests pin.  Invariant-by-construction
-        engines (``engine.batch_invariant``) run batched natively; the
-        rest fall back to one engine call per column for multi-column
-        inputs, trading batched throughput for invariance.  Single
-        columns always take the engine's native path.
-        """
-        return self._batch_invariant
-
-    def set_batch_invariant(self, flag: bool = True) -> None:
-        """Enable (or disable) batch-invariant mode (see
-        :attr:`batch_invariant`).  Flipped by the decode machinery
-        (:func:`repro.gen.model.mark_batch_invariant`); plain batched
-        serving keeps the default off."""
-        self._batch_invariant = bool(flag)
 
     def clone_shared(self) -> "QuantLinear":
         """A layer sharing this one's compiled engine and quantized
@@ -326,7 +298,6 @@ class QuantLinear:
         obj._backend = self._backend
         obj._engine = self._engine
         obj._build_lock = threading.Lock()
-        obj._batch_invariant = self._batch_invariant
         return obj
 
     @property
@@ -483,7 +454,7 @@ class QuantLinear:
             # drift measurement.  Off (the default), this is one
             # module-attribute read and the call goes straight through.
             return self._apply_observed(engine, cols, lead, m, tokens)
-        return self._apply(engine, cols, lead, m, tokens)
+        return self._apply(engine, cols, lead, m)
 
     def _apply(
         self,
@@ -491,7 +462,6 @@ class QuantLinear:
         cols: np.ndarray,
         lead: tuple,
         m: int,
-        tokens: int,
         profiler=None,
     ) -> np.ndarray:
         """Run the engine over prepared ``(n, tokens)`` columns.
@@ -501,26 +471,6 @@ class QuantLinear:
         engines with ``accepts_profiler`` set.
         """
         kwargs = {} if profiler is None else {"profiler": profiler}
-        if (
-            tokens > 1
-            and self._batch_invariant
-            and not getattr(engine, "batch_invariant", False)
-        ):
-            # Batch-invariant mode on an engine that is not invariant
-            # by construction: compute one column at a time through the
-            # engine's native single-column path, so every column's
-            # bits match what a lone decode-step GEMV would produce.
-            first = engine.matmul(cols[:, :1], **kwargs)
-            out_cols = np.empty((m, tokens), dtype=first.dtype)
-            out_cols[:, :1] = first
-            for j in range(1, tokens):
-                out_cols[:, j : j + 1] = engine.matmul(
-                    cols[:, j : j + 1], **kwargs
-                )
-            out = out_cols.T.reshape(lead + (m,))
-            if getattr(engine, "fused_epilogue", False):
-                return out
-            return _add_bias(out, self.bias)
         if getattr(engine, "fused_epilogue", False):
             # Bias and activation already ran inside the engine's
             # epilogue; folding them again here would double-apply.
@@ -560,9 +510,7 @@ class QuantLinear:
         with _trace.span(
             "engine.matmul", backend=backend, m=m, n=n, batch=tokens
         ) as matmul_span:
-            result = self._apply(
-                engine, cols, lead, m, tokens, profiler=profiler
-            )
+            result = self._apply(engine, cols, lead, m, profiler=profiler)
         elapsed = time.perf_counter() - start
         ctx = (
             getattr(matmul_span, "context", None) if _obs.TRACING else None
@@ -573,23 +521,13 @@ class QuantLinear:
         if _obs.DRIFT:
             from repro.obs.drift import record_measurement
 
-            seconds, rec_tokens = elapsed, tokens
-            if self._batch_invariant and tokens > 1:
-                # A decode tick coalesces N sequences into one call,
-                # but the planner priced -- and compile() recorded a
-                # prediction for -- the per-sequence batch-1 GEMV.
-                # Record the per-column cost on the batch-1 bucket so
-                # decode-path shapes pair with their predictions in the
-                # planner-regret report instead of landing on bucket
-                # keys that have no prediction at all.
-                seconds, rec_tokens = elapsed / tokens, 1
             record_measurement(
                 backend,
                 m,
                 n,
                 self.spec.bits,
-                rec_tokens,
-                seconds,
+                tokens,
+                elapsed,
                 mu=self.spec.mu,
                 machine=self.spec.machine
                 if isinstance(self.spec.machine, str)

@@ -1,31 +1,32 @@
 """Unified metrics registry: counters, gauges, histograms, exporters.
 
-One registry for the whole process: serve, engine builds, workspace
-arenas and the batcher all publish here, so a single
-scrape answers "where do time, memory and mispredictions go" instead of
-five subsystem-private snapshot dicts.  Two publishing styles:
+One registry for the whole process: serving, engine builds, workspace
+arenas and tracing all publish here, so a single scrape answers "where
+do time, memory and mispredictions go".  Two publishing styles:
 
-- **push**: hot paths that already count under a lock (the serving
-  telemetry) hand their instruments straight to the registry
-  (:meth:`MetricsRegistry.register_histogram`) or increment a
-  :class:`Counter` / :class:`Gauge` they created once;
-- **pull**: subsystems with existing snapshot functions (workspace
-  arenas, engine builds) register a **collector** callback
-  that copies their counters into the registry at scrape time -- zero
-  hot-path cost, which is what keeps the disabled-observability serving
-  loop free.
+- **instruments**: a serving component (a model's batcher, its decode
+  scheduler, its cluster pool) builds a :class:`MetricSet` -- its own
+  :class:`Counter`, :class:`Gauge` and :class:`Histogram` objects,
+  created once -- and records into them directly on the hot path.
+  :meth:`MetricSet.publish` installs those same objects in the
+  registry under a ``model`` label, so the JSON ``/metrics`` body (read
+  from the component) and the Prometheus text (read from the registry)
+  are two renderings of one set of numbers.  A gauge may be backed by
+  a function (a queue's depth, a ratio of two counters), read at
+  scrape time.
+- **pull**: subsystems whose numbers live elsewhere (workspace arenas,
+  engine builds, the model store) register a **collector** callback
+  that copies them into the registry at scrape time.
 
-Exporters: :meth:`MetricsRegistry.to_json` (the ``/metrics`` JSON
-section) and :meth:`MetricsRegistry.to_prometheus` (text exposition
-format, version 0.0.4 -- what ``/metrics?format=prometheus`` serves).
+Exporters: :meth:`MetricsRegistry.to_json` and
+:meth:`MetricsRegistry.to_prometheus` (text exposition format, version
+0.0.4 -- what ``/metrics?format=prometheus`` serves).
 
-:class:`Histogram` here absorbs the former
-``repro.serve.telemetry.Histogram`` (which now re-exports it): a
-bounded-window reservoir whose quantiles use **linear interpolation
-between order statistics** -- the nearest-rank ``int(q * len)`` it
-replaces over-indexed toward the low side for small windows (with 4
-samples it called index 3 the p95 *and* the p50's neighbour, biasing
-p50 low and leaving p95 = p99 = max always).
+:class:`Histogram` is a bounded-window reservoir whose quantiles use
+**linear interpolation between order statistics** -- nearest-rank
+``int(q * len)`` over-indexes toward the low side for small windows
+(with 4 samples it calls index 3 the p95 *and* the p50's neighbour,
+biasing p50 low and leaving p95 = p99 = max always).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "DEFAULT_LATENCY_BOUNDS",
     "Gauge",
     "Histogram",
+    "MetricSet",
     "MetricsRegistry",
     "get_registry",
 ]
@@ -61,15 +63,16 @@ DEFAULT_LATENCY_BOUNDS = (
 
 
 class Counter:
-    """Monotonically increasing count (thread-safe)."""
+    """Monotonically increasing count (thread-safe).  Stays an ``int``
+    while only integers are added."""
 
     __slots__ = ("_lock", "_value")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._value = 0.0
+        self._value = 0
 
-    def inc(self, amount: float = 1.0) -> None:
+    def inc(self, amount: float = 1) -> None:
         if amount < 0:
             raise ValueError(f"counters only go up, got {amount}")
         with self._lock:
@@ -92,13 +95,19 @@ class Counter:
 
 
 class Gauge:
-    """A value that goes up and down (thread-safe)."""
+    """A value that goes up and down (thread-safe).
 
-    __slots__ = ("_lock", "_value")
+    With *fn*, the gauge is read-only: :attr:`value` calls ``fn()``
+    (a queue depth, a ratio of two counters), so nothing has to keep
+    it up to date.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("_lock", "_value", "_fn")
+
+    def __init__(self, fn: Callable[[], float] | None = None) -> None:
         self._lock = threading.Lock()
         self._value = 0.0
+        self._fn = fn
 
     def set(self, value: float) -> None:
         with self._lock:
@@ -114,6 +123,8 @@ class Gauge:
 
     @property
     def value(self) -> float:
+        if self._fn is not None:
+            return self._fn()
         with self._lock:
             return self._value
 
@@ -123,9 +134,8 @@ class Histogram:
 
     Keeps the most recent *window* observations (a serving process runs
     indefinitely; an unbounded list would not) and reports quantiles
-    over that window plus lifetime count/sum.  Callers hold their own
-    lock around :meth:`record` -- the class itself synchronizes only
-    enough for a concurrent snapshot reader to see a consistent window.
+    over that window plus lifetime count/sum.  Thread-safe: recording
+    and reading take the histogram's own lock.
 
     **Exemplars.**  With *exemplar_bounds* set (ascending upper bounds;
     an implicit ``+Inf`` bucket closes the list), the histogram also
@@ -145,6 +155,7 @@ class Histogram:
     ):
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
+        self._lock = threading.Lock()
         self._values: deque[float] = deque(maxlen=window)
         self.count = 0
         self.total = 0.0
@@ -172,15 +183,16 @@ class Histogram:
 
     def record(self, value: float, trace_id: str | None = None) -> None:
         value = float(value)
-        self._values.append(value)
-        self.count += 1
-        self.total += value
         bounds = self.exemplar_bounds
-        if bounds is not None:
-            idx = bisect_left(bounds, value)
-            self._bucket_counts[idx] += 1
-            if trace_id is not None:
-                self._exemplar_cells[idx].append((value, trace_id))
+        with self._lock:
+            self._values.append(value)
+            self.count += 1
+            self.total += value
+            if bounds is not None:
+                idx = bisect_left(bounds, value)
+                self._bucket_counts[idx] += 1
+                if trace_id is not None:
+                    self._exemplar_cells[idx].append((value, trace_id))
 
     def bucket_counts(self) -> list[tuple[str, int]]:
         """Cumulative lifetime counts per exemplar bucket as
@@ -189,12 +201,14 @@ class Histogram:
         bounds = self.exemplar_bounds
         if bounds is None:
             return []
+        with self._lock:
+            counts = list(self._bucket_counts)
         out: list[tuple[str, int]] = []
         running = 0
-        for bound, n in zip(bounds, self._bucket_counts):
+        for bound, n in zip(bounds, counts):
             running += n
             out.append((f"{bound:g}", running))
-        out.append(("+Inf", running + self._bucket_counts[-1]))
+        out.append(("+Inf", running + counts[-1]))
         return out
 
     def exemplars(self) -> list[dict]:
@@ -204,13 +218,14 @@ class Histogram:
         bounds = self.exemplar_bounds
         if bounds is None:
             return []
-        out = []
+        with self._lock:
+            latest = [c[-1] if c else None for c in self._exemplar_cells]
         les = [f"{b:g}" for b in bounds] + ["+Inf"]
-        for le, cell in zip(les, self._exemplar_cells):
-            if cell:
-                value, trace_id = cell[-1]
-                out.append({"le": le, "value": value, "trace_id": trace_id})
-        return out
+        return [
+            {"le": le, "value": mark[0], "trace_id": mark[1]}
+            for le, mark in zip(les, latest)
+            if mark is not None
+        ]
 
     @property
     def mean(self) -> float:
@@ -229,7 +244,8 @@ class Histogram:
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
-        ordered = sorted(self._values)
+        with self._lock:
+            ordered = sorted(self._values)
         if not ordered:
             return 0.0
         position = q * (len(ordered) - 1)
@@ -240,13 +256,15 @@ class Histogram:
         frac = position - lo
         return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
-    def snapshot(self) -> dict:
+    def snapshot(self, scale: float = 1.0) -> dict:
+        """Count, mean and p50/p95/p99, the last four times *scale*
+        (``1e3`` reports seconds as milliseconds)."""
         return {
             "count": self.count,
-            "mean": self.mean,
-            "p50": self.quantile(0.50),
-            "p95": self.quantile(0.95),
-            "p99": self.quantile(0.99),
+            "mean": self.mean * scale,
+            "p50": self.quantile(0.50) * scale,
+            "p95": self.quantile(0.95) * scale,
+            "p99": self.quantile(0.99) * scale,
         }
 
 
@@ -292,31 +310,39 @@ class MetricsRegistry:
         self._families: dict[str, dict] = {}
         self._collectors: list[Callable[["MetricsRegistry"], None]] = []
         self._collect_lock = threading.Lock()
+        # (name, labelset) -> instruments a later register() displaced,
+        # oldest first (see register / unregister).
+        self._shadowed: dict[tuple, list[_Instrument]] = {}
 
     # -- registration --------------------------------------------------
-    def _get(
-        self, cls, name: str, help: str, labels: dict, factory=None
-    ) -> _Instrument:
+    def _series(self, cls, name: str, help: str, labels: dict):
+        """``(series dict, labelset)`` of family *name*, created as a
+        *cls* family if new.  Caller holds ``self._lock``."""
         if not _NAME_RE.match(name):
             raise ValueError(f"invalid metric name {name!r}")
         labelset = _check_labels(labels)
+        family = self._families.get(name)
+        if family is None:
+            family = {"type": cls, "help": help, "series": {}}
+            self._families[name] = family
+        elif family["type"] is not cls:
+            raise ValueError(
+                f"metric {name!r} is a "
+                f"{_TYPE_NAMES[family['type']]}, not a "
+                f"{_TYPE_NAMES[cls]}"
+            )
+        if help and not family["help"]:
+            family["help"] = help
+        return family["series"], labelset
+
+    def _get(
+        self, cls, name: str, help: str, labels: dict, factory=None
+    ) -> _Instrument:
         with self._lock:
-            family = self._families.get(name)
-            if family is None:
-                family = {"type": cls, "help": help, "series": {}}
-                self._families[name] = family
-            elif family["type"] is not cls:
-                raise ValueError(
-                    f"metric {name!r} is a "
-                    f"{_TYPE_NAMES[family['type']]}, not a "
-                    f"{_TYPE_NAMES[cls]}"
-                )
-            if help and not family["help"]:
-                family["help"] = help
-            instrument = family["series"].get(labelset)
+            series, labelset = self._series(cls, name, help, labels)
+            instrument = series.get(labelset)
             if instrument is None:
-                instrument = (factory or cls)()
-                family["series"][labelset] = instrument
+                instrument = series[labelset] = (factory or cls)()
             return instrument
 
     def counter(self, name: str, help: str = "", **labels) -> Counter:
@@ -341,47 +367,51 @@ class MetricsRegistry:
         )
         return self._get(Histogram, name, help, labels, factory)
 
-    def register_histogram(
-        self, name: str, hist: Histogram, help: str = "", **labels
-    ) -> Histogram:
-        """Adopt an externally owned :class:`Histogram` as a series.
+    def register(
+        self, name: str, instrument: _Instrument, help: str = "", **labels
+    ) -> _Instrument:
+        """Adopt an externally owned instrument as the series
+        (*name*, *labels*).
 
-        The push-style integration: the serving telemetry keeps
-        recording into its own histogram under its own lock, and the
-        registry exports it live -- no copying, no double counting.
-        Re-registering the same series replaces the instrument (a
-        hot-swapped model's fresh telemetry takes over the series).
+        The registry exports the object live -- no copying.  It takes
+        over the name and labels from any instrument already there (a
+        hot-swapped model's fresh instruments start the scrape at
+        zero); the displaced one is kept aside and returns if
+        *instrument* is unregistered first (two servers in one process
+        serving one model name).
         """
-        if not _NAME_RE.match(name):
-            raise ValueError(f"invalid metric name {name!r}")
-        labelset = _check_labels(labels)
         with self._lock:
-            family = self._families.setdefault(
-                name, {"type": Histogram, "help": help, "series": {}}
+            series, labelset = self._series(
+                type(instrument), name, help, labels
             )
-            if family["type"] is not Histogram:
-                raise ValueError(f"metric {name!r} is not a histogram")
-            family["series"][labelset] = hist
-        return hist
+            current = series.get(labelset)
+            if current is not None and current is not instrument:
+                self._shadowed.setdefault((name, labelset), []).append(
+                    current
+                )
+            series[labelset] = instrument
+        return instrument
 
-    def prune(self, **labels) -> int:
-        """Drop every series whose labels include all given items.
-
-        Runtime teardown (hot-swap, eviction, server stop) prunes its
-        model's series so a scrape never reports a model that no longer
-        serves.  Returns the number of series removed.
-        """
-        match = set(_check_labels(labels))
-        removed = 0
+    def unregister(self, *instruments: _Instrument) -> None:
+        """Remove these objects (by identity, not labels).  A series
+        one of them holds goes back to the instrument it displaced, if
+        any, or leaves the scrape; a series another owner has since
+        taken over stays."""
+        ids = {id(instrument) for instrument in instruments}
         with self._lock:
-            for family in self._families.values():
-                stale = [
-                    ls for ls in family["series"] if match <= set(ls)
-                ]
-                for ls in stale:
-                    del family["series"][ls]
-                removed += len(stale)
-        return removed
+            for stack in self._shadowed.values():
+                stack[:] = [i for i in stack if id(i) not in ids]
+            for name, family in self._families.items():
+                series = family["series"]
+                for labelset, inst in list(series.items()):
+                    if id(inst) not in ids:
+                        continue
+                    stack = self._shadowed.get((name, labelset))
+                    if stack:
+                        series[labelset] = stack.pop()
+                    else:
+                        del series[labelset]
+            self._shadowed = {k: s for k, s in self._shadowed.items() if s}
 
     # -- collectors ----------------------------------------------------
     def register_collector(
@@ -523,6 +553,54 @@ class MetricsRegistry:
                     f"{name}_count{labels} {instrument.count:g}"
                 )
         return "\n".join(lines) + "\n"
+
+
+class MetricSet:
+    """The instruments one component records into, and their families.
+
+    A subclass creates each instrument once, in ``__init__``, through
+    :meth:`_family` (family name, help text, instrument) or
+    :meth:`_counters`, and records into the attribute directly -- no
+    registry lookup by name or label on the hot path.  :meth:`publish`
+    installs those same objects in a registry under shared labels;
+    :meth:`retract` removes them again by identity, so a successor that
+    published under the same labels (a hot-swapped model) keeps its
+    series.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()  # guards subclasses' size tallies
+        self._families: list[tuple[str, str, _Instrument]] = []
+
+    def _family(self, name: str, help: str, instrument):
+        self._families.append((name, help, instrument))
+        return instrument
+
+    def _counters(self, prefix: str, counts) -> None:
+        """A :class:`Counter` attribute per ``(name, help)`` in
+        *counts*, exported as ``<prefix><name>_total``."""
+        for name, help_text in counts:
+            counter = Counter()
+            self._family(f"{prefix}{name}_total", help_text, counter)
+            setattr(self, name, counter)
+
+    def _values(self, counts) -> dict:
+        return {name: getattr(self, name).value for name, _ in counts}
+
+    def _count_size(self, sizes: dict[int, int], size: int) -> None:
+        with self._lock:
+            sizes[size] = sizes.get(size, 0) + 1
+
+    def _sizes(self, sizes: dict[int, int]) -> dict[int, int]:
+        with self._lock:
+            return dict(sorted(sizes.items()))
+
+    def publish(self, registry: MetricsRegistry, **labels) -> None:
+        for name, help_text, instrument in self._families:
+            registry.register(name, instrument, help_text, **labels)
+
+    def retract(self, registry: MetricsRegistry) -> None:
+        registry.unregister(*(inst for _, _, inst in self._families))
 
 
 # ----------------------------------------------------------------------

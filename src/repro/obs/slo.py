@@ -66,8 +66,9 @@ class SLOSpec:
         ``threshold_s``; ``objective`` is the fraction that must
         (0.95 = "p95 under threshold").  ``"availability"`` -- a
         request is good when it does not error.  ``"tokens_per_s"`` --
-        decode throughput sampled from ``GenTelemetry`` must stay
-        above ``min_tokens_per_s``.
+        decode throughput sampled from the model's decode counters
+        (:meth:`SLOEngine.attach_gen_source`) must stay above
+        ``min_tokens_per_s``.
     threshold_s:
         Latency bound in seconds (``latency`` kind only).
     objective:
@@ -314,11 +315,12 @@ class SLOEngine:
         with self._lock:
             self._listeners.append(fn)
 
-    def attach_gen_source(self, model: str, telemetry) -> None:
-        """Point ``tokens_per_s`` specs at a model's ``GenTelemetry``
-        (anything with ``tokens`` and ``busy_seconds()``)."""
+    def attach_gen_source(self, model: str, sample) -> None:
+        """Point ``tokens_per_s`` specs at a model's decode counters:
+        *sample* returns ``(tokens, busy_seconds)``, both monotonic
+        (:meth:`repro.serve.sequences.GenMetrics.sample`)."""
         with self._lock:
-            self._gen_sources[model] = telemetry
+            self._gen_sources[model] = sample
             horizon = max(
                 (
                     spec.slow_window_s
@@ -381,8 +383,8 @@ class SLOEngine:
                     burns.append((bad / total) / budget)
             status.measured = None
             return burns
-        # tokens_per_s: sample matching GenTelemetry counters, then
-        # rate over each window.
+        # tokens_per_s: rate the sampled decode counters over each
+        # window.
         burns = []
         measured_fast = None
         for window_s, attr in (
@@ -415,13 +417,12 @@ class SLOEngine:
             now = self._clock()
         fired = []
         with self._lock:
-            for model, source in self._gen_sources.items():
+            for model, sample in self._gen_sources.items():
                 window = self._throughput.get(model)
                 if window is None:
                     continue
-                window.sample(
-                    now, int(source.tokens), float(source.busy_seconds())
-                )
+                tokens, busy = sample()
+                window.sample(now, int(tokens), float(busy))
             out = []
             for spec in self._specs:
                 status = self._status[spec.name]

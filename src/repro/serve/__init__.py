@@ -23,10 +23,18 @@ into power-of-two micro-batches:
   ``http.server`` JSON API (``/predict``, streaming ``/generate``,
   ``/models``, ``/healthz``, ``/metrics``, ``/slo``, ``/profile``),
   with SLO burn-rate degradation and 429 + ``Retry-After`` load
-  shedding when ``ServeConfig.slos`` is set (:mod:`repro.obs.slo`);
-- :mod:`~repro.serve.telemetry` -- latency quantiles, queue depth,
-  batch-size distribution, LUT-amortization ratio, and decode vitals
-  (tokens/s, inter-token latency, coalescing ratio).
+  shedding when ``ServeConfig.slos`` is set (:mod:`repro.obs.slo`).
+
+Serving counts have one home: each model's batcher, decode scheduler
+and cluster pool record into their own instruments
+(:class:`~repro.serve.batcher.ServeMetrics`,
+:class:`~repro.serve.sequences.GenMetrics`,
+:class:`~repro.serve.cluster.supervisor.ClusterMetrics`) -- latency
+quantiles, queue depth, batch sizes, the LUT-amortization ratio, decode
+tokens/s, inter-token latency and worker lifecycle.  The server puts
+those same objects in the :mod:`repro.obs.metrics` registry under a
+``model`` label, so the JSON and Prometheus renderings of
+``/metrics`` read one set of numbers.
 
 Quick start (see also ``examples/serve_http.py`` and ``python -m
 repro.serve --help``)::
@@ -50,19 +58,15 @@ from repro.serve.pool import WorkerPool
 from repro.serve.sequences import GenerationStream, SequenceScheduler
 from repro.serve.server import AdmissionShedError, ServeConfig, Server
 from repro.serve.store import ModelNotFound, ModelStore, StoredModel
-from repro.serve.telemetry import GenTelemetry, Histogram, ModelTelemetry
 
 __all__ = [
     "AdmissionShedError",
     "Batch",
     "Batcher",
     "BatcherClosed",
-    "GenTelemetry",
     "GenerationStream",
-    "Histogram",
     "ModelNotFound",
     "ModelStore",
-    "ModelTelemetry",
     "PendingRequest",
     "QueueFullError",
     "SequenceScheduler",

@@ -29,13 +29,19 @@ import threading
 import time
 from concurrent.futures import CancelledError
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from repro._util import check_positive_int
 from repro.engine import batch_buckets
 from repro.obs import runtime as _obs
-from repro.serve.telemetry import ModelTelemetry
+from repro.obs.metrics import (
+    DEFAULT_LATENCY_BOUNDS,
+    Gauge,
+    Histogram,
+    MetricSet,
+)
 
 __all__ = [
     "Batcher",
@@ -43,6 +49,7 @@ __all__ = [
     "BatcherClosed",
     "PendingRequest",
     "QueueFullError",
+    "ServeMetrics",
     "WorkerLost",
 ]
 
@@ -187,6 +194,75 @@ class Batch:
             request.set_error(exc)
 
 
+_SERVE_COUNTS = (
+    ("requests", "requests admitted"),
+    ("served", "requests completed ok"),
+    ("errors", "requests failed"),
+    ("rejected", "requests refused at admission"),
+    ("cancelled", "requests abandoned in queue"),
+    ("batches", "model executions"),
+)
+
+
+class ServeMetrics(MetricSet):
+    """One model's serving counts: what the batcher actually bought.
+
+    BiQGEMM's lookup tables cost the same whether 1 or 64 requests
+    share them (paper Section III), so the number that says whether
+    dynamic batching works is the **LUT-amortization ratio**: requests
+    served per model execution, the mean effective batch.  Around it
+    sit a :class:`~repro.obs.metrics.Counter` per ``_SERVE_COUNTS``
+    entry, latency and queue-depth quantiles, and the batch-size
+    distribution (JSON only).
+    """
+
+    def __init__(self, pending: Callable[[], int]):
+        super().__init__()
+        # Exemplar-enabled: each latency bucket keeps the trace ids of
+        # recent requests that landed in it, so a p99 spike on /metrics
+        # links straight to traces of the requests that caused it.
+        self.latency = self._family(
+            "repro_serve_latency_seconds",
+            "request latency, submit to result",
+            Histogram(exemplar_bounds=DEFAULT_LATENCY_BOUNDS),
+        )
+        self.queue_depth = self._family(
+            "repro_serve_queue_depth",
+            "queue depth sampled at admission",
+            Histogram(),
+        )
+        self._counters("repro_serve_", _SERVE_COUNTS)
+        self.lut_amortization_ratio = self._family(
+            "repro_serve_lut_amortization_ratio",
+            "requests served per model execution (mean effective batch)",
+            Gauge(lambda: _ratio(self.served.value, self.batches.value)),
+        )
+        self._family(
+            "repro_serve_queue_pending",
+            "requests currently queued",
+            Gauge(pending),
+        )
+        self.batch_sizes: dict[int, int] = {}
+
+    def record_batch(self, size: int) -> None:
+        self.batches.inc()
+        self._count_size(self.batch_sizes, size)
+
+    def snapshot(self) -> dict:
+        """The model's ``/metrics`` JSON (latency in milliseconds)."""
+        return {
+            **self._values(_SERVE_COUNTS),
+            "lut_amortization_ratio": self.lut_amortization_ratio.value,
+            "latency_ms": self.latency.snapshot(1e3),
+            "queue_depth": self.queue_depth.snapshot(),
+            "batch_size_counts": self._sizes(self.batch_sizes),
+        }
+
+
+def _ratio(num: float, den: float) -> float:
+    return num / den if den else 0.0
+
+
 class Batcher:
     """Bounded request queue with bucket-aligned dynamic batching.
 
@@ -204,7 +280,6 @@ class Batcher:
         max_batch: int = 32,
         max_latency_ms: float = 5.0,
         max_queue: int = 256,
-        telemetry: ModelTelemetry | None = None,
     ):
         check_positive_int(max_batch, "max_batch")
         check_positive_int(max_queue, "max_queue")
@@ -215,7 +290,7 @@ class Batcher:
         self.max_batch = max_batch
         self.max_latency = max_latency_ms / 1e3
         self.max_queue = max_queue
-        self.telemetry = telemetry or ModelTelemetry()
+        self.metrics = ServeMetrics(self.pending)
         # Bucket targets shared with the planner's pricing and the drift
         # telemetry keys.
         self.buckets = batch_buckets(max_batch)
@@ -267,7 +342,7 @@ class Batcher:
                         BatcherClosed("batcher is closed"), request_id
                     )
                 if len(self._queue) >= self.max_queue:
-                    self.telemetry.record_reject()
+                    self.metrics.rejected.inc()
                     raise _tagged(
                         QueueFullError(
                             f"request queue is full "
@@ -276,7 +351,8 @@ class Batcher:
                         request_id,
                     )
                 self._queue.append(request)
-                self.telemetry.record_enqueue(len(self._queue))
+                self.metrics.requests.inc()
+                self.metrics.queue_depth.record(len(self._queue))
                 self._cond.notify_all()
         except BaseException as exc:
             request.end_queue_span(
@@ -317,7 +393,7 @@ class Batcher:
         belong to live traffic."""
         live = [r for r in self._queue if not r.cancelled]
         if len(live) != len(self._queue):
-            self.telemetry.record_cancelled(len(self._queue) - len(live))
+            self.metrics.cancelled.inc(len(self._queue) - len(live))
             for request in self._queue:
                 if request.cancelled:
                     request.end_queue_span(outcome="cancelled")
@@ -391,7 +467,7 @@ class Batcher:
                 self._cond.notify_all()
         for request in picked:
             request.end_queue_span(outcome="batched", batch=len(picked))
-        self.telemetry.record_batch(len(picked))
+        self.metrics.record_batch(len(picked))
         return Batch(requests=tuple(picked))
 
     def pending(self) -> int:

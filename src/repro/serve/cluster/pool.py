@@ -45,8 +45,13 @@ from repro.obs import runtime as _obs
 from repro.resilience import faults as _faults
 from repro.serve.batcher import Batch, Batcher, BatcherClosed, WorkerLost
 from repro.serve.cluster.ipc import UnknownSequence
-from repro.serve.cluster.supervisor import ClusterConfig, Supervisor
+from repro.serve.cluster.supervisor import (
+    ClusterConfig,
+    ClusterMetrics,
+    Supervisor,
+)
 from repro.serve.cluster import shm as shm_mod
+from repro.serve.pool import record_outcome
 
 __all__ = [
     "ClusterCompiled",
@@ -98,8 +103,11 @@ class ClusterPool:
         self._stop = threading.Event()
         self._lock = threading.Lock()
         self._rr = 0  # round-robin cursor for worker selection
-        # Redelivery/hedging counters (exposed as repro_cluster_*).
-        self.counters = {"redelivered": 0, "hedges": 0, "hedge_wins": 0}
+        self.metrics = ClusterMetrics(
+            alive=self._alive_workers,
+            quarantined=lambda: self.quarantined,
+            shared_bytes=self._shared_bytes,
+        )
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "ClusterPool":
@@ -120,6 +128,7 @@ class ClusterPool:
             on_quarantine=self._on_quarantine,
             on_release=self._on_release,
             fault_plan_json=self._fault_plan_json,
+            metrics=self.metrics,
         ).start()
         for i in range(self.workers):
             thread = threading.Thread(
@@ -217,35 +226,14 @@ class ClusterPool:
             self._execute(batch, prefer=idx)
 
     def _execute(self, batch: Batch, prefer: int | None = None) -> None:
-        telemetry = self.batcher.telemetry
         try:
             outputs = self.call_predict(batch.stacked(), prefer=prefer)
             done = time.monotonic()
             batch.resolve(outputs)
         except BaseException as exc:  # noqa: BLE001 -- must reach callers
             batch.fail(exc)
-            for _ in batch.requests:
-                telemetry.record_result(0.0, ok=False)
-            if _obs.SLO:
-                from repro.obs import slo as _slo
-
-                for _ in batch.requests:
-                    _slo.record_request(self.name, 0.0, ok=False)
-            return
-        for request in batch.requests:
-            trace = request.trace
-            telemetry.record_result(
-                done - request.enqueue_time,
-                ok=True,
-                trace_id=trace.trace_id if trace is not None else None,
-            )
-        if _obs.SLO:
-            from repro.obs import slo as _slo
-
-            for request in batch.requests:
-                _slo.record_request(
-                    self.name, done - request.enqueue_time, ok=True
-                )
+            done = None
+        record_outcome(self.name, self.batcher.metrics, batch, done)
 
     def call_predict(
         self, stacked: np.ndarray, *, prefer: int | None = None
@@ -291,8 +279,7 @@ class ClusterPool:
                 last = exc
                 tried.add(handle.idx)
                 prefer = None
-                with self._lock:
-                    self.counters["redelivered"] += 1
+                self.metrics.redelivered.inc()
                 # Jittered backoff: the supervisor needs a beat to mark
                 # the death and (often) another worker is already live.
                 time.sleep(
@@ -331,7 +318,7 @@ class ClusterPool:
                 with self._lock:
                     if not result:
                         if is_hedge:
-                            self.counters["hedge_wins"] += 1
+                            self.metrics.hedge_wins.inc()
                         result.append(value)
             arrived.set()
 
@@ -349,8 +336,7 @@ class ClusterPool:
             except (WorkerLost, ModelUnroutableError):
                 hedge = None
             if hedge is not None and hedge is not primary:
-                with self._lock:
-                    self.counters["hedges"] += 1
+                self.metrics.hedges.inc()
                 expected = 2
                 threading.Thread(
                     target=attempt,
@@ -419,20 +405,26 @@ class ClusterPool:
             pass
 
     # -- observability -------------------------------------------------
+    def _alive_workers(self) -> int:
+        supervisor = self._supervisor
+        return supervisor.alive_count() if supervisor is not None else 0
+
+    def _shared_bytes(self) -> int:
+        shared = self._shared
+        return shared.nbytes if shared is not None else 0
+
     def cluster_stats(self) -> dict:
-        """Supervisor lifecycle counters + dispatch counters."""
+        """Worker states and the pool's counts (the ``cluster`` key of
+        the model's ``/metrics`` JSON)."""
         supervisor = self._supervisor
         stats = supervisor.stats() if supervisor is not None else {
             "workers": [], "quarantined": None, "consecutive_deaths": 0,
-            "spawns": 0, "deaths": 0, "respawns": 0, "kills": 0,
-            "quarantines": 0, "releases": 0,
         }
-        with self._lock:
-            stats.update(self.counters)
-        stats["shared_bytes"] = (
-            self._shared.nbytes if self._shared is not None else 0
-        )
-        return stats
+        return {
+            **stats,
+            **self.metrics.counts(),
+            "shared_bytes": self._shared_bytes(),
+        }
 
 
 class RemoteSequence:

@@ -36,11 +36,53 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
+from repro.obs.metrics import Gauge, MetricSet
 from repro.serve.batcher import WorkerLost
 from repro.serve.cluster.ipc import decode_error
 from repro.serve.cluster.worker import HEARTBEAT_FIELDS, worker_main
 
-__all__ = ["ClusterConfig", "Supervisor", "WorkerHandle"]
+__all__ = ["ClusterConfig", "ClusterMetrics", "Supervisor", "WorkerHandle"]
+
+# Each count is exported as repro_cluster_<count>_total: the
+# supervisor's worker lifecycle, then the pool's dispatch.
+_COUNTS = (
+    ("spawns", "worker processes started"),
+    ("deaths", "worker processes that died"),
+    ("respawns", "workers replaced after a death"),
+    ("kills", "workers killed by escalation"),
+    ("quarantines", "crash-loop breaker trips"),
+    ("releases", "breaker releases (probe survived)"),
+    ("redelivered", "in-flight requests retried after a worker death"),
+    ("hedges", "batch-1 requests hedged to a second worker"),
+    ("hedge_wins", "hedged requests won by the hedge"),
+)
+
+
+class ClusterMetrics(MetricSet):
+    """One cluster pool's counts: a :class:`~repro.obs.metrics.Counter`
+    attribute per ``_COUNTS`` entry, recorded by the pool and by each
+    supervisor it starts, and three gauges read from the pool."""
+
+    def __init__(self, *, alive, quarantined, shared_bytes) -> None:
+        super().__init__()
+        self._counters("repro_cluster_", _COUNTS)
+        self._family(
+            "repro_cluster_workers_alive", "live worker processes",
+            Gauge(alive),
+        )
+        self._family(
+            "repro_cluster_quarantined",
+            "1 while the crash-loop breaker holds the model unroutable",
+            Gauge(lambda: 1.0 if quarantined() else 0.0),
+        )
+        self._family(
+            "repro_cluster_shared_bytes",
+            "bytes of the shared-memory model segment",
+            Gauge(shared_bytes),
+        )
+
+    def counts(self) -> dict[str, int]:
+        return self._values(_COUNTS)
 
 
 @dataclass(frozen=True)
@@ -152,6 +194,7 @@ class Supervisor:
         on_release=None,
         on_death=None,
         fault_plan_json: str | None = None,
+        metrics: ClusterMetrics,
     ):
         self.name = name
         self.workers = workers
@@ -175,15 +218,7 @@ class Supervisor:
         self._probe_idx: int | None = None
         self._stopping = False
         self._monitor: threading.Thread | None = None
-        # Lifecycle counters (exposed on /metrics as repro_cluster_*).
-        self.counters = {
-            "spawns": 0,
-            "deaths": 0,
-            "respawns": 0,
-            "kills": 0,
-            "quarantines": 0,
-            "releases": 0,
-        }
+        self._metrics = metrics
         # Heartbeat segment: float64[workers, 3] =
         # [beat, busy_deadline, native_kernel_loaded].
         nbytes = workers * HEARTBEAT_FIELDS * 8
@@ -280,7 +315,6 @@ class Supervisor:
                 "workers": workers,
                 "quarantined": self._quarantined,
                 "consecutive_deaths": self._consecutive_deaths,
-                **dict(self.counters),
             }
 
     # -- supervision ---------------------------------------------------
@@ -299,8 +333,7 @@ class Supervisor:
                 except (OSError, ValueError):
                     pass
                 proc.join(self.config.kill_grace_s)
-        with self._lock:
-            self.counters["kills"] += 1
+        self._metrics.kills.inc()
         self._handle_death(handle, reason=reason)
 
     def _spawn(self, idx: int, *, probe: bool = False) -> bool:
@@ -327,8 +360,7 @@ class Supervisor:
         self._hb[idx, :] = 0.0
         proc.start()
         child_conn.close()
-        with self._lock:
-            self.counters["spawns"] += 1
+        self._metrics.spawns.inc()
         handle = WorkerHandle(idx, generation, proc, parent_conn)
         if not parent_conn.poll(self.config.start_timeout_s):
             handle.close()
@@ -359,7 +391,7 @@ class Supervisor:
         with self._lock:
             if self._handles[handle.idx] is handle:
                 self._handles[handle.idx] = None
-            self.counters["deaths"] += 1
+            self._metrics.deaths.inc()
             if self._stopping:
                 return
             young = (now - handle.spawned_at) < self.config.crash_loop_age_s
@@ -381,7 +413,7 @@ class Supervisor:
                     f"crash-loop: {self._consecutive_deaths} consecutive "
                     f"worker deaths (last: {reason})"
                 )
-                self.counters["quarantines"] += 1
+                self._metrics.quarantines.inc()
                 self._next_probe_at = now + self.config.probe_interval_s
                 self._respawn_at.clear()
                 on_quarantine = self._on_quarantine
@@ -435,8 +467,7 @@ class Supervisor:
                     self.kill(handle, reason="stale-heartbeat")
             for idx in due_respawns:
                 if self.handle(idx) is None and self.quarantined is None:
-                    with self._lock:
-                        self.counters["respawns"] += 1
+                    self._metrics.respawns.inc()
                     self._spawn(idx)
             if probe_due:
                 with self._lock:
@@ -452,7 +483,7 @@ class Supervisor:
                         self._next_probe_at = (
                             time.monotonic() + cfg.probe_interval_s
                         )
-                        self.counters["respawns"] += 1
+                        self._metrics.respawns.inc()
                 if idx is not None:
                     self._spawn(idx, probe=True)
             self._check_probe()
@@ -475,7 +506,7 @@ class Supervisor:
             self._quarantined = None
             self._probe_idx = None
             self._consecutive_deaths = 0
-            self.counters["releases"] += 1
+            self._metrics.releases.inc()
             missing = [
                 i
                 for i, h in enumerate(self._handles)
@@ -483,8 +514,7 @@ class Supervisor:
             ]
             on_release = self._on_release
         for i in missing:
-            with self._lock:
-                self.counters["respawns"] += 1
+            self._metrics.respawns.inc()
             self._spawn(i)
         if on_release is not None:
             on_release()

@@ -103,10 +103,6 @@ def worker_main(
         compiled, _ = load_from_parts(manifest, arrays)
         compiled.warmup()
         decode = _has_decode_api(compiled.model)
-        if decode:
-            from repro.gen.model import mark_batch_invariant
-
-            mark_batch_invariant(compiled.model)
         kv = Workspace(name=f"repro-worker-{name}-{idx}.kv")
         beat[2] = float(native_status()["loaded"])
         conn.send(("ready", os.getpid()))

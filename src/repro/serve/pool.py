@@ -17,11 +17,41 @@ import time
 from repro._util import check_positive_int
 from repro.api.model import CompiledModel
 from repro.obs import runtime as _obs
-from repro.serve.batcher import Batch, Batcher
+from repro.serve.batcher import Batch, Batcher, ServeMetrics
 
-__all__ = ["WorkerPool"]
+__all__ = ["WorkerPool", "record_outcome"]
 
 _IDLE_POLL_SECONDS = 0.1
+
+
+def record_outcome(
+    name: str, metrics: ServeMetrics, batch: Batch, done: float | None
+) -> None:
+    """Count a finished batch's requests on *metrics* and the SLO
+    windows: served at monotonic time *done*, or failed when *done* is
+    ``None``."""
+    if done is None:
+        metrics.errors.inc(len(batch))
+    else:
+        metrics.served.inc(len(batch))
+        for request in batch.requests:
+            # The queue span's trace id rides with the request across
+            # threads; attaching it here is what links a latency-bucket
+            # exemplar on /metrics back to the request's trace.
+            trace = request.trace
+            metrics.latency.record(
+                done - request.enqueue_time,
+                trace_id=trace.trace_id if trace is not None else None,
+            )
+    if _obs.SLO:
+        from repro.obs import slo as _slo
+
+        for request in batch.requests:
+            _slo.record_request(
+                name,
+                0.0 if done is None else done - request.enqueue_time,
+                ok=done is not None,
+            )
 
 
 class WorkerPool:
@@ -83,38 +113,14 @@ class WorkerPool:
             self._execute_plain(replica, batch)
 
     def _execute_plain(self, replica: CompiledModel, batch: Batch) -> None:
-        telemetry = self.batcher.telemetry
         try:
             outputs = replica(batch.stacked())
             done = time.monotonic()
             batch.resolve(outputs)
         except BaseException as exc:  # noqa: BLE001 -- must reach callers
             batch.fail(exc)
-            for _ in batch.requests:
-                telemetry.record_result(0.0, ok=False)
-            if _obs.SLO:
-                from repro.obs import slo as _slo
-
-                for _ in batch.requests:
-                    _slo.record_request(self.name, 0.0, ok=False)
-            return
-        for request in batch.requests:
-            # The queue span's trace id rides with the request across
-            # threads; attaching it here is what links a latency-bucket
-            # exemplar on /metrics back to the request's trace.
-            trace = request.trace
-            telemetry.record_result(
-                done - request.enqueue_time,
-                ok=True,
-                trace_id=trace.trace_id if trace is not None else None,
-            )
-        if _obs.SLO:
-            from repro.obs import slo as _slo
-
-            for request in batch.requests:
-                _slo.record_request(
-                    self.name, done - request.enqueue_time, ok=True
-                )
+            done = None
+        record_outcome(self.name, self.batcher.metrics, batch, done)
 
     def _execute_traced(self, replica: CompiledModel, batch: Batch) -> None:
         """:meth:`_execute_plain` under a span tree.

@@ -37,21 +37,159 @@ from __future__ import annotations
 
 import threading
 import time
+from typing import Callable
 
 import numpy as np
 
 from repro._util import check_positive_int
 from repro.core.workspace import Workspace
 from repro.obs import runtime as _obs
-from repro.serve.batcher import Batcher, BatcherClosed, QueueFullError
-from repro.serve.telemetry import GenTelemetry
+from repro.obs.metrics import (
+    DEFAULT_LATENCY_BOUNDS,
+    Gauge,
+    Histogram,
+    MetricSet,
+)
+from repro.serve.batcher import (
+    Batcher,
+    BatcherClosed,
+    QueueFullError,
+    _ratio,
+)
 
-__all__ = ["GenerationStream", "MAX_SEQUENCE_TOKENS", "SequenceScheduler"]
+__all__ = [
+    "GenMetrics",
+    "GenerationStream",
+    "MAX_SEQUENCE_TOKENS",
+    "SequenceScheduler",
+]
 
 MAX_SEQUENCE_TOKENS = 1 << 17
 """Most positions one sequence may hold, prompt plus generated tokens.
 A stream reserves its KV cache for all of them when it is admitted, so
 a longer request is refused with a ``ValueError`` (HTTP 400)."""
+
+
+_GEN_COUNTS = (
+    ("tokens", "tokens decoded"),
+    ("sequences", "sequences admitted"),
+    ("completed", "sequences finished"),
+    ("cancelled", "sequences cancelled mid-stream"),
+    ("deadline_expired", "sequences past their deadline"),
+    ("rejected", "sequences refused at admission"),
+    ("ticks", "batched decode executions"),
+)
+
+
+class GenMetrics(MetricSet):
+    """One model's decode counts.
+
+    Decode serving has its own vitals: **tokens/s** (the paper's
+    Fig. 10 axis -- decode throughput across all live sequences) and
+    **inter-token latency** (what a streaming client feels between
+    events).  Tokens/s is measured over busy wall time -- the time at
+    least one stream is live -- so idle servers don't dilute the rate.
+    Each ``_GEN_COUNTS`` entry is a :class:`~repro.obs.metrics.Counter`
+    attribute.
+    """
+
+    def __init__(self, live: Callable[[], int]):
+        super().__init__()
+        self.inter_token = self._family(
+            "repro_gen_inter_token_seconds",
+            "time between consecutive streamed tokens",
+            Histogram(),
+        )
+        self.prefill = self._family(
+            "repro_gen_prefill_seconds", "prompt prefill latency", Histogram()
+        )
+        # Exemplar-enabled: each decode-tick latency bucket keeps trace
+        # ids of recent ``gen.step`` executions, so a slow-tick bucket
+        # on /metrics links to the traces of the ticks that filled it.
+        self.tick_latency = self._family(
+            "repro_gen_tick_seconds",
+            "batched decode execution latency (one gen.step tick)",
+            Histogram(exemplar_bounds=DEFAULT_LATENCY_BOUNDS),
+        )
+        self._counters("repro_gen_", _GEN_COUNTS)
+        self.tokens_per_s = self._family(
+            "repro_gen_tokens_per_s",
+            "decode throughput over busy wall time, all sequences",
+            Gauge(lambda: _ratio(*self.sample())),
+        )
+        self.coalescing_ratio = self._family(
+            "repro_gen_coalescing_ratio",
+            "tokens decoded per batched execution (mean decode batch)",
+            Gauge(lambda: _ratio(self.tokens.value, self.ticks.value)),
+        )
+        self._family(
+            "repro_gen_sequences_live",
+            "decode streams currently live",
+            Gauge(live),
+        )
+        self.tick_sizes: dict[int, int] = {}
+        self._busy_started: float | None = None
+        self._busy_seconds = 0.0
+        self._active = 0
+
+    def record_admit(self) -> None:
+        self.sequences.inc()
+        with self._lock:
+            if self._active == 0:
+                self._busy_started = time.monotonic()
+            self._active += 1
+
+    def record_finish(self, reason: str) -> None:
+        if reason == "cancelled":
+            self.cancelled.inc()
+        elif reason == "deadline":
+            self.deadline_expired.inc()
+        else:  # length / eos: the stream ran to its natural end
+            self.completed.inc()
+        with self._lock:
+            # Clamp at zero: an unmatched finish (a teardown race
+            # double-counting one stream) must not drive the live count
+            # negative -- a negative count means the *next* admit skips
+            # starting the busy clock and every later fold is lost, so
+            # tokens/s silently inflates forever after.
+            if self._active > 0:
+                self._active -= 1
+                if self._active == 0 and self._busy_started is not None:
+                    self._busy_seconds += (
+                        time.monotonic() - self._busy_started
+                    )
+                    self._busy_started = None
+
+    def record_tick(self, size: int) -> None:
+        self.ticks.inc()
+        self._count_size(self.tick_sizes, size)
+
+    def busy_seconds(self) -> float:
+        """Cumulative busy wall time (>= 1 live stream), including the
+        in-progress busy period.  Monotonic non-decreasing."""
+        with self._lock:
+            busy = self._busy_seconds
+            if self._busy_started is not None:
+                busy += time.monotonic() - self._busy_started
+            return busy
+
+    def sample(self) -> tuple[int, float]:
+        """``(tokens, busy_seconds)``: the counters the SLO engine
+        rates over window deltas."""
+        return self.tokens.value, self.busy_seconds()
+
+    def snapshot(self) -> dict:
+        """The ``generation`` key of the model's ``/metrics`` JSON
+        (latencies in milliseconds)."""
+        return {
+            **self._values(_GEN_COUNTS),
+            "tokens_per_s": self.tokens_per_s.value,
+            "coalescing_ratio": self.coalescing_ratio.value,
+            "inter_token_ms": self.inter_token.snapshot(1e3),
+            "prefill_ms": self.prefill.snapshot(1e3),
+            "tick_ms": self.tick_latency.snapshot(1e3),
+            "tick_size_counts": self._sizes(self.tick_sizes),
+        }
 
 
 class GenerationStream:
@@ -91,7 +229,7 @@ class GenerationStream:
         # Finish is claimed under a lock: the HTTP thread (close on
         # disconnect) and the iterating thread (natural end) can race,
         # and a double finish would double-count the stream in
-        # GenTelemetry and double-release the admission slot.
+        # GenMetrics and double-release the admission slot.
         self._finish_lock = threading.Lock()
         self.caches = []
         try:
@@ -103,7 +241,7 @@ class GenerationStream:
             )
             started = time.monotonic()
             logits = scheduler._prefill(prompt, self.caches)
-            scheduler.telemetry.record_prefill(time.monotonic() - started)
+            scheduler.metrics.prefill.record(time.monotonic() - started)
             self._pending = self._sampler.sample(logits)
             self._last_token_time = time.monotonic()
         except BaseException:
@@ -121,10 +259,10 @@ class GenerationStream:
         token = self._pending
         self.tokens.append(token)
         now = time.monotonic()
-        self._scheduler.telemetry.record_token(
-            None if self._last_token_time is None
-            else now - self._last_token_time
-        )
+        metrics = self._scheduler.metrics
+        metrics.tokens.inc()
+        if self._last_token_time is not None:
+            metrics.inter_token.record(now - self._last_token_time)
         self._last_token_time = now
         if len(self.tokens) >= self._max_new:
             self._finish("length")
@@ -189,7 +327,7 @@ class GenerationStream:
         for cache in self.caches:
             cache.close()
         if record:
-            self._scheduler.telemetry.record_finish(reason)
+            self._scheduler.metrics.record_finish(reason)
             self._scheduler._release(self)
 
     def __enter__(self) -> "GenerationStream":
@@ -225,7 +363,6 @@ class SequenceScheduler:
         max_sequences: int = 16,
         max_latency_ms: float = 2.0,
         name: str = "default",
-        telemetry: GenTelemetry | None = None,
     ):
         check_positive_int(max_sequences, "max_sequences")
         model = compiled.model
@@ -239,13 +376,10 @@ class SequenceScheduler:
                     f"decode API (missing {attr}); the sequence "
                     "scheduler needs a DecoderLM-style model"
                 )
-        from repro.gen.model import mark_batch_invariant
-
-        mark_batch_invariant(model)
         self._compiled = compiled
         self.max_sequences = max_sequences
         self.name = name
-        self.telemetry = telemetry or GenTelemetry()
+        self.metrics = GenMetrics(self.active)
         # The KV arena outlives every sequence and is never reset;
         # caches release their blocks back into it on stream finish.
         self._kv = Workspace(name=f"{name}.kv")
@@ -350,12 +484,12 @@ class SequenceScheduler:
                     "a context manager"
                 )
             if self._active >= self.max_sequences:
-                self.telemetry.record_reject()
+                self.metrics.rejected.inc()
                 raise QueueFullError(
                     f"{self.max_sequences} sequences are already live"
                 )
             self._active += 1
-        self.telemetry.record_admit()
+        self.metrics.record_admit()
         try:
             return GenerationStream(
                 self,
@@ -366,7 +500,7 @@ class SequenceScheduler:
                 deadline_s=deadline_s,
             )
         except BaseException:
-            self.telemetry.record_finish("cancelled")
+            self.metrics.record_finish("cancelled")
             raise
 
     def active(self) -> int:
@@ -433,7 +567,7 @@ class SequenceScheduler:
                 continue
             tokens = [int(request.x) for request in live]
             cache_lists = [request.meta.caches for request in live]
-            self.telemetry.record_tick(len(live))
+            self.metrics.record_tick(len(live))
             tick_trace = None
             started = time.monotonic()
             try:
@@ -466,7 +600,7 @@ class SequenceScheduler:
                 continue
             # The tick's trace id becomes the exemplar on its latency
             # bucket: a slow bucket on /metrics points at a tick trace.
-            self.telemetry.record_tick_time(
+            self.metrics.tick_latency.record(
                 time.monotonic() - started, trace_id=tick_trace
             )
             for request, row in zip(live, logits):

@@ -16,10 +16,10 @@ dependencies, matching this repo's constraint):
 - ``GET /healthz``   liveness + per-model worker state + whether this
   process (and, in cluster mode, how many live workers) loaded the
   native LUT query kernel
-- ``GET /metrics``   telemetry snapshots (latency quantiles, batch
-  sizes, LUT-amortization ratio, queue depth); Prometheus text
-  exposition via ``/metrics?format=prometheus`` or ``Accept:
-  text/plain``
+- ``GET /metrics``   per-model serving counts (latency quantiles,
+  batch sizes, LUT-amortization ratio, queue depth) as JSON; the same
+  instruments as Prometheus text via ``/metrics?format=prometheus`` or
+  ``Accept: text/plain``
 - ``GET /trace``     retained spans as chrome://tracing trace-event
   JSON (empty unless tracing is enabled, see :mod:`repro.obs`)
 
@@ -42,7 +42,7 @@ import logging
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -52,12 +52,12 @@ from repro.api.model import CompiledModel, QuantModel
 from repro.engine import native
 from repro.engine.native import status as native_status
 from repro.obs import runtime as _obs
+from repro.obs.metrics import get_registry
 from repro.serve import wire
 from repro.serve.batcher import Batcher, BatcherClosed, QueueFullError
 from repro.serve.pool import WorkerPool
 from repro.serve.sequences import GenerationStream, SequenceScheduler
 from repro.serve.store import ModelNotFound, ModelStore
-from repro.serve.telemetry import ModelTelemetry
 
 __all__ = ["AdmissionShedError", "ServeConfig", "Server"]
 
@@ -134,14 +134,29 @@ class ServeConfig:
 
 @dataclass
 class _ModelRuntime:
-    """The per-model serving machinery."""
+    """The per-model serving machinery.
+
+    Its metric sets -- the batcher's and, in cluster mode, the pool's
+    -- are in the metrics registry under the model's name from spawn
+    to :meth:`stop`.
+    """
 
     batcher: Batcher
     pool: WorkerPool
-    telemetry: ModelTelemetry = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.telemetry = self.batcher.telemetry
+    @property
+    def metric_sets(self) -> tuple:
+        cluster = getattr(self.pool, "metrics", None)
+        return (self.batcher.metrics,) + (
+            () if cluster is None else (cluster,)
+        )
+
+    def stop(self, *, drain: bool) -> None:
+        """Stop the pool, then take this runtime's series off the
+        scrape (a successor's series under the same name stay)."""
+        self.pool.stop(drain=drain)
+        for metrics in self.metric_sets:
+            metrics.retract(get_registry())
 
 
 class Server:
@@ -181,11 +196,6 @@ class Server:
         self._started = False
         self._httpd: ThreadingHTTPServer | None = None
         self._http_thread: threading.Thread | None = None
-        # Pull-style publisher into the unified metrics registry
-        # (repro.obs.metrics): registered while the server runs, so a
-        # scrape sees per-model serving series without the hot path
-        # pushing anything.
-        self._metrics_collector = None
         # SLO engine (None unless config.slos is non-empty) and the
         # degradation mode its transitions drive.  _slo_mode is read
         # unlocked on the admission path (a stale read costs one
@@ -236,14 +246,12 @@ class Server:
                     # will ever tear down.
                     unused = runtime
         if unused is not None:
-            unused.pool.stop()
+            unused.stop(drain=False)
         if old is not None:
             # Drain: requests already queued on the old version finish
-            # on it; new requests are already routed to the new pool.
-            old.pool.stop(drain=True)
-            # The new runtime's telemetry restarts from zero; its
-            # metric series must too (counters never go backwards).
-            self._prune_model_metrics(name)
+            # on it; new requests are already routed to the new pool,
+            # whose series replaced the old ones at spawn (from zero).
+            old.stop(drain=True)
         if runtime is not None or unused is not None:
             # A hot-swap retires the old version's decode scheduler too
             # (its KV arena and worker belong to the old model); the
@@ -254,8 +262,7 @@ class Server:
         with self._lock:
             runtime = self._runtimes.pop(name, None)
         if runtime is not None:
-            runtime.pool.stop(drain=True)
-            self._prune_model_metrics(name)
+            runtime.stop(drain=True)
         self._stop_scheduler(name)
         if self._chained_on_evict is not None:
             self._chained_on_evict(name)
@@ -268,161 +275,7 @@ class Server:
             if engine is not None:
                 engine.detach_gen_source(name)
             scheduler.stop()
-
-    def _prune_model_metrics(self, name: str) -> None:
-        """Drop *name*'s series from the metrics registry (teardown /
-        hot-swap): a scrape must not report a model that no longer
-        serves, and a successor's fresh counters must not collide with
-        the predecessor's totals."""
-        from repro.obs.metrics import get_registry
-
-        get_registry().prune(model=name)
-
-    def _publish_metrics(self, registry) -> None:
-        """Collector: copy serving telemetry into the unified registry.
-
-        Runs at scrape time (``MetricsRegistry.collect``).  Histograms
-        are adopted live (no copying); counters/gauges mirror the
-        telemetry totals.
-        """
-        with self._lock:
-            runtimes = dict(self._runtimes)
-        for name, runtime in sorted(runtimes.items()):
-            telemetry = runtime.telemetry
-            registry.register_histogram(
-                "repro_serve_latency_seconds",
-                telemetry.latency,
-                "request latency, submit to result",
-                model=name,
-            )
-            registry.register_histogram(
-                "repro_serve_queue_depth",
-                telemetry.queue_depth,
-                "queue depth sampled at admission",
-                model=name,
-            )
-            counters = (
-                ("requests", telemetry.requests, "requests admitted"),
-                ("served", telemetry.served, "requests completed ok"),
-                ("errors", telemetry.errors, "requests failed"),
-                ("rejected", telemetry.rejected, "requests refused at admission"),
-                ("cancelled", telemetry.cancelled, "requests abandoned in queue"),
-                ("batches", telemetry.batches, "model executions"),
-            )
-            for metric, value, help_text in counters:
-                registry.counter(
-                    f"repro_serve_{metric}_total", help_text, model=name
-                ).set(value)
-            registry.gauge(
-                "repro_serve_lut_amortization_ratio",
-                "requests served per model execution (mean effective "
-                "batch)",
-                model=name,
-            ).set(telemetry.amortization_ratio)
-            registry.gauge(
-                "repro_serve_queue_pending",
-                "requests currently queued",
-                model=name,
-            ).set(runtime.batcher.pending())
-            cluster_stats = getattr(runtime.pool, "cluster_stats", None)
-            if cluster_stats is not None:
-                stats = cluster_stats()
-                cluster_counters = (
-                    ("spawns", "worker processes started"),
-                    ("deaths", "worker processes that died"),
-                    ("respawns", "workers replaced after a death"),
-                    ("kills", "workers killed by escalation"),
-                    ("quarantines", "crash-loop breaker trips"),
-                    ("releases", "breaker releases (probe survived)"),
-                    ("redelivered", "in-flight requests retried after "
-                                    "a worker death"),
-                    ("hedges", "batch-1 requests hedged to a second "
-                               "worker"),
-                    ("hedge_wins", "hedged requests won by the hedge"),
-                )
-                for metric, help_text in cluster_counters:
-                    registry.counter(
-                        f"repro_cluster_{metric}_total",
-                        help_text,
-                        model=name,
-                    ).set(stats[metric])
-                registry.gauge(
-                    "repro_cluster_workers_alive",
-                    "live worker processes",
-                    model=name,
-                ).set(sum(1 for w in stats["workers"] if w["alive"]))
-                registry.gauge(
-                    "repro_cluster_quarantined",
-                    "1 while the crash-loop breaker holds the model "
-                    "unroutable",
-                    model=name,
-                ).set(1.0 if stats["quarantined"] else 0.0)
-                registry.gauge(
-                    "repro_cluster_shared_bytes",
-                    "bytes of the shared-memory model segment",
-                    model=name,
-                ).set(stats["shared_bytes"])
-        with self._lock:
-            schedulers = dict(self._schedulers)
-        for name, scheduler in sorted(schedulers.items()):
-            gen = scheduler.telemetry
-            registry.register_histogram(
-                "repro_gen_inter_token_seconds",
-                gen.inter_token,
-                "time between consecutive streamed tokens",
-                model=name,
-            )
-            registry.register_histogram(
-                "repro_gen_prefill_seconds",
-                gen.prefill,
-                "prompt prefill latency",
-                model=name,
-            )
-            registry.register_histogram(
-                "repro_gen_tick_seconds",
-                gen.tick_latency,
-                "batched decode execution latency (one gen.step tick)",
-                model=name,
-            )
-            gen_counters = (
-                ("tokens", gen.tokens, "tokens decoded"),
-                ("sequences", gen.sequences, "sequences admitted"),
-                ("completed", gen.completed, "sequences finished"),
-                ("cancelled", gen.cancelled, "sequences cancelled mid-stream"),
-                ("deadline_expired", gen.deadline_expired,
-                 "sequences past their deadline"),
-                ("rejected", gen.rejected, "sequences refused at admission"),
-                ("ticks", gen.ticks, "batched decode executions"),
-            )
-            for metric, value, help_text in gen_counters:
-                registry.counter(
-                    f"repro_gen_{metric}_total", help_text, model=name
-                ).set(value)
-            registry.gauge(
-                "repro_gen_tokens_per_s",
-                "decode throughput over busy wall time, all sequences",
-                model=name,
-            ).set(gen.tokens_per_s)
-            registry.gauge(
-                "repro_gen_coalescing_ratio",
-                "tokens decoded per batched execution (mean decode batch)",
-                model=name,
-            ).set(gen.coalescing_ratio)
-            registry.gauge(
-                "repro_gen_sequences_live",
-                "decode streams currently live",
-                model=name,
-            ).set(scheduler.active())
-        registry.gauge(
-            "repro_store_models", "compiled models resident in the store"
-        ).set(len(self.store))
-        registry.gauge(
-            "repro_store_resident_bytes",
-            "compiled weight bytes resident in the store",
-        ).set(self.store.total_bytes())
-        registry.counter(
-            "repro_store_evictions_total", "models evicted by the budget"
-        ).set(self.store.evictions)
+            scheduler.metrics.retract(get_registry())
 
     def _spawn_runtime(
         self, name: str, compiled: CompiledModel
@@ -455,7 +308,12 @@ class Server:
                 compiled, batcher, workers=self.config.workers, name=name
             )
         pool.start()
-        return _ModelRuntime(batcher=batcher, pool=pool)
+        runtime = _ModelRuntime(batcher=batcher, pool=pool)
+        # Published fresh: on a hot-swap these replace the old
+        # version's series, so the scrape restarts from zero.
+        for metrics in runtime.metric_sets:
+            metrics.publish(get_registry(), model=name)
+        return runtime
 
     def _on_pool_quarantine(self, name: str, reason: str) -> None:
         """Supervisor crash-loop breaker tripped: route through the
@@ -494,10 +352,7 @@ class Server:
                 self._runtimes[name] = self._spawn_runtime(
                     name, self.store.get(name)
                 )
-        from repro.obs.metrics import get_registry
-
-        self._metrics_collector = self._publish_metrics
-        get_registry().register_collector(self._metrics_collector)
+        get_registry().register_collector(self.store.collect_metrics)
         if self.config.slos and self._slo_engine is None:
             from repro.obs import slo as slo_mod
 
@@ -544,15 +399,10 @@ class Server:
             self._started = False
         for scheduler in schedulers.values():
             scheduler.stop()
+            scheduler.metrics.retract(get_registry())
         for runtime in runtimes.values():
-            runtime.pool.stop(drain=True)
-        if self._metrics_collector is not None:
-            from repro.obs.metrics import get_registry
-
-            get_registry().unregister_collector(self._metrics_collector)
-            self._metrics_collector = None
-        for name in runtimes:
-            self._prune_model_metrics(name)
+            runtime.stop(drain=True)
+        get_registry().unregister_collector(self.store.collect_metrics)
 
     def __enter__(self) -> "Server":
         return self.start()
@@ -757,6 +607,7 @@ class Server:
             scheduler = self._schedulers.get(name)
             if scheduler is None and self._started and name in self.store:
                 scheduler = self._schedulers[name] = candidate.start()
+                candidate.metrics.publish(get_registry(), model=name)
         if scheduler is not candidate:
             candidate.stop()
         if scheduler is None:
@@ -765,7 +616,7 @@ class Server:
         if scheduler is candidate and engine is not None:
             # tokens_per_s specs rate this model's decode counters; a
             # scheduler born into a degraded server starts degraded.
-            engine.attach_gen_source(name, scheduler.telemetry)
+            engine.attach_gen_source(name, scheduler.metrics.sample)
             mode = self._slo_mode
             if mode != "ok":
                 scheduler.set_max_sequences(
@@ -855,13 +706,13 @@ class Server:
             schedulers = dict(self._schedulers)
         models = {}
         for name, runtime in sorted(runtimes.items()):
-            snapshot = runtime.telemetry.snapshot()
+            snapshot = runtime.batcher.metrics.snapshot()
             cluster_stats = getattr(runtime.pool, "cluster_stats", None)
             if cluster_stats is not None:
                 snapshot["cluster"] = cluster_stats()
             scheduler = schedulers.get(name)
             if scheduler is not None:
-                snapshot["generation"] = scheduler.telemetry.snapshot()
+                snapshot["generation"] = scheduler.metrics.snapshot()
             models[name] = snapshot
         return {
             "models": models,
@@ -1048,8 +899,6 @@ def _make_handler(server: Server):
                 if "format=prometheus" in query or (
                     "text/plain" in accept or "openmetrics" in accept
                 ):
-                    from repro.obs.metrics import get_registry
-
                     self._reply_text(
                         200,
                         get_registry().to_prometheus(),
@@ -1156,7 +1005,7 @@ def _make_handler(server: Server):
             # including the header writes: a client that disconnects
             # before the first byte lands must still cancel its
             # sequence, or the stream stays live forever and
-            # GenTelemetry's busy clock never stops.
+            # GenMetrics' busy clock never stops.
             try:
                 with stream:
                     self.send_response(200)

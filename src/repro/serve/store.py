@@ -231,6 +231,20 @@ class ModelStore:
         with self._lock:
             return name in self._models
 
+    def collect_metrics(self, registry) -> None:
+        """Pull collector: copy the store's own counts into *registry*
+        (:meth:`repro.obs.metrics.MetricsRegistry.register_collector`)."""
+        registry.gauge(
+            "repro_store_models", "compiled models resident in the store"
+        ).set(len(self))
+        registry.gauge(
+            "repro_store_resident_bytes",
+            "compiled weight bytes resident in the store",
+        ).set(self.total_bytes())
+        registry.counter(
+            "repro_store_evictions_total", "models evicted by the budget"
+        ).set(self.evictions)
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._models)

@@ -25,6 +25,11 @@ malformed body raises :class:`ValueError` (the handler's 400).
 Without the native library both run on :mod:`json` alone.
 ``tests/contracts/test_json_wire.py`` checks both claims over
 generated bodies and arrays.
+
+On both paths a finite input value that the cast to ``dtype`` turns
+into an infinity (``1e300`` as ``float16``) is a :class:`ValueError`
+naming ``input``; literal ``NaN`` and ``Infinity`` pass through as
+given.
 """
 
 from __future__ import annotations
@@ -89,10 +94,24 @@ def _decode_predict_native(kernel, body: bytes) -> dict | None:
     if dtype is None or payload.get("input") != 0:
         return None
     x = values[:count].reshape(tuple(int(d) for d in geom[3 : 3 + ndim]))
-    return {
-        "model": str(payload.get("model", "default")),
-        "x": x if dtype == values.dtype else x.astype(dtype),
-    }
+    if dtype != values.dtype:
+        with np.errstate(over="ignore"):
+            narrowed = x.astype(dtype)
+        _check_range(x, narrowed)
+        x = narrowed
+    return {"model": str(payload.get("model", "default")), "x": x}
+
+
+def _check_range(source, x: np.ndarray) -> None:
+    """Refuse a cast that overflowed a finite *source* value to an
+    infinity in *x*."""
+    overflowed = np.isinf(x)
+    if overflowed.any() and (
+        overflowed & np.isfinite(np.asarray(source, dtype=np.float64))
+    ).any():
+        raise ValueError(
+            f"invalid input array: a value is out of range for {x.dtype}"
+        )
 
 
 def _decode_predict_json(body: bytes) -> dict:
@@ -102,7 +121,8 @@ def _decode_predict_json(body: bytes) -> dict:
     dtype = payload.get("dtype", "float32")
     try:
         dtype = np.dtype(dtype)
-        x = np.asarray(payload["input"], dtype=dtype)
+        with np.errstate(over="ignore"):
+            x = np.asarray(payload["input"], dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"invalid input array: {exc}") from exc
     if dtype.kind not in "biuf" or dtype.itemsize > 8:
@@ -110,6 +130,8 @@ def _decode_predict_json(body: bytes) -> dict:
             f"unsupported dtype {str(dtype)!r}: use a bool, integer or "
             "float type of at most 64 bits"
         )
+    if dtype.kind == "f":
+        _check_range(payload["input"], x)
     return {"model": str(payload.get("model", "default")), "x": x}
 
 

@@ -2,9 +2,10 @@
 that row alone.
 
 A ``QuantLinear`` holds one engine for every batch: ``"auto"`` is
-planned once, at ``batch_hint`` (batch 1 when unset), and both lossless
-engines are batch-invariant by construction.  Over generated layers
-(widths 1-64), backends ``auto``, ``biqgemm`` and ``dense``, an unset
+planned once, at ``batch_hint`` (batch 1 when unset), and every engine
+is batch-invariant by construction, so a layer hands a batch to its
+engine in one call.  Over generated layers (widths 1-64), backends
+``auto``, ``biqgemm``, ``dense`` and ``int8``, an unset
 or set ``batch_hint``, float32 and float64, bits 1-3 and batches 1-40,
 each row of the batched output has the bytes of the row computed
 alone, for a bare layer and through an un-compiled ``quantize(model)``.
@@ -23,7 +24,7 @@ from repro.engine import QuantSpec
 from repro.nn.linear import Linear, QuantLinear
 
 SPEC = dict(
-    backend=st.sampled_from(("auto", "biqgemm", "dense")),
+    backend=st.sampled_from(("auto", "biqgemm", "dense", "int8")),
     batch_hint=st.none() | st.integers(1, 512),
     dtype=st.sampled_from((np.float32, np.float64)),
     bits=st.integers(1, 3),
@@ -50,6 +51,7 @@ def _check_rows_alone(fn, x):
 @given(m=st.integers(1, 64), n=st.integers(1, 64), **SPEC)
 @example(dtype=np.float64, **CROSSOVER)
 @example(dtype=np.float32, **CROSSOVER)
+@example(dtype=np.float32, **{**CROSSOVER, "backend": "int8"})
 def test_layer_rows_match_alone(
     m, n, backend, batch_hint, dtype, bits, batch, seed
 ):
@@ -68,6 +70,10 @@ def test_layer_rows_match_alone(
 )
 @example(dims=[16, 16, 16], dtype=np.float64, **{
     k: v for k, v in CROSSOVER.items() if k not in ("m", "n")
+})
+@example(dims=[16, 16, 16], dtype=np.float64, **{
+    **{k: v for k, v in CROSSOVER.items() if k not in ("m", "n")},
+    "backend": "int8",
 })
 def test_uncompiled_model_rows_match_alone(
     dims, backend, batch_hint, dtype, bits, batch, seed

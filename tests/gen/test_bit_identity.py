@@ -14,7 +14,7 @@ import pytest
 
 from repro.engine import registered_engines
 from repro.gen.cache import MIN_BUCKET
-from repro.gen.model import DecoderLM, mark_batch_invariant
+from repro.gen.model import DecoderLM
 from repro.nn.linear import QuantSpec
 from repro.nn.transformer import TransformerConfig
 
@@ -99,9 +99,9 @@ class TestCompiledDecoder:
     """Every layer of a compiled ``DecoderLM`` on the native ``biqgemm``
     engine.
 
-    The engine is batch-invariant by construction, so a batch-invariant
-    layer hands it a whole prefill or decode tick in one call instead of
-    one call per column -- and the bits still match the recompute.
+    The engine is batch-invariant by construction, so a layer hands it
+    a whole prefill or decode tick in one call -- and the bits still
+    match the recompute.
     """
 
     def _compiled(self):
@@ -112,10 +112,6 @@ class TestCompiledDecoder:
             batch_hint=1
         )
         assert set(compiled.plans.values()) == {"biqgemm"}
-        # As generate() and the serving scheduler do before decoding.
-        assert mark_batch_invariant(compiled.model) == len(
-            compiled.named_layers()
-        )
         return compiled
 
     def _count_calls(self, monkeypatch):

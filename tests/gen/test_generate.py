@@ -7,7 +7,7 @@ import pytest
 
 from repro.api import QuantConfig, quantize
 from repro.api.artifact import load
-from repro.gen.model import DecoderLM, causal_mask, mark_batch_invariant
+from repro.gen.model import DecoderLM, causal_mask
 from repro.nn.transformer import TransformerConfig
 
 CONFIG = TransformerConfig(dim=32, heads=4, ff_dim=64, layers=2)
@@ -113,12 +113,6 @@ class TestModelHelpers:
             ]
         )
         np.testing.assert_array_equal(mask, expected)
-
-    def test_mark_batch_invariant_counts_quant_layers(self):
-        model = DecoderLM(CONFIG, VOCAB, seed=0)
-        quantize(model, QuantConfig(bits=2, mu=4, backend="biqgemm"))
-        # 2 layers x (4 attention + 2 ffn) + lm_head
-        assert mark_batch_invariant(model) == 13
 
     def test_out_of_range_ids_rejected(self):
         """Negative ids would silently wrap through numpy indexing and

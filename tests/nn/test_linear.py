@@ -239,14 +239,13 @@ class TestAutoBackend:
         assert layer._request.weight is not None
 
     def test_batch_invariant_auto_plans_at_batch_one(self, rng):
-        """An auto spec with no batch hint plans at batch 1, and a
-        batch-invariant layer runs a 512-row prefill on that engine:
-        every row is bit-identical to the lone decode-step GEMV."""
+        """An auto spec with no batch hint plans at batch 1, and the
+        layer runs a 512-row prefill on that engine: every row is
+        bit-identical to the lone decode-step GEMV."""
         layer = QuantLinear(
             rng.standard_normal((64, 64)),
             spec=QuantSpec(bits=3, backend="auto", machine="pc"),
         )
-        layer.set_batch_invariant(True)
         x = rng.standard_normal((512, 64))
         batched = layer(x)
         assert layer.compiled_backends == ("biqgemm",)

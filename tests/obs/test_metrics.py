@@ -1,6 +1,8 @@
 """Metrics registry: instruments, quantile interpolation, exporters."""
 
 import re
+import sys
+import threading
 
 import pytest
 
@@ -8,6 +10,7 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
+    MetricSet,
     MetricsRegistry,
     get_registry,
 )
@@ -39,6 +42,13 @@ class TestGauge:
         g.inc(2)
         g.dec(5)
         assert g.value == 7.0
+
+    def test_function_gauge_reads_its_source(self):
+        depth = [3]
+        g = Gauge(lambda: depth[0])
+        assert g.value == 3
+        depth[0] = 5
+        assert g.value == 5
 
 
 class TestHistogramQuantiles:
@@ -83,11 +93,6 @@ class TestHistogramQuantiles:
         snap = h.snapshot()
         assert set(snap) == {"count", "mean", "p50", "p95", "p99"}
 
-    def test_serve_telemetry_reexports_this_class(self):
-        from repro.serve.telemetry import Histogram as ServeHistogram
-
-        assert ServeHistogram is Histogram
-
 
 class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):
@@ -114,32 +119,51 @@ class TestRegistry:
         reg = MetricsRegistry()
         first = Histogram()
         second = Histogram()
-        reg.register_histogram("lat_seconds", first, model="m")
+        reg.register("lat_seconds", first, model="m")
         assert reg.histogram("lat_seconds", model="m") is first
-        reg.register_histogram("lat_seconds", second, model="m")
+        reg.register("lat_seconds", second, model="m")
         assert reg.histogram("lat_seconds", model="m") is second
 
-    def test_prune_drops_matching_series(self):
+    def test_register_rejects_a_type_conflict(self):
         reg = MetricsRegistry()
-        reg.counter("a_total", model="m").set(3)
-        reg.counter("a_total", model="other").set(1)
-        reg.gauge("b", model="m", replica="0").set(2)
-        assert reg.prune(model="m") == 2
-        json_out = reg.to_json()
-        remaining = [
-            s["labels"] for s in json_out["a_total"]["series"]
-        ]
-        assert remaining == [{"model": "other"}]
-        assert json_out["b"]["series"] == []
+        reg.counter("x_total")
+        with pytest.raises(ValueError, match="counter"):
+            reg.register("x_total", Gauge())
 
-    def test_prune_then_reregister_resets_counter_series(self):
-        # The hot-swap scenario: fresh telemetry restarts at zero, which
-        # Counter.set would refuse on the old series.
+    def test_unregister_drops_only_the_given_instruments(self):
         reg = MetricsRegistry()
-        reg.counter("req_total", model="m").set(100)
-        reg.prune(model="m")
-        reg.counter("req_total", model="m").set(1)  # must not raise
-        assert reg.counter("req_total", model="m").value == 1.0
+        mine, other = Counter(), Counter()
+        reg.register("a_total", mine, model="m")
+        reg.register("a_total", other, model="other")
+        reg.unregister(mine)
+        remaining = [s["labels"] for s in reg.to_json()["a_total"]["series"]]
+        assert remaining == [{"model": "other"}]
+
+    def test_unregister_keeps_a_successor_series(self):
+        # The hot-swap scenario: the new runtime's fresh counter takes
+        # over the series; retiring the old one must not remove it.
+        reg = MetricsRegistry()
+        old, new = Counter(), Counter()
+        old.inc(100)
+        reg.register("req_total", old, model="m")
+        reg.register("req_total", new, model="m")
+        reg.unregister(old)
+        assert reg.counter("req_total", model="m") is new
+        assert reg.to_json()["req_total"]["series"][0]["value"] == 0
+
+    def test_unregister_restores_a_displaced_series(self):
+        # Two owners of one name and labels (two servers in a process
+        # serving one model): when the later one leaves, the earlier
+        # one's series returns to the scrape.
+        reg = MetricsRegistry()
+        first, second = Counter(), Counter()
+        first.inc(3)
+        reg.register("req_total", first, model="m")
+        reg.register("req_total", second, model="m")
+        reg.unregister(second)
+        assert reg.counter("req_total", model="m") is first
+        reg.unregister(first)
+        assert reg.to_json()["req_total"]["series"] == []
 
 
 class TestCollectors:
@@ -244,6 +268,50 @@ class TestDefaultRegistry:
 
     def test_get_registry_is_a_singleton(self):
         assert get_registry() is get_registry()
+
+
+class TestConcurrentRecording:
+    def test_no_update_is_lost(self):
+        """Serving threads record into one model's instruments at once:
+        every count, sample and size tally must land."""
+
+        class Set(MetricSet):
+            def __init__(self):
+                super().__init__()
+                self._counters("x_", (("hits", "hits"),))
+                self.latency = Histogram(
+                    8, exemplar_bounds=(0.5, 1.0)
+                )
+                self.sizes = {}
+
+        metrics = Set()
+        threads, rounds = 8, 2000
+
+        def record(k):
+            for i in range(rounds):
+                metrics.hits.inc()
+                metrics.latency.record(0.25 * (i % 5), trace_id=str(k))
+                metrics._count_size(metrics.sizes, i % 3)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=record, args=(k,))
+                for k in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        total = threads * rounds
+        assert metrics.hits.value == total
+        assert metrics.latency.count == total
+        assert metrics.latency.bucket_counts()[-1] == ("+Inf", total)
+        assert sum(metrics._sizes(metrics.sizes).values()) == total
 
 
 class TestExemplars:

@@ -188,13 +188,13 @@ class TestStateMachine:
             SLOEngine([_latency_spec(), _latency_spec()])
 
 
-class _FakeGenTelemetry:
+class _FakeDecodeCounters:
     def __init__(self):
         self.tokens = 0
         self._busy = 0.0
 
-    def busy_seconds(self) -> float:
-        return self._busy
+    def sample(self) -> tuple[int, float]:
+        return self.tokens, self._busy
 
     def run(self, tokens: int, busy: float) -> None:
         self.tokens += tokens
@@ -213,8 +213,8 @@ class TestThroughputSpecs:
             slow_window_s=30.0,
         )
         engine = SLOEngine([spec], clock=clock)
-        telemetry = _FakeGenTelemetry()
-        engine.attach_gen_source("m", telemetry)
+        telemetry = _FakeDecodeCounters()
+        engine.attach_gen_source("m", telemetry.sample)
         # Sustained 150 tok/s: above the floor, burn 0.
         for _ in range(40):
             telemetry.run(150, 1.0)
@@ -240,8 +240,8 @@ class TestThroughputSpecs:
             slow_window_s=30.0,
         )
         engine = SLOEngine([spec], clock=clock)
-        telemetry = _FakeGenTelemetry()
-        engine.attach_gen_source("m", telemetry)
+        telemetry = _FakeDecodeCounters()
+        engine.attach_gen_source("m", telemetry.sample)
         for _ in range(40):  # counters never move: no busy time at all
             clock.advance(1.0)
             engine.evaluate()

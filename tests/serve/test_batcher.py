@@ -136,7 +136,7 @@ class TestAdmissionControl:
         batcher.enqueue(_ones())
         with pytest.raises(QueueFullError):
             batcher.enqueue(_ones())
-        assert batcher.telemetry.rejected == 1
+        assert batcher.metrics.rejected.value == 1
         assert batcher.pending() == 2
 
     def test_seal_drains_queue_then_rejects_new_arrivals(self):
@@ -218,7 +218,7 @@ class TestBatchResolution:
         batch = batcher.next_batch(timeout=1.0)
         values = [float(r.x[0]) for r in batch.requests]
         assert values == [1.0, 2.0]  # the cancelled request is gone
-        assert batcher.telemetry.cancelled == 1
+        assert batcher.metrics.cancelled.value == 1
 
 
 class TestValidation:

@@ -458,3 +458,44 @@ class TestNativeJson:
         assert status == status_json == 200
         assert strip_id(fast) == strip_id(slow)
         assert np.array_equal(json.loads(fast)["output"], compiled(x))
+
+
+class TestInputRange:
+    """A finite ``/predict`` value the dtype cannot hold is a 400 naming
+    ``input``, on the native codec and on the ``json`` fallback alike,
+    instead of a 200 served on an infinity."""
+
+    @pytest.mark.parametrize(
+        "dtype, value", [("float16", 1e300), ("float32", 1e39)]
+    )
+    @pytest.mark.parametrize("codec", ["native", "json"])
+    def test_overflowing_value_gets_a_400(
+        self, http_server, monkeypatch, codec, dtype, value
+    ):
+        _, base, _ = http_server
+        port = int(base.rsplit(":", 1)[1])
+        if codec == "json":
+            monkeypatch.setattr(native, "load", lambda: None)
+        elif native.load() is None:
+            pytest.skip("native JSON codec unavailable")
+        body = json.dumps(
+            {"model": "mlp", "input": [value] + [1.0] * 5, "dtype": dtype}
+        ).encode()
+        status, data = _raw_post(port, "/predict", body)
+        assert status == 400, data
+        assert "input" in json.loads(data)["error"]
+
+    @pytest.mark.parametrize("codec", ["native", "json"])
+    def test_a_value_float64_holds_is_served(
+        self, http_server, monkeypatch, codec
+    ):
+        _, base, _ = http_server
+        port = int(base.rsplit(":", 1)[1])
+        if codec == "json":
+            monkeypatch.setattr(native, "load", lambda: None)
+        body = json.dumps(
+            {"model": "mlp", "input": [1e300] + [0.0] * 5,
+             "dtype": "float64"}
+        ).encode()
+        status, data = _raw_post(port, "/predict", body)
+        assert status == 200, data

@@ -11,7 +11,6 @@ from repro.api import QuantConfig, quantize
 from repro.gen.model import DecoderLM
 from repro.nn.transformer import TransformerConfig
 from repro.serve import QueueFullError, SequenceScheduler
-from repro.serve.telemetry import GenTelemetry
 
 CONFIG = TransformerConfig(dim=32, heads=4, ff_dim=64, layers=2)
 VOCAB = 50
@@ -60,10 +59,7 @@ class TestContinuousBatching:
         assert results == references
 
     def test_ticks_coalesce_concurrent_sequences(self, compiled):
-        telemetry = GenTelemetry()
-        sched = SequenceScheduler(
-            compiled, max_sequences=4, name="coalesce", telemetry=telemetry
-        )
+        sched = SequenceScheduler(compiled, max_sequences=4, name="coalesce")
         with sched:
             barrier = threading.Barrier(3)
 
@@ -80,11 +76,12 @@ class TestContinuousBatching:
                 thread.start()
             for thread in threads:
                 thread.join()
-        assert telemetry.tokens == 24
+        metrics = sched.metrics
+        assert metrics.tokens.value == 24
         # Batched ticks: strictly fewer model executions than tokens.
-        assert telemetry.ticks < telemetry.tokens
-        assert telemetry.coalescing_ratio > 1.0
-        assert telemetry.tokens_per_s > 0
+        assert metrics.ticks.value < metrics.tokens.value
+        assert metrics.coalescing_ratio.value > 1.0
+        assert metrics.tokens_per_s.value > 0
 
     def test_sequential_stream_matches_generate(self, compiled, scheduler):
         reference = compiled.generate(PROMPTS[0], 6)
@@ -126,7 +123,7 @@ class TestLifecycle:
         tokens = list(stream)
         assert stream.finish_reason == "deadline"
         assert len(tokens) < 100_000
-        assert scheduler.telemetry.deadline_expired >= 1
+        assert scheduler.metrics.deadline_expired.value >= 1
 
     def test_backpressure_at_max_sequences(self, scheduler):
         streams = [
@@ -136,7 +133,7 @@ class TestLifecycle:
         try:
             with pytest.raises(QueueFullError):
                 scheduler.generate(PROMPTS[0], 5)
-            assert scheduler.telemetry.rejected == 1
+            assert scheduler.metrics.rejected.value == 1
         finally:
             for stream in streams:
                 stream.close()

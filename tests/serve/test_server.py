@@ -213,12 +213,12 @@ class TestBackpressure:
         compiled.warmup()
         batcher = Batcher(max_batch=4, max_latency_ms=1.0, max_queue=2)
         # No workers draining: the queue fills, the third enqueue must
-        # be refused (admission control), and telemetry counts it.
+        # be refused (admission control), and the metrics count it.
         batcher.enqueue(np.ones(6))
         batcher.enqueue(np.ones(6))
         with pytest.raises(QueueFullError):
             batcher.enqueue(np.ones(6))
-        assert batcher.telemetry.rejected == 1
+        assert batcher.metrics.rejected.value == 1
 
 
 class TestTelemetry:

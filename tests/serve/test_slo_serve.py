@@ -33,7 +33,7 @@ from repro.serve import (
     ServeConfig,
     Server,
 )
-from repro.serve.telemetry import GenTelemetry
+from repro.serve.sequences import GenMetrics
 
 
 @pytest.fixture(autouse=True)
@@ -69,10 +69,10 @@ def lm():
 
 
 class TestBusyClock:
-    """GenTelemetry busy-time accounting under cancellation races."""
+    """GenMetrics busy-time accounting under cancellation races."""
 
     def test_duplicate_finish_is_clamped(self):
-        t = GenTelemetry()
+        t = GenMetrics(live=lambda: 0)
         t.record_admit()
         t.record_finish("length")
         settled = t.busy_seconds()
@@ -87,7 +87,7 @@ class TestBusyClock:
         t.record_finish("length")
 
     def test_unmatched_finish_is_ignored(self):
-        t = GenTelemetry()
+        t = GenMetrics(live=lambda: 0)
         t.record_finish("cancelled")  # nothing was ever admitted
         assert t.busy_seconds() == 0.0
         t.record_admit()
@@ -96,7 +96,7 @@ class TestBusyClock:
         assert t.busy_seconds() > 0.0
 
     def test_busy_seconds_is_live_and_monotonic(self):
-        t = GenTelemetry()
+        t = GenMetrics(live=lambda: 0)
         t.record_admit()
         first = t.busy_seconds()
         time.sleep(0.02)
@@ -111,7 +111,7 @@ class TestBusyClock:
     def test_zero_token_cancel_stops_the_clock(self, lm):
         """A stream cancelled before its first token is read -- with
         close() racing from several threads -- must return the
-        telemetry to idle (the pre-fix failure mode left ``_active``
+        metrics to idle (the pre-fix failure mode left ``_active``
         permanently nonzero, so busy time grew forever and tokens/s
         decayed to noise)."""
         scheduler = SequenceScheduler(lm, max_sequences=4, name="cancel")
@@ -128,9 +128,9 @@ class TestBusyClock:
             while scheduler.active() and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert scheduler.active() == 0
-            settled = scheduler.telemetry.busy_seconds()
+            settled = scheduler.metrics.busy_seconds()
             time.sleep(0.05)
-            assert scheduler.telemetry.busy_seconds() == settled
+            assert scheduler.metrics.busy_seconds() == settled
 
 
 class TestExemplarCapture:
@@ -147,7 +147,8 @@ class TestExemplarCapture:
         x = np.random.default_rng(0).standard_normal(6)
         with server:
             server.predict("mlp", x, request_id="feedbeef00000001")
-            cells = server._runtimes["mlp"].telemetry.latency.exemplars()
+            latency = server._runtimes["mlp"].batcher.metrics.latency
+            cells = latency.exemplars()
         assert len(cells) == 1
         assert cells[0]["trace_id"] == "feedbeef00000001"
         assert cells[0]["value"] > 0
@@ -178,7 +179,8 @@ class TestExemplarCapture:
                 thread.start()
             for thread in threads:
                 thread.join()
-            cells = server._runtimes["mlp"].telemetry.latency.exemplars()
+            latency = server._runtimes["mlp"].batcher.metrics.latency
+            cells = latency.exemplars()
         assert not errors, errors
         ids = [cell["trace_id"] for cell in cells]
         assert ids, "no exemplars captured"
