@@ -10,9 +10,10 @@ Two acceptance bars for :mod:`repro.obs`:
   1% (this module's gate).
 
 Tracing overhead is *not* gated here -- enabling spans deliberately
-buys per-layer attribution and takes engines with
-``accepts_profiler`` off their fused fast path; the experiment table
-records that cost, it does not promise a bound.
+buys per-layer attribution (an ``engine.matmul`` span, a drift record
+and a histogram sample around the same native kernel call an untraced
+layer makes); the experiment table records that cost, it does not
+promise a bound.
 
 The rendered ``obs_overhead`` experiment table lands in
 ``benchmarks/out/obs_overhead.txt``; the committed trajectory is

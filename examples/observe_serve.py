@@ -13,9 +13,8 @@ and then reads back everything the run produced:
   JSON.  Open it at https://ui.perfetto.dev: each request is a
   ``serve.admit`` -> ``serve.queue`` span pair on the client thread, a
   worker's ``serve.batch`` span links every request it coalesced, and
-  the execution bottoms out in per-layer ``engine.matmul`` and the
-  paper's Fig. 8 ``kernel.build`` / ``kernel.query`` /
-  ``kernel.replace`` phases.
+  the execution bottoms out in one ``engine.matmul`` span per layer
+  call -- the native LUT kernel an untraced request runs too.
 - the Prometheus exposition of the unified metrics registry (what
   ``GET /metrics?format=prometheus`` serves), including OpenMetrics
   exemplars: latency buckets annotated with the trace id of a request
@@ -62,7 +61,7 @@ def main() -> None:
             for n, m in zip(dims[:-1], dims[1:])
         ]
     )
-    # Force the LUT engine so the trace reaches the kernel phases.
+    # Pin the LUT engine so every engine.matmul span times it.
     compiled = quantize(
         mlp, QuantConfig(bits=3, mu=4, backend="biqgemm")
     ).compile(batch_hint=8)

@@ -419,7 +419,13 @@ def load_from_parts(
                 f"{entry_data['path']!r}"
             )
         spec = _spec_from_dict(entry_data["spec"])
-        engine = entry.restore(state)
+        try:
+            engine = entry.restore(state)
+        except KeyError as exc:
+            raise ValueError(
+                f"corrupted model artifact: layer {entry_data['path']!r} "
+                f"payload is missing {exc}"
+            ) from exc
         if tuple(engine.shape) != (int(entry_data["m"]), int(entry_data["n"])):
             raise ValueError(
                 f"corrupted model artifact: layer {entry_data['path']!r} "

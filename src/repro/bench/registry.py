@@ -65,7 +65,6 @@ __all__ = [
     "Measurement",
     "compiled_encoder",
     "compiled_mlp",
-    "flat_query_hot_loop",
     "gated",
     "gated_metrics",
     "measure",
@@ -863,28 +862,6 @@ def _p50(fn: Callable[[], object], repeats: int) -> float:
     return samples[repeats // 2]
 
 
-def flat_query_hot_loop(m: int, n: int, rng: np.random.Generator) -> dict:
-    """The :func:`~repro.core.profiling.measure_hot_loop` report of a
-    warmed 3-bit ``(m, n)`` BiQGemm flat-query matmul of one column,
-    served from a :class:`~repro.core.workspace.Workspace`; its
-    ``alloc_events`` must be zero."""
-    from repro.core.profiling import measure_hot_loop
-    from repro.core.workspace import Workspace
-    from repro.quant.bcq import bcq_quantize
-
-    engine = BiQGemm.from_bcq(
-        bcq_quantize(rng.standard_normal((m, n)), 3), mu=8
-    )
-    x = rng.standard_normal((n, 1)).astype(np.float32)
-    ws = Workspace()
-
-    def hot():
-        ws.reset()
-        engine.matmul(x, query_impl="flat", builder="gemm", workspace=ws)
-
-    return measure_hot_loop(hot, warmups=3, repeats=5)
-
-
 def compiled_encoder(*, bits: int = 3, mu: int = 8, layers: int = 2):
     """A zoo transformer encoder (transformer-base at 1/16 scale),
     BCQ-quantized, compiled at the decode hint and warmed."""
@@ -968,16 +945,13 @@ def _drive_clients(
     }
 
 
-@gated("engine_alloc_events", "alloc_b1_bytes")
+@gated("alloc_b1_bytes")
 def steady_state_experiment(quick: bool = False) -> Measurement:
-    """Steady-state serving cost: model p50 + allocation, engine hot loop.
+    """Steady-state serving cost: model p50 and allocation.
 
     Compiles a BCQ MLP (:func:`compiled_mlp`) and for each small batch
     measures the CompiledModel forward: p50 latency and the per-call
-    transient allocation footprint (tracemalloc peak bytes).  The
-    engine-level criterion is the tracked allocation events in the
-    warmed BiQGemm flat-query hot loop served from a
-    :class:`~repro.core.workspace.Workspace`, which must be zero.
+    transient allocation footprint (tracemalloc peak bytes).
     """
     from repro.core.profiling import measure_hot_loop
 
@@ -986,9 +960,6 @@ def steady_state_experiment(quick: bool = False) -> Measurement:
         "(BCQ MLP, 3-bit, mu=8, decode compile hint)",
         ["batch", "p50 ms", "req/s", "alloc/call bytes"],
         notes=[
-            "shape to check: the flat-query engine hot loop served "
-            "from a warm Workspace allocates nothing at all "
-            "(events == 0)",
             "the >= 20% small-batch p50 acceptance bar is measured "
             "against the seed query kernel by "
             "benchmarks/bench_steady_state.py",
@@ -1008,16 +979,6 @@ def steady_state_experiment(quick: bool = False) -> Measurement:
         metrics[f"p50_b{b}_ms"] = p50_ms
         metrics[f"alloc_b{b}_bytes"] = float(alloc)
         metrics[f"req_per_s_b{b}"] = 1e3 / p50_ms
-
-    report = flat_query_hot_loop(
-        *((128, 256) if quick else (512, 1024)), rng
-    )
-    metrics["engine_alloc_events"] = float(report["alloc_events"])
-    table.notes.append(
-        f"engine flat-query hot loop: {report['alloc_events']} "
-        f"allocation events (peak {report['peak_new_bytes']} B, "
-        f"threshold {report['min_alloc_bytes']} B)"
-    )
     return Measurement([table], metrics)
 
 
@@ -1625,8 +1586,8 @@ def obs_overhead_experiment(quick: bool = False) -> Measurement:
 
     The :mod:`repro.obs` contract is that *disabled* observability costs
     one boolean read on the hot path; *enabled* tracing pays for span
-    objects, the profiler bridge, and (on engines that accept a
-    profiler) the un-fused kernel path; the *sampling profiler* is the
+    objects, drift records and the per-layer histogram around the same
+    engine call an untraced forward makes; the *sampling profiler* is the
     always-on tier and must stay under ~1% (it never touches the hot
     path -- its cost is a 97 Hz ``sys._current_frames()`` walk on its
     own thread, plus GIL contention).  This measures all three on the
@@ -1654,11 +1615,10 @@ def obs_overhead_experiment(quick: bool = False) -> Measurement:
         notes=[
             "shape to check: the off column matches the steady_state "
             "bench (disabled obs is one boolean read per call site); "
-            "the traced column buys per-layer engine.matmul and kernel "
-            "phase spans",
-            "traced runs opt engines with accepts_profiler out of "
-            "their fused fast path, so overhead bounds the *worst* "
-            "cost of tracing, not the typical scrape cost (metrics "
+            "the traced column buys per-layer engine.matmul spans, "
+            "drift records and latency histograms",
+            "traced layers run the same native kernel as untraced "
+            "ones, so overhead is the bookkeeping alone (metrics "
             "collectors are pull-only)",
             "the profiler column is the always-on tier: frame walks "
             "on the sampler's own thread, hot path untouched -- "

@@ -21,9 +21,9 @@ online (per input batch)
 :class:`repro.core.kernel.BiQGemm` packages the whole flow;
 :mod:`repro.core.autotune` selects the LUT-unit ``mu``;
 :mod:`repro.core.profiling` provides the build/query/replace timers used
-to regenerate the paper's Fig. 8 plus the allocation counters;
-:mod:`repro.core.workspace` provides the scratch-buffer arenas behind
-the KV caches and :meth:`BiQGemm.matmul`'s zero-allocation hot loop.
+to regenerate the paper's Fig. 8 plus a per-call allocation meter;
+:mod:`repro.core.workspace` provides the buffer arenas behind the KV
+caches.
 """
 
 from repro.core.keys import KeyMatrix, encode_keys, decode_keys

@@ -32,7 +32,7 @@ from repro.core.keys import KeyMatrix, decode_keys, encode_keys
 from repro.core.lut import build_tables_dp, build_tables_gemm, reshape_input
 from repro.core.profiling import PhaseProfiler
 from repro.core.tiling import TileConfig, choose_tiles, iter_tiles
-from repro.core.workspace import CallScratch, Workspace
+from repro.core.workspace import CallScratch
 
 __all__ = ["BiQGemm"]
 
@@ -72,11 +72,6 @@ class BiQGemm:
     kernel users keep the per-call heuristics (the flat gather only
     wins at GEMV-like batches anyway).
     """
-
-    accepts_profiler = True
-    """``matmul`` takes ``profiler=`` -- the traced layer path uses this
-    to route the shared :func:`repro.obs.kernel_profiler` (phase spans)
-    only to engines that understand it."""
 
     def __init__(self, key_matrix: KeyMatrix, alphas: np.ndarray | None = None):
         if not isinstance(key_matrix, KeyMatrix):
@@ -321,7 +316,6 @@ class BiQGemm:
         query_impl: QueryImpl = "auto",
         profiler: PhaseProfiler | None = None,
         out: np.ndarray | None = None,
-        workspace: Workspace | None = None,
     ) -> np.ndarray:
         """Compute ``W_quantized @ x`` via table lookups.
 
@@ -354,12 +348,6 @@ class BiQGemm:
             Optional destination of shape ``(m, b)`` (``(m,)`` for
             vector input) in the computation dtype.  Must not alias
             *x*; it is zero-filled and accumulated into.
-        workspace:
-            Optional :class:`~repro.core.workspace.Workspace` arena
-            supplying the padded input, table, gather and accumulator
-            scratch (and the output when *out* is not given), so a
-            steady-state call loop performs no numpy allocations.
-            Results are bit-identical with or without a workspace.
 
         Returns
         -------
@@ -367,10 +355,6 @@ class BiQGemm:
         input); *out* when it was provided.
         """
         check_positive_int(threads, "threads", upper=256)
-        # Call-scoped scratch (tables, gathers, accumulators, padded
-        # input): released back to the arena when the call completes,
-        # so consecutive calls reuse the same cache-hot buffers.
-        scratch = CallScratch(workspace)
         with _phase(profiler, "replace"):
             arr = np.asarray(x)
             vector_in = arr.ndim == 1
@@ -384,7 +368,7 @@ class BiQGemm:
                 )
             if not np.issubdtype(arr.dtype, np.floating):
                 arr = arr.astype(np.float64)
-            xhat = reshape_input(arr, self.mu, workspace=scratch)
+            xhat = reshape_input(arr, self.mu)
         batch = arr.shape[1]
         groups = self._keys.groups
         m = self._keys.m
@@ -415,45 +399,30 @@ class BiQGemm:
         if out is not None:
             y = check_matmul_out(out, m, batch, dtype, arr, vector_in)
             y[...] = 0
-        elif workspace is not None:
-            y = workspace.acquire("kernel.y", (m, batch), dtype, zero=True)
         else:
             y = np.zeros((m, batch), dtype=dtype)
         alphas = self._alphas_for(dtype)
         keys = self._keys.keys
 
-        try:
-            if threads == 1:
-                self._run_tiles(
-                    y,
-                    xhat,
-                    keys,
-                    alphas,
-                    tiles,
-                    build_fn,
-                    query_impl,
-                    profiler,
-                    scratch,
-                )
-            else:
-                from repro.core.multithread import run_tiles_threaded
+        if threads == 1:
+            self._run_tiles(
+                y, xhat, keys, alphas, tiles, build_fn, query_impl, profiler
+            )
+        else:
+            from repro.core.multithread import run_tiles_threaded
 
-                run_tiles_threaded(
-                    self,
-                    y,
-                    xhat,
-                    keys,
-                    alphas,
-                    tiles,
-                    build_fn,
-                    query_impl,
-                    profiler,
-                    threads,
-                    workspace=workspace,
-                    scratch=scratch,
-                )
-        finally:
-            scratch.close()
+            run_tiles_threaded(
+                self,
+                y,
+                xhat,
+                keys,
+                alphas,
+                tiles,
+                build_fn,
+                query_impl,
+                profiler,
+                threads,
+            )
         if out is not None:
             return out
         return y[:, 0] if vector_in else y
@@ -532,12 +501,11 @@ class BiQGemm:
         build_fn,
         query_impl: QueryImpl,
         profiler: PhaseProfiler | None,
-        scratch: CallScratch | None = None,
     ) -> None:
         m, batch = y.shape
         groups = xhat.shape[0]
-        if scratch is None:
-            scratch = CallScratch()
+        # One set of table/gather/accumulator buffers serves every tile.
+        scratch = CallScratch()
         seen_g: int | None = None
         q_tile: np.ndarray | None = None
         for r_sl, g_sl in iter_tiles(m, groups, tiles):
@@ -575,11 +543,11 @@ class BiQGemm:
     ) -> None:
         """Accumulate one (row, group) tile into *y* for all bit planes.
 
-        All gather/accumulate intermediates come from *scratch*, so with
-        an arena-backed scratch the query phase allocates nothing; the
-        in-place formulation performs the identical floating-point
-        operations in the identical order as the allocating one, so
-        results are bit-for-bit the same.
+        All gather/accumulate intermediates come from *scratch*, so a
+        call allocates them once, not per tile; the in-place
+        formulation performs the identical floating-point operations in
+        the identical order as the allocating one, so results are
+        bit-for-bit the same.
         """
         tile_g = q_tile.shape[0]
         batch = q_tile.shape[2]

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._util import check_positive_int, pad_axis
+from repro._util import check_positive_int
 from repro.core.keys import MAX_MU
 
 __all__ = [
@@ -86,7 +86,6 @@ def reshape_input(
     mu: int,
     *,
     out: np.ndarray | None = None,
-    workspace=None,
 ) -> np.ndarray:
     """Reshape an input matrix into the sub-vector tensor ``Xhat``.
 
@@ -100,12 +99,10 @@ def reshape_input(
     preserved (float32 stays float32).
 
     When the input is already C-contiguous, floating and ``mu``-aligned
-    the result is a zero-copy **view** of *x* and both *out* and
-    *workspace* are ignored -- the replace phase then costs nothing.
-    Otherwise the padded copy is written into *out* (which must be a
-    C-contiguous ``(groups, mu, b)`` array of the input's float dtype),
-    or into a buffer acquired from *workspace*, or into a fresh
-    allocation, in that order of preference.
+    the result is a zero-copy **view** of *x* and *out* is ignored --
+    the replace phase then costs nothing.  Otherwise the padded copy is
+    written into *out* (which must be a C-contiguous ``(groups, mu, b)``
+    array of the input's float dtype) or into a fresh allocation.
     """
     check_positive_int(mu, "mu", upper=MAX_MU)
     arr = np.asarray(x)
@@ -119,27 +116,20 @@ def reshape_input(
     groups = -(-n // mu)
     if n == groups * mu and arr.flags.c_contiguous:
         return arr.reshape(groups, mu, b)
-    if out is None and workspace is not None:
-        out = workspace.acquire("lut.xhat", (groups, mu, b), arr.dtype)
-    if out is not None:
-        if out.shape != (groups, mu, b):
-            raise ValueError(
-                f"out must have shape ({groups}, {mu}, {b}), "
-                f"got {out.shape}"
-            )
-        if out.dtype != arr.dtype:
-            raise ValueError(
-                f"out dtype {out.dtype} != input dtype {arr.dtype}"
-            )
-        if not out.flags.c_contiguous:
-            raise ValueError("out must be C-contiguous")
-        flat = out.reshape(groups * mu, b)
-        flat[:n] = arr
-        if n < groups * mu:
-            flat[n:] = 0
-        return out
-    padded = pad_axis(arr, mu, axis=0, value=0)
-    return np.ascontiguousarray(padded.reshape(groups, mu, b))
+    if out is None:
+        out = np.empty((groups, mu, b), dtype=arr.dtype)
+    elif out.shape != (groups, mu, b):
+        raise ValueError(
+            f"out must have shape ({groups}, {mu}, {b}), got {out.shape}"
+        )
+    elif out.dtype != arr.dtype:
+        raise ValueError(f"out dtype {out.dtype} != input dtype {arr.dtype}")
+    elif not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    flat = out.reshape(groups * mu, b)
+    flat[:n] = arr
+    flat[n:] = 0
+    return out
 
 
 def build_table_reference(x_sub: np.ndarray, mu: int | None = None) -> np.ndarray:

@@ -30,9 +30,10 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
+from repro.core.kernel import _phase
 from repro.core.profiling import PhaseProfiler
 from repro.core.tiling import TileConfig
-from repro.core.workspace import CallScratch, Workspace
+from repro.core.workspace import CallScratch
 
 __all__ = ["run_tiles_threaded", "shutdown_pools"]
 
@@ -91,8 +92,6 @@ def run_tiles_threaded(
     query_impl: str,
     profiler: PhaseProfiler | None,
     threads: int,
-    workspace: Workspace | None = None,
-    scratch: CallScratch | None = None,
 ) -> None:
     """Execute the LUT-stationary tile schedule with the shared pool.
 
@@ -102,70 +101,22 @@ def run_tiles_threaded(
     *threads* even though the shared executor may be larger.  *engine*
     is the owning :class:`~repro.core.kernel.BiQGemm` (its
     ``_query_tile`` does the actual gather work).  Each chunk keeps its
-    own :class:`~repro.core.workspace.CallScratch` over *workspace*, so
-    workers never contend on (or alias) scratch buffers; *scratch* is
-    used by the main thread for table construction.
+    own :class:`~repro.core.workspace.CallScratch`, so workers never
+    contend on (or alias) scratch buffers; the main thread builds the
+    tables into its own.
     """
     m, batch = y.shape
     groups = xhat.shape[0]
     pool = _pool(threads)
-    own_scratch = scratch is None
-    if own_scratch:
-        scratch = CallScratch(workspace)
+    scratch = CallScratch()
     r_starts = list(range(0, m, tiles.tile_m))
     chunks = [
         r_starts[i :: threads] for i in range(min(threads, len(r_starts)))
     ]
-    worker_scratch = [CallScratch(workspace) for _ in chunks]
-
-    try:
-        _run_schedule(
-            engine,
-            y,
-            xhat,
-            keys,
-            alphas,
-            tiles,
-            build_fn,
-            query_impl,
-            profiler,
-            pool,
-            chunks,
-            scratch,
-            worker_scratch,
-        )
-    finally:
-        for chunk_scratch in worker_scratch:
-            chunk_scratch.close()
-        if own_scratch:
-            scratch.close()
-
-
-def _run_schedule(
-    engine,
-    y: np.ndarray,
-    xhat: np.ndarray,
-    keys: np.ndarray,
-    alphas: np.ndarray,
-    tiles: TileConfig,
-    build_fn,
-    query_impl: str,
-    profiler: PhaseProfiler | None,
-    pool: ThreadPoolExecutor,
-    chunks: list[list[int]],
-    scratch: CallScratch,
-    worker_scratch: list[CallScratch],
-) -> None:
-    m, batch = y.shape
-    groups = xhat.shape[0]
+    worker_scratch = [CallScratch() for _ in chunks]
     for g0 in range(0, groups, tiles.tile_g):
         g_sl = slice(g0, min(g0 + tiles.tile_g, groups))
-        if profiler is not None:
-            with profiler.phase("build"):
-                q_tile = engine._build_tile(
-                    build_fn, xhat[g_sl], scratch, batch, y.dtype
-                )
-        else:
+        with _phase(profiler, "build"):
             q_tile = engine._build_tile(
                 build_fn, xhat[g_sl], scratch, batch, y.dtype
             )
@@ -178,20 +129,7 @@ def _run_schedule(
         ) -> None:
             for r0 in chunk:
                 r_sl = slice(r0, min(r0 + tiles.tile_m, m))
-                if profiler is not None:
-                    with profiler.phase("query"):
-                        engine._query_tile(
-                            y,
-                            q_tile,
-                            keys,
-                            alphas,
-                            r_sl,
-                            g_sl,
-                            query_impl,
-                            chunk_scratch,
-                            tile_width=tiles.tile_g,
-                        )
-                else:
+                with _phase(profiler, "query"):
                     engine._query_tile(
                         y,
                         q_tile,

@@ -30,6 +30,9 @@ Three on-disk formats coexist:
 from __future__ import annotations
 
 import json
+import zipfile
+import zlib
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +56,38 @@ _REGISTRY_FORMAT_VERSION = 2
 _MODEL_FORMAT_VERSION = 3
 
 _MANIFEST_REQUIRED_FIELDS = ("config", "structure", "layers", "batch_hint")
+
+# What the zip and zlib layers raise for a truncated or bit-flipped
+# ``.npz``, on open or on reading a member.  FileNotFoundError and
+# PermissionError are OSErrors too, but they say something true about
+# the path, so they pass through.
+_CORRUPT_FILE_ERRORS = (
+    zipfile.BadZipFile,
+    zlib.error,
+    NotImplementedError,
+    EOFError,
+    OSError,
+)
+
+
+@contextmanager
+def _open_npz(path: Path):
+    """``np.load(path)`` whose failures, in the open or in any read
+    inside the block, are ``ValueError``\\ s naming *path*."""
+    try:
+        with np.load(path) as data:
+            yield data
+    except (FileNotFoundError, PermissionError):
+        raise
+    except ValueError as exc:
+        if str(path) in str(exc):
+            raise
+        raise ValueError(f"{path}: {exc}") from exc
+    except _CORRUPT_FILE_ERRORS as exc:
+        raise ValueError(
+            f"{path} is corrupted or truncated "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 def save_engine(engine, path: str | Path) -> None:
@@ -104,8 +139,9 @@ def load_engine(path: str | Path):
 
     Validates the format version and the internal consistency of the
     stored arrays (shape/range checks run in the engine constructors),
-    so a truncated or foreign file fails loudly.  Version-1 files load
-    as :class:`~repro.core.kernel.BiQGemm`; version-2 files load as
+    so a truncated, corrupted or foreign file fails loudly with a
+    ``ValueError``.  Version-1 files load as
+    :class:`~repro.core.kernel.BiQGemm`; version-2 files load as
     whatever backend their ``engine_kind`` names (a legacy name maps to
     its current one), provided it is registered in this process.
     """
@@ -118,7 +154,7 @@ def load_engine(path: str | Path):
         else:
             raise FileNotFoundError(f"no engine file at {path}")
     try:
-        with np.load(path) as data:
+        with _open_npz(path) as data:
             version = int(data["format_version"])
             if version == _FORMAT_VERSION:
                 km = KeyMatrix(
@@ -240,12 +276,12 @@ def load_model_artifact(
 ) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a version-3 artifact back as ``(manifest, arrays)``.
 
-    Fails loudly -- wrong format version, non-JSON or structurally
-    invalid manifests all raise ``ValueError`` before any engine state
-    is touched.
+    Fails loudly -- a truncated or corrupted file, a wrong format
+    version, a non-JSON or structurally invalid manifest all raise
+    ``ValueError`` naming *path* before any engine state is touched.
     """
     path = _resolve_artifact_path(path)
-    with np.load(path) as data:
+    with _open_npz(path) as data:
         manifest = _read_manifest(data, path)
         arrays = {
             name: data[name]
@@ -264,7 +300,7 @@ def load_model_manifest(path: str | Path) -> dict:
     same as :func:`load_model_artifact`'s.
     """
     path = _resolve_artifact_path(path)
-    with np.load(path) as data:
+    with _open_npz(path) as data:
         return _read_manifest(data, path)
 
 

@@ -1,39 +1,24 @@
-"""Workspace arenas: reusable scratch buffers for long-lived state and
-the engine-level hot loop.
+"""Workspace arenas for the KV caches, and per-call kernel scratch.
 
-Two users keep an arena for the life of a process or a sequence:
-
-- the KV caches (:mod:`repro.gen.cache`, the serving sequence tables
-  and the cluster workers) grow per-layer key/value blocks on a
-  long-lived arena that is never reset -- caches release their blocks
-  on close;
-- :meth:`repro.core.kernel.BiQGemm.matmul` takes an optional
-  ``workspace=`` arena for its padded input, lookup tables, gathers and
-  accumulator, so a steady-state engine call loop performs no numpy
-  allocations (the gated ``engine_alloc_events == 0``).
-
-:class:`Workspace` is a shape/dtype-keyed arena with bump-pointer reset
-semantics:
+The KV caches (:mod:`repro.gen.cache`, the serving sequence tables and
+the cluster workers) grow per-layer key/value blocks on a long-lived
+:class:`Workspace`, a shape/dtype-keyed arena with free lists:
 
 - :meth:`Workspace.acquire` hands out a buffer for a ``(tag, shape,
-  dtype)`` key.  The first request per key allocates (a **miss**);
-  after :meth:`Workspace.reset`, repeat requests return the same
-  buffers in the same order (**hits**).
-- :meth:`Workspace.reset` marks every buffer available again; buffers
-  handed out since the last reset stay valid (and mutually distinct)
-  until the next one.
+  dtype)`` key: a released one of that key when there is one (a
+  **hit**), a new allocation otherwise (a **miss**).
+- :meth:`Workspace.release` returns a buffer; a cache releases its
+  blocks on close.
 - Buffers are never returned to the OS; :attr:`bytes_resident` is the
   arena's footprint, exported to metrics alongside the hit/miss
   counters.
 
-:class:`CallScratch` is the within-call companion: a tiny per-call (or
-per-worker-thread) cache so a tile loop that needs the same table /
-accumulator buffer for every tile acquires it from the arena exactly
-once per call instead of once per tile.
+``acquire`` and ``release`` are locked, so threads may share an arena.
 
-Thread model: one arena serves one caller at a time.  ``acquire``
-itself is locked, so the *threaded* tile path of a single call may
-acquire worker-local buffers concurrently.
+:class:`CallScratch` is unrelated to the arena: a per-call (or
+per-worker-thread) cache so the numpy kernel's tile loop allocates its
+table, gather and accumulator buffers once per call instead of once per
+tile.
 """
 
 from __future__ import annotations
@@ -84,20 +69,11 @@ def aggregate_stats() -> dict:
 
 
 class Workspace:
-    """Shape/dtype-keyed scratch-buffer arena with free lists and an
-    explicit request-boundary reset.
+    """Shape/dtype-keyed buffer arena with LIFO free lists.
 
-    Two lifetimes coexist on one arena:
-
-    - **call scratch** (lookup tables, gathered blocks, accumulators):
-      dead the moment its kernel call returns.  Callers
-      :meth:`release` these (usually via :meth:`CallScratch.close`),
-      putting them back on their free list LIFO -- so the next call's
-      same-shaped scratch reuses the cache-hot buffer the previous one
-      just warmed.
-    - **held state** (kernel outputs, KV blocks): stays alive, and
-      distinct from every other buffer, until released or until
-      :meth:`reset`.
+    A buffer stays alive, and distinct from every other buffer handed
+    out, until it is released; the next same-keyed acquire then reuses
+    it.
     """
 
     def __init__(self, name: str = "workspace"):
@@ -105,10 +81,10 @@ class Workspace:
         self._lock = threading.Lock()
         # key -> available buffers (free list, popped LIFO).
         self._free: dict[_Key, list[np.ndarray]] = {}
-        # key -> every buffer ever allocated for it (reset source).
-        self._all: dict[_Key, list[np.ndarray]] = {}
-        # id(buffer) -> key for buffers currently handed out.
-        self._borrowed: dict[int, _Key] = {}
+        # id(buffer) -> (key, buffer) for buffers currently handed out.
+        # Holding the buffer keeps its id from being reused while it
+        # is lent, and keeps what the arena counts in bytes_resident.
+        self._borrowed: dict[int, tuple[_Key, np.ndarray]] = {}
         self.hits = 0
         self.misses = 0
         self._nbytes = 0
@@ -131,9 +107,7 @@ class Workspace:
 
         Pops the key's free list (a **hit**) or allocates (a **miss**).
         Buffers handed out are mutually distinct until returned by
-        :meth:`release` or :meth:`reset`, so a steady-state request
-        loop performs zero numpy allocations after its first (warmup)
-        iteration.  With ``zero=True`` the buffer is zero-filled
+        :meth:`release`.  With ``zero=True`` the buffer is zero-filled
         (reused buffers hold stale values otherwise).
         """
         key = self._key(tag, shape, dtype)
@@ -144,10 +118,9 @@ class Workspace:
                 self.hits += 1
             else:
                 buf = np.empty(key[1], dtype=key[2])
-                self._all.setdefault(key, []).append(buf)
                 self._nbytes += buf.nbytes
                 self.misses += 1
-            self._borrowed[id(buf)] = key
+            self._borrowed[id(buf)] = (key, buf)
         if zero:
             buf[...] = 0
         return buf
@@ -164,26 +137,12 @@ class Workspace:
         with self._lock:
             node = buf
             while isinstance(node, np.ndarray):
-                key = self._borrowed.pop(id(node), None)
-                if key is not None:
-                    # id(node) keys _borrowed, so node is the acquired
-                    # root array itself, not a view.
-                    self._free.setdefault(key, []).append(node)
+                entry = self._borrowed.pop(id(node), None)
+                if entry is not None:
+                    key, root = entry
+                    self._free.setdefault(key, []).append(root)
                     return
                 node = node.base
-
-    def reset(self) -> None:
-        """Make every buffer available again.
-
-        Arrays handed out before the reset must no longer be read or
-        written by their previous holders.
-        """
-        with self._lock:
-            self._borrowed.clear()
-            for key, bufs in self._all.items():
-                free = self._free.setdefault(key, [])
-                free.clear()
-                free.extend(bufs)
 
     @property
     def bytes_resident(self) -> int:
@@ -194,8 +153,7 @@ class Workspace:
     @property
     def buffer_count(self) -> int:
         """Number of distinct buffers allocated so far."""
-        with self._lock:
-            return sum(len(bufs) for bufs in self._all.values())
+        return self.misses
 
     def stats(self) -> dict:
         """JSON-able counters for telemetry (hits/misses/bytes)."""
@@ -204,7 +162,7 @@ class Workspace:
                 "hits": self.hits,
                 "misses": self.misses,
                 "bytes_resident": self._nbytes,
-                "buffers": sum(len(b) for b in self._all.values()),
+                "buffers": self.misses,
             }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -217,59 +175,26 @@ class Workspace:
 
 
 class CallScratch:
-    """Per-call buffer cache in front of an (optional) arena.
+    """Per-call buffer cache for the numpy kernel's tile loop.
 
     A tile loop needs the same scratch buffer (tables, gathered block,
-    accumulator) for every tile of a call; acquiring from the arena per
-    tile would burn one arena slot per tile.  ``CallScratch`` acquires
-    each distinct ``(tag, shape, dtype)`` once -- from the arena when
-    one is active, from ``np.empty`` otherwise -- and reuses it for the
-    rest of the call; :meth:`close` then releases everything back to
-    the arena so the next call's scratch lands in the same, still
-    cache-hot memory.  Not thread-safe by design: the threaded tile
+    accumulator) for every tile of a call; ``CallScratch`` allocates
+    each distinct ``(tag, shape, dtype)`` once and reuses it for the
+    rest of the call.  Not thread-safe by design: the threaded tile
     path gives each worker its own instance.
     """
 
-    __slots__ = ("_ws", "_bufs")
+    __slots__ = ("_bufs",)
 
-    def __init__(self, workspace: Workspace | None = None):
-        self._ws = workspace
+    def __init__(self):
         self._bufs: dict[_Key, np.ndarray] = {}
 
-    def get(
-        self, tag: str, shape, dtype, *, zero: bool = False
-    ) -> np.ndarray:
+    def get(self, tag: str, shape, dtype) -> np.ndarray:
         # Raw (tag, shape, dtype) key: a CallScratch is private to one
         # call (or one worker), whose callers spell dtypes consistently,
         # so skipping normalization is safe and measurably faster.
         key = (tag, shape, dtype)
         buf = self._bufs.get(key)
         if buf is None:
-            if self._ws is not None:
-                buf = self._ws.acquire(tag, shape, dtype)
-            else:
-                buf = np.empty(shape, dtype=dtype)
-            self._bufs[key] = buf
-        if zero:
-            buf[...] = 0
+            buf = self._bufs[key] = np.empty(shape, dtype=dtype)
         return buf
-
-    # reshape_input accepts either a Workspace or a CallScratch through
-    # its ``workspace`` parameter; this alias provides the shared
-    # acquire spelling (call-scoped here, request-scoped on Workspace).
-    def acquire(
-        self, tag: str, shape, dtype=np.float64, *, zero: bool = False
-    ) -> np.ndarray:
-        return self.get(tag, shape, dtype, zero=zero)
-
-    def close(self) -> None:
-        """Release every cached buffer back to the arena (call end).
-
-        The buffers must all be dead: anything that outlives the call
-        (outputs, activations) belongs on the arena directly, not in a
-        CallScratch.  No-op without an arena.
-        """
-        if self._ws is not None:
-            for buf in self._bufs.values():
-                self._ws.release(buf)
-        self._bufs.clear()

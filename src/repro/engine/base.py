@@ -63,11 +63,7 @@ class MatmulEngine(Protocol):
     see the adapters for the per-engine dtype notes.
 
     ``matmul`` returns an array the caller owns: it stays valid across
-    later calls.  The one opt-in exception is
-    :meth:`repro.core.kernel.BiQGemm.matmul` given a
-    :class:`~repro.core.workspace.Workspace`: its result is borrowed
-    from that arena until the arena's next reset -- the engine-level
-    zero-allocation hot loop.
+    later calls.
     """
 
     @property

@@ -26,10 +26,11 @@ activation dtype and the fused bias.  A call then is one native call:
   ``out=``-aware ufunc chaining.
 
 A dtype the kernel does not compute in (float32 and float64 only), an
-empty batch, explicit kernel keyword arguments, or a host where the
-native kernel cannot be built all serve through the inner
-batch-invariant :class:`BiQGemm` plus a generic epilogue, which is
-bit-identical by construction.
+empty batch, or a host where the native kernel cannot be built all
+serve through the inner batch-invariant :class:`BiQGemm` plus a generic
+epilogue, which is bit-identical by construction.  Nothing else does:
+``matmul`` takes no kernel knobs, so a traced call runs the same native
+kernel as an untraced one.
 
 Registered as ``backend="biqgemm"``, the only LUT serving engine: the
 ``QuantSpec()`` default, an ``"auto"`` candidate priced by
@@ -192,12 +193,6 @@ class CompiledKernelEngine:
     backend_name = "biqgemm"
     """Registry key of this engine in :mod:`repro.engine`."""
 
-    accepts_profiler = True
-    """``matmul`` forwards ``profiler=`` to the inner kernel.  Any
-    keyword argument opts the call out of the native kernel, so
-    profiled calls take the fallback kernel -- phase timing and phase
-    spans still cover them."""
-
     batch_invariant = True
     """Every column's bits are independent of the batch it came in:
     the native kernel and the fallback both fold in the inner
@@ -278,8 +273,8 @@ class CompiledKernelEngine:
 
         The layer stack checks this: when True it must *not* add its
         own bias or activation on top.  A bare engine (no bias, no
-        activation -- e.g. built by the autotuner from a weight-only
-        request) behaves exactly like the inner kernel and reports False.
+        activation -- e.g. built from a weight-only request) behaves
+        exactly like the inner kernel and reports False.
         """
         return self.bias is not None or self.activation is not None
 
@@ -340,16 +335,12 @@ class CompiledKernelEngine:
         x: np.ndarray,
         *,
         out: np.ndarray | None = None,
-        **kwargs,
     ) -> np.ndarray:
         """``activation(W_quantized @ x + bias)`` on the native kernel.
 
         Same input/output conventions as :meth:`BiQGemm.matmul`, except
         that with a fused activation the result (and any *out*) is in
-        :meth:`result_dtype` of the input's float dtype.  Extra keyword
-        arguments (explicit tiles, builders, threads, profilers) opt
-        out of the native kernel and delegate to the inner kernel,
-        epilogue still applied.
+        :meth:`result_dtype` of the input's float dtype.
         """
         arr = np.asarray(x)
         vector_in = arr.ndim == 1
@@ -374,7 +365,7 @@ class CompiledKernelEngine:
             )
 
         plan = None
-        if not kwargs and batch:
+        if batch:
             plan = self._plans.get(arr.dtype, _UNBUILT)
             if plan is _UNBUILT:
                 plan = self._native_plan(arr.dtype)
@@ -389,7 +380,7 @@ class CompiledKernelEngine:
             )
             y = plan.run(arr, res2 if direct else None)
         else:
-            y = self._inner.matmul(arr, **kwargs)
+            y = self._inner.matmul(arr)
             bias_col = self._bias_col(y.dtype)
             if bias_col is not None:
                 y += bias_col
@@ -398,8 +389,10 @@ class CompiledKernelEngine:
             return out
         return result[:, 0] if vector_in else result
 
-    def __call__(self, x: np.ndarray, **kwargs) -> np.ndarray:
-        return self.matmul(x, **kwargs)
+    def __call__(
+        self, x: np.ndarray, *, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        return self.matmul(x, out=out)
 
     def matmul_reference(self, x: np.ndarray) -> np.ndarray:
         """Slow oracle: inner Eq. 2 reference plus a plain epilogue."""

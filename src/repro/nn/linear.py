@@ -462,20 +462,13 @@ class QuantLinear:
         cols: np.ndarray,
         lead: tuple,
         m: int,
-        profiler=None,
     ) -> np.ndarray:
-        """Run the engine over prepared ``(n, tokens)`` columns.
-
-        *profiler* (a :class:`~repro.core.profiling.PhaseProfiler`) is
-        forwarded to engines that take one; callers pass it only for
-        engines with ``accepts_profiler`` set.
-        """
-        kwargs = {} if profiler is None else {"profiler": profiler}
+        """Run the engine over prepared ``(n, tokens)`` columns."""
         if getattr(engine, "fused_epilogue", False):
             # Bias and activation already ran inside the engine's
             # epilogue; folding them again here would double-apply.
-            return engine.matmul(cols, **kwargs).T.reshape(lead + (m,))
-        out_cols = engine.matmul(cols, **kwargs)
+            return engine.matmul(cols).T.reshape(lead + (m,))
+        out_cols = engine.matmul(cols)
         out = out_cols.T.reshape(lead + (m,))
         return _add_bias(out, self.bias)
 
@@ -489,28 +482,23 @@ class QuantLinear:
     ) -> np.ndarray:
         """The observability-enabled spelling of :meth:`_apply`.
 
-        Opens an ``engine.matmul`` span (tracing), routes the shared
-        kernel profiler into engines that accept one so the span tree
-        bottoms out in ``kernel.build/query/replace`` phases, records
-        measured wall time against the planner's predicted cost (drift
-        telemetry), and feeds the per-layer latency series in the
-        metrics registry -- with the span's trace id as the bucket
-        exemplar, so a slow bucket on /metrics links to a trace.  Kept
-        out of :meth:`__call__` so the disabled path never sees any of
-        it.
+        Runs the same engine call as :meth:`_apply` inside an
+        ``engine.matmul`` span (tracing), records measured wall time
+        against the planner's predicted cost (drift telemetry), and
+        feeds the per-layer latency series in the metrics registry --
+        with the span's trace id as the bucket exemplar, so a slow
+        bucket on /metrics links to a trace.  Kept out of
+        :meth:`__call__` so the disabled path never sees any of it.
         """
         from repro.obs import trace as _trace
 
         backend = self._backend
         n = self._shape[1]
-        profiler = None
-        if _obs.TRACING and getattr(engine, "accepts_profiler", False):
-            profiler = _trace.kernel_profiler()
         start = time.perf_counter()
         with _trace.span(
             "engine.matmul", backend=backend, m=m, n=n, batch=tokens
         ) as matmul_span:
-            result = self._apply(engine, cols, lead, m, profiler=profiler)
+            result = self._apply(engine, cols, lead, m)
         elapsed = time.perf_counter() - start
         ctx = (
             getattr(matmul_span, "context", None) if _obs.TRACING else None

@@ -6,8 +6,10 @@ Three coordinated pieces, all disabled by default and free when off:
   monotonic timestamps, parent links and thread-local context
   propagation cover the full request lifecycle (``serve.admit`` ->
   ``serve.queue`` -> ``serve.batch`` -> ``worker.execute`` -> per-layer
-  ``engine.matmul`` -> ``kernel.build/query/replace``), exported as
-  ``chrome://tracing`` trace-event JSON.
+  ``engine.matmul``), exported as ``chrome://tracing`` trace-event
+  JSON.  A traced layer runs the same engine call as an untraced one;
+  the Fig. 8 build/query/replace split is measured offline on the numpy
+  kernel (:class:`~repro.core.profiling.PhaseProfiler`).
 - :mod:`repro.obs.metrics` -- one process-wide registry of counters,
   gauges and histograms that serve, engine builds, workspace arenas
   and the batcher publish into; exported as JSON and
@@ -69,7 +71,6 @@ from repro.obs.trace import (
     Tracer,
     current_context,
     get_tracer,
-    kernel_profiler,
     new_trace_id,
     span,
 )
@@ -98,7 +99,6 @@ __all__ = [
     "get_recorder",
     "get_registry",
     "get_tracer",
-    "kernel_profiler",
     "new_trace_id",
     "record_measurement",
     "record_prediction",

@@ -629,19 +629,19 @@ def _default_collectors(registry: MetricsRegistry) -> None:
         stats = aggregate_stats()
         reg.gauge(
             "repro_workspace_arenas",
-            "live KV-cache and engine workspace arenas",
+            "live KV-cache workspace arenas",
         ).set(stats["arenas"])
         reg.gauge(
             "repro_workspace_bytes_resident",
-            "bytes held by live KV-cache and engine arenas",
+            "bytes held by live KV-cache arenas",
         ).set(stats["bytes_resident"])
         reg.counter(
             "repro_workspace_hits_total",
-            "KV-cache and engine arena buffer reuses",
+            "KV-cache arena buffer reuses",
         ).set(stats["hits"])
         reg.counter(
             "repro_workspace_misses_total",
-            "KV-cache and engine arena buffer allocations",
+            "KV-cache arena buffer allocations",
         ).set(stats["misses"])
 
     def tracing(reg: MetricsRegistry) -> None:

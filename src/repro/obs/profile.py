@@ -56,8 +56,8 @@ _TRUNCATED = "(truncated)"
 def _span_frame(span) -> str | None:
     """The attribution frame for an active span, or None.
 
-    ``engine.matmul`` spans carry their backend; kernel phases and the
-    serve/gen lifecycle spans are self-describing by name.
+    ``engine.matmul`` spans carry their backend; the serve/gen
+    lifecycle spans are self-describing by name.
     """
     try:
         name = span.name

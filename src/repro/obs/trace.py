@@ -5,7 +5,7 @@ BiQGEMM call into build/query/replace to show where the LUT win comes
 from.  This module generalizes that decomposition to the whole serving
 request lifecycle: a request produces a tree of :class:`Span`\\ s
 (``serve.admit`` -> ``serve.queue`` -> ``serve.batch`` ->
-``worker.execute`` -> per-layer ``engine.matmul`` -> kernel phases) with
+``worker.execute`` -> per-layer ``engine.matmul``) with
 monotonic timestamps, parent links, and **fan-in links** where one batch
 span serves many request spans.
 
@@ -55,7 +55,6 @@ __all__ = [
     "enable",
     "get_tracer",
     "is_enabled",
-    "kernel_profiler",
     "new_trace_id",
     "span",
 ]
@@ -456,33 +455,3 @@ def span(name: str, **kwargs):
     if not _rt.TRACING:
         return NOOP_SPAN
     return _TRACER.span(name, **kwargs)
-
-
-# ----------------------------------------------------------------------
-# the PhaseProfiler bridge
-# ----------------------------------------------------------------------
-_KERNEL_PROFILER = None
-_KERNEL_PROFILER_LOCK = threading.Lock()
-
-
-def kernel_profiler():
-    """A shared :class:`~repro.core.profiling.PhaseProfiler` that also
-    emits ``kernel.<phase>`` spans (the Fig. 8 decomposition, per call,
-    on the live timeline).
-
-    The traced layer path passes this to engines that accept a
-    ``profiler=`` (:class:`~repro.core.kernel.BiQGemm` and the
-    ``biqgemm`` engine's fallback path -- ``accepts_profiler`` marks them), so a
-    request trace bottoms out in the paper's build/query/replace phases.
-    Returns ``None`` while tracing is disabled.
-    """
-    if not _rt.TRACING:
-        return None
-    global _KERNEL_PROFILER
-    if _KERNEL_PROFILER is None:
-        with _KERNEL_PROFILER_LOCK:
-            if _KERNEL_PROFILER is None:
-                from repro.core.profiling import PhaseProfiler
-
-                _KERNEL_PROFILER = PhaseProfiler(span_prefix="kernel.")
-    return _KERNEL_PROFILER

@@ -186,15 +186,12 @@ class TestReshapeInputNoCopy:
         x = rng.standard_normal(16)
         assert np.shares_memory(reshape_input(x, 4), x)
 
-    def test_view_ignores_out_and_workspace(self, rng):
-        from repro.core.workspace import Workspace
-
+    def test_view_ignores_out(self, rng):
         x = rng.standard_normal((32, 2))
         out = np.empty((4, 8, 2))
-        ws = Workspace()
-        xhat = reshape_input(x, 8, out=out, workspace=ws)
+        xhat = reshape_input(x, 8, out=out)
         assert np.shares_memory(xhat, x)
-        assert ws.misses == 0
+        assert not np.shares_memory(xhat, out)
 
     def test_float32_aligned_is_view(self, rng):
         x = rng.standard_normal((24, 3)).astype(np.float32)
@@ -222,16 +219,6 @@ class TestReshapeInputOut:
         flat = out.reshape(32, 4)
         assert np.array_equal(flat[:30], np.ascontiguousarray(x))
         assert np.array_equal(flat[30:], np.zeros((2, 4)))
-
-    def test_workspace_supplies_the_buffer(self, rng):
-        from repro.core.workspace import Workspace
-
-        x = rng.standard_normal((4, 30)).T
-        ws = Workspace()
-        got = reshape_input(x, 8, workspace=ws)
-        assert ws.misses == 1
-        ws.release(got)  # the arena takes back only its own buffers
-        assert ws.acquire("lut.xhat", got.shape, got.dtype) is got
 
     def test_out_shape_and_dtype_validated(self, rng):
         x = rng.standard_normal((4, 30)).T

@@ -110,21 +110,6 @@ class TestSharedPool:
         assert atexit.unregister(mt.shutdown_pools) is None
         atexit.register(mt.shutdown_pools)
 
-    def test_threaded_with_workspace_matches_serial(self, rng):
-        from repro.core.workspace import Workspace
-
-        binary = random_binary(rng, (3, 40, 32))
-        alphas = rng.uniform(0.5, 1.5, size=(3, 40))
-        engine = BiQGemm.from_binary(binary, alphas=alphas, mu=4)
-        x = rng.standard_normal((32, 5)).astype(np.float32)
-        serial = engine.matmul(x)
-        ws = Workspace()
-        for _ in range(2):
-            ws.reset()
-            threaded = engine.matmul(x, threads=4, workspace=ws)
-            assert np.array_equal(threaded, serial)
-        assert ws.hits > 0
-
     def test_concurrent_mixed_thread_counts(self, rng):
         # Growing the shared pool must not shut an executor a
         # concurrent matmul is still submitting to.

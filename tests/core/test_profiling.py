@@ -86,58 +86,6 @@ class TestPhaseProfiler:
         assert prof.seconds["query"] == pytest.approx(0.4)
 
 
-class TestAllocationCounters:
-    def test_default_profiler_tracks_nothing(self):
-        prof = PhaseProfiler()
-        with prof.phase("build"):
-            np.zeros(1 << 16)
-        assert prof.alloc_bytes["build"] == 0
-        assert prof.total_alloc_events == 0
-
-    def test_tracks_peak_bytes_when_tracing(self):
-        from repro.core.profiling import allocation_tracking
-
-        prof = PhaseProfiler(track_allocations=True)
-        with allocation_tracking():
-            with prof.phase("build"):
-                np.zeros(1 << 16)  # 512 KB transient
-        assert prof.alloc_bytes["build"] >= 1 << 18
-        assert prof.alloc_events["build"] == 1
-        assert prof.total_alloc_events == 1
-
-    def test_small_allocations_below_threshold_not_events(self):
-        from repro.core.profiling import allocation_tracking
-
-        prof = PhaseProfiler(track_allocations=True)
-        with allocation_tracking():
-            with prof.phase("query"):
-                np.zeros(8)
-        assert prof.alloc_events["query"] == 0
-
-    def test_without_tracing_counts_stay_zero(self):
-        import tracemalloc
-
-        assert not tracemalloc.is_tracing()
-        prof = PhaseProfiler(track_allocations=True)
-        with prof.phase("build"):
-            np.zeros(1 << 16)
-        assert prof.alloc_bytes["build"] == 0
-
-    def test_reset_and_merge_cover_alloc_counters(self):
-        a = PhaseProfiler(track_allocations=True)
-        a.alloc_bytes["build"] = 100
-        a.alloc_events["build"] = 1
-        b = PhaseProfiler(track_allocations=True)
-        b.alloc_bytes["build"] = 50
-        b.alloc_events["build"] = 2
-        a.merge(b)
-        assert a.alloc_bytes["build"] == 150
-        assert a.alloc_events["build"] == 3
-        a.reset()
-        assert a.alloc_bytes["build"] == 0
-        assert a.alloc_events["build"] == 0
-
-
 class TestMeasureHotLoop:
     def test_allocating_loop_reports_events(self):
         from repro.core.profiling import measure_hot_loop
@@ -166,17 +114,16 @@ class TestMeasureHotLoop:
             measure_hot_loop(lambda: None, repeats=0)
 
     def test_kernel_phase_allocations_observable(self, rng):
-        """PhaseProfiler + tracemalloc sees the kernel's per-phase
-        allocation churn (the quantity the arenas remove)."""
+        """tracemalloc sees the kernel's per-call churn: every call
+        allocates its tables, gathers and output."""
         from repro.core.kernel import BiQGemm
-        from repro.core.profiling import allocation_tracking
+        from repro.core.profiling import measure_hot_loop
         from tests.conftest import random_binary
 
         engine = BiQGemm.from_binary(random_binary(rng, (64, 128)), mu=8)
         x = rng.standard_normal((128, 4))
-        engine.matmul(x)  # warm caches
-        prof = PhaseProfiler(track_allocations=True, min_alloc_bytes=1)
-        with allocation_tracking():
-            engine.matmul(x, profiler=prof)
-        # without a workspace the build phase allocates its tables
-        assert prof.alloc_bytes["build"] > 0
+        report = measure_hot_loop(
+            lambda: engine.matmul(x), min_alloc_bytes=1
+        )
+        assert report["alloc_events"] == report["calls"]
+        assert report["peak_new_bytes"] > 64 * 4 * 8  # beyond the output

@@ -3,7 +3,8 @@
 The engine's whole contract is "bit-identical to the batch-invariant
 numpy BiQGemm, just faster": every path -- the native kernel at decode and
 wider batches, the fallback for dtypes the kernel does not compute in
-(float16), the kwargs opt-out, the ``out=`` spellings, restore from
+(float16), a host without the native library, the ``out=`` spellings,
+restore from
 serialized state -- must reproduce the unfused reference bits exactly,
 for every fusible activation and float dtype.
 """
@@ -105,15 +106,22 @@ class TestBitIdentity:
         )
         assert np.array_equal(engine.matmul(x), want)
 
-    def test_kwargs_opt_out_is_identical(self, weight, bias, reference, rng):
-        # Explicit kernel knobs bypass the native kernel but keep the
-        # epilogue.
+    def test_fallback_without_native_library_is_identical(
+        self, weight, bias, reference, rng, monkeypatch
+    ):
+        # A host that cannot build the native library serves through
+        # the numpy kernel, epilogue still applied.
+        from repro.engine import native
+
+        monkeypatch.setattr(native, "load", lambda: None)
         engine = _compiled(weight, bias=bias, activation="sigmoid")
-        x = rng.standard_normal((N, 2))
-        want = _expected(reference, x, bias=bias, activation="sigmoid")
-        got = engine.matmul(x, query_impl="loop")
-        assert np.array_equal(got, want)
-        assert not engine._plans
+        for dtype in (np.float32, np.float64):
+            x = rng.standard_normal((N, 2)).astype(dtype)
+            want = _expected(reference, x, bias=bias, activation="sigmoid")
+            got = engine.matmul(x)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert set(engine._plans.values()) == {None}
 
     def test_concurrent_calls_stay_identical(self, weight, bias, reference):
         # Concurrent calls share one native plan; each borrows its own

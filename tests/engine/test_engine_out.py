@@ -4,18 +4,15 @@ The numpy :class:`~repro.core.kernel.BiQGemm` (parametrized as
 ``biqgemm``, its ``backend_name``) and the native
 :class:`~repro.engine.compiled.CompiledKernelEngine` (parametrized as
 ``compiled``, its module; the registry serves it as ``biqgemm``) write
-into a caller-provided ``out`` (``BiQGemm`` also draws its scratch from
-an optional :class:`~repro.core.workspace.Workspace`).  Results must be
-bit-identical to the allocating call, and the destination is validated:
-shape, dtype, writability, no aliasing with the input.
+into a caller-provided ``out``.  Results must be bit-identical to the
+allocating call, and the destination is validated: shape, dtype,
+writability, no aliasing with the input.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.kernel import BiQGemm
-from repro.core.profiling import measure_hot_loop
-from repro.core.workspace import Workspace
 from repro.engine import EngineBuildRequest, QuantSpec, build_engine
 
 OUT_BACKENDS = ("biqgemm", "compiled")
@@ -49,17 +46,6 @@ class TestParity:
         got = engine.matmul(x, out=out)
         assert got is out
         assert np.array_equal(out, expected)
-
-    def test_workspace_matches_matmul_bitwise(self, weight, rng):
-        engine = _engine(weight, "biqgemm")
-        x = rng.standard_normal((32, 3)).astype(np.float32)
-        expected = engine.matmul(x)
-        ws = Workspace()
-        for _ in range(3):  # reuse across calls stays exact
-            ws.reset()
-            got = engine.matmul(x, workspace=ws)
-            assert np.array_equal(got, expected)
-        assert ws.hits > 0
 
     @pytest.mark.parametrize("backend", OUT_BACKENDS)
     def test_non_contiguous_input(self, weight, backend, rng):
@@ -120,29 +106,3 @@ class TestOutValidation:
         out.setflags(write=False)
         with pytest.raises(ValueError, match="writeable"):
             engine.matmul(x, out=out)
-
-
-class TestZeroAllocation:
-    def test_biqgemm_flat_query_steady_state_is_allocation_free(self, rng):
-        """After warmup, the flat-query BiQGemm hot loop served from a
-        warm workspace performs zero tracked allocations."""
-        from repro.core.kernel import BiQGemm
-        from repro.quant.bcq import bcq_quantize
-
-        engine = BiQGemm.from_bcq(
-            bcq_quantize(rng.standard_normal((128, 256)), 3), mu=8
-        )
-        x = rng.standard_normal((256, 1)).astype(np.float32)
-        ws = Workspace()
-
-        def hot():
-            ws.reset()
-            engine.matmul(
-                x, query_impl="flat", builder="gemm", workspace=ws
-            )
-
-        report = measure_hot_loop(hot, warmups=3, repeats=5)
-        assert report["alloc_events"] == 0, report
-        misses_before = ws.misses
-        hot()
-        assert ws.misses == misses_before  # fully warm arena

@@ -167,9 +167,6 @@ class TestNoopPath:
         assert get_tracer().spans() == []
         assert get_tracer().recorded == 0
 
-    def test_kernel_profiler_is_none_while_disabled(self):
-        assert trace.kernel_profiler() is None
-
     def test_enable_records_then_disable_silences(self):
         tracer = trace.enable(clear=True)
         with trace.span("live"):
