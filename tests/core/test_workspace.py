@@ -8,6 +8,18 @@ from repro.core.workspace import CallScratch, Workspace
 
 
 class TestAcquireRelease:
+    def test_miss_then_hit_after_reset(self):
+        # Workspace.reset is gone; returning the buffer with release is
+        # what makes the next acquire of the same key a hit.
+        ws = Workspace()
+        a = ws.acquire("t", (4, 3), np.float32)
+        assert a.shape == (4, 3) and a.dtype == np.float32
+        assert ws.misses == 1 and ws.hits == 0
+        ws.release(a)
+        b = ws.acquire("t", (4, 3), np.float32)
+        assert b is a
+        assert ws.hits == 1
+
     def test_outstanding_buffers_are_distinct(self):
         ws = Workspace()
         a = ws.acquire("t", (2, 2), np.float64)
@@ -25,11 +37,9 @@ class TestAcquireRelease:
 
     def test_release_feeds_next_acquire_lifo(self):
         ws = Workspace()
-        a = ws.acquire("t", (8,), np.float32)
-        assert a.shape == (8,) and a.dtype == np.float32
-        assert ws.misses == 1 and ws.hits == 0
+        a = ws.acquire("t", (8,), np.float64)
         ws.release(a)
-        b = ws.acquire("t", (8,), np.float32)
+        b = ws.acquire("t", (8,), np.float64)
         assert b is a
         assert ws.hits == 1
 
