@@ -9,8 +9,8 @@ save the v3 artifact ("offline"), load it into a
 :class:`repro.serve.ModelStore` ("the server"), expose the JSON/HTTP
 frontend, fire concurrent clients at ``/predict``, and read
 ``/metrics`` to see what the batcher bought -- requests coalesced into
-micro-batches, the LUT build amortized across them, and outputs still
-bit-identical to unbatched execution.
+micro-batches, one model call's dispatch and glue amortized across
+them, and outputs still bit-identical to unbatched execution.
 
 The same server runs from the command line::
 

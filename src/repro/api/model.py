@@ -691,9 +691,9 @@ class CompiledModel:
         self._check_active()
         check_positive_int(max_new_tokens, "max_new_tokens")
         model = self.model
-        # The encoder stack also exposes init_cache/prefill/step, but at
-        # the hidden-state level -- token decode additionally needs the
-        # embedding table that maps ids into the stack.
+        # The encoder stack also exposes init_cache/prefill, but at the
+        # hidden-state level -- token decode needs a token-level step
+        # and the embedding table that maps ids into the stack.
         for attr in ("init_cache", "prefill", "step", "embedding"):
             if getattr(model, attr, None) is None:
                 raise TypeError(

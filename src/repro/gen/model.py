@@ -182,14 +182,11 @@ class DecoderLM:
 
     def step(self, token: int, caches) -> np.ndarray:
         """One decode step: *token* joins the sequence at position
-        ``caches[0].length``; returns next-token logits ``(1, vocab)``."""
+        ``caches[0].length``; returns next-token logits ``(1, vocab)``.
+        It is :meth:`step_many` of one sequence."""
         if not caches:
             raise ValueError("step needs the prefilled cache list")
-        pos = caches[0].length
-        ids = np.asarray(token, dtype=np.int64).reshape(1, 1)
-        x = self.embedding(ids) + self._positions(pos + 1)[pos][None, None]
-        h = self.stack.step(x, caches)
-        return self.lm_head(h[:, -1, :])
+        return self.step_many([token], [caches])
 
     def step_many(self, tokens, cache_lists) -> np.ndarray:
         """One decode step for several sequences at once.

@@ -27,7 +27,7 @@ length (fixed ``head_dim`` for scores; for the context product over
 the *variable* sequence axis, appending exactly-zero masked tails
 leaves every prefix total bit-identical).  Combined with the
 left-fold softmax (:func:`repro.nn.functional.softmax`) this makes a
-single-token :meth:`MultiHeadAttention.step` against a KV cache
+decode step (:meth:`MultiHeadAttention.step_many`) against a KV cache
 bit-identical to the corresponding row of the masked full-sequence
 recompute -- the invariant every engine's decode path is tested
 against.
@@ -293,7 +293,7 @@ class MultiHeadAttention:
 
         *cache* (a :class:`repro.gen.KVCache`, batch 1, empty) makes
         this the **prefill** of an incremental sequence: the projected
-        K/V blocks are written into it so later :meth:`step` calls
+        K/V blocks are written into it so later :meth:`step_many` calls
         attend over them.  A cross-attention prefill (*key_value*
         given) freezes the cache -- the encoder memory never changes,
         so steps only re-project the query.
@@ -316,7 +316,7 @@ class MultiHeadAttention:
             if cache.length:
                 raise ValueError(
                     "__call__ populates an empty cache (prefill); use "
-                    "step() to extend one"
+                    "step_many() to extend one"
                 )
             cache.append(k[0], v[0])
             if key_value is not None:
@@ -331,48 +331,25 @@ class MultiHeadAttention:
         merged = ctx.transpose(0, 2, 1, 3).reshape(b, s, self.dim)
         return self.o_proj(merged)
 
-    def step(self, query: np.ndarray, *, cache) -> np.ndarray:
-        """One decode step: attend a single new token over the cache.
-
-        *query* is ``(1, 1, dim)`` -- the new token's hidden state.
-        For an open (self-attention) cache its projected K/V are
-        appended first, so the token attends over every position
-        including itself; a frozen (cross-attention) cache is read as
-        is.  No mask is needed: the cache *is* the causal history.
-
-        Returns ``(1, 1, dim)``, bit-identical to the last position of
-        the full recompute (see the module docstring).
-        """
-        q_in = np.asarray(query, dtype=np.float64)
-        if q_in.shape != (1, 1, self.dim):
-            raise ValueError(
-                f"step query must be (1, 1, {self.dim}), got {q_in.shape}"
-            )
-        q = self._split(self.q_proj(q_in))[0]  # (heads, 1, head_dim)
-        if not cache.frozen:
-            k_new = self._split(self.k_proj(q_in))[0]
-            v_new = self._split(self.v_proj(q_in))[0]
-            cache.append(k_new, v_new)
-        k, v = cache.view()
-        scores = attn_scores(q, k)
-        scores /= np.sqrt(self.head_dim)
-        attn = softmax(scores, out=scores)
-        ctx = attn_context(attn, v)  # (heads, 1, head_dim)
-        merged = ctx.transpose(1, 0, 2).reshape(1, 1, self.dim)
-        return self.o_proj(merged)
-
     def step_many(self, queries: np.ndarray, caches) -> np.ndarray:
         """One decode step for *several* sequences at once.
 
         *queries* is ``(n, 1, dim)`` -- one new token per sequence --
         and *caches* the matching list of per-sequence KV caches.  The
-        four projections run **batched** (n columns through one engine
-        call -- the LUT-amortization win continuous batching exists
-        for) while the attention itself runs per sequence against its
-        own cache.  Under the batch-invariant contract every projected
-        column is bit-identical to its lone-GEMV value, so the result
-        row for each sequence is bit-identical to a separate
-        :meth:`step` call.
+        four projections run **batched**: n columns through one engine
+        call, which amortizes per-call dispatch and Python glue (each
+        column still builds its own lookup tables).  The attention
+        itself runs per sequence against its own cache.  Under the
+        batch-invariant contract every projected column is
+        bit-identical to its lone-GEMV value, so each result row is
+        bit-identical to the same sequence stepped alone (``n = 1``).
+
+        This is the only incremental path: a single decode step is a
+        call with one sequence.  For an open (self-attention) cache
+        the new token's projected K/V are appended first, so it
+        attends over every position including itself; a frozen
+        (cross-attention) cache is read as is.  No mask is needed: the
+        cache *is* the causal history.
         """
         q_in = np.asarray(queries, dtype=np.float64)
         n = len(caches)

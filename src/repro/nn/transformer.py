@@ -110,26 +110,20 @@ class TransformerEncoderLayer:
 
         With *cache* (an empty :class:`repro.gen.KVCache`, batch 1)
         this is the prefill of an incremental sequence: the layer's
-        projected K/V land in the cache for later :meth:`step` calls.
+        projected K/V land in the cache for later :meth:`step_many`
+        calls.
         """
         h = layer_norm(x + self.attn(x, mask=mask, cache=cache))
         return layer_norm(h + _ff_block(self.ff1, self.ff2, h))
 
-    def step(self, x: np.ndarray, cache) -> np.ndarray:
-        """One decode step over ``(1, 1, dim)``: self-attention against
-        the cache (which the new token joins), then feed-forward.
-
-        Bit-identical to the last position of a causally masked
-        ``__call__`` over the whole prefix (the attention module's
-        determinism contract plus per-position layernorm/residuals)."""
-        h = layer_norm(x + self.attn.step(x, cache=cache))
-        return layer_norm(h + _ff_block(self.ff1, self.ff2, h))
-
     def step_many(self, x: np.ndarray, caches) -> np.ndarray:
         """One decode step for several sequences: ``(n, 1, dim)``
-        activations against the matching cache list.  Residuals and
-        layernorm are per-row, so each row is bit-identical to a lone
-        :meth:`step` (see :meth:`MultiHeadAttention.step_many`)."""
+        activations against the matching cache list -- self-attention
+        over each cache (which the new token joins), then
+        feed-forward.  Residuals and layernorm are per-row, so each row
+        is bit-identical to the last position of a causally masked
+        ``__call__`` over that sequence's prefix (see
+        :meth:`MultiHeadAttention.step_many`)."""
         h = layer_norm(x + self.attn.step_many(x, caches))
         return layer_norm(h + _ff_block(self.ff1, self.ff2, h))
 
@@ -196,8 +190,8 @@ class TransformerDecoderLayer:
 
         *cross_cache* must have been populated (and frozen) by a
         prefill ``__call__``; *self_cache* grows by the new token."""
-        h = layer_norm(x + self.self_attn.step(x, cache=self_cache))
-        h = layer_norm(h + self.cross_attn.step(h, cache=cross_cache))
+        h = layer_norm(x + self.self_attn.step_many(x, [self_cache]))
+        h = layer_norm(h + self.cross_attn.step_many(h, [cross_cache]))
         return layer_norm(h + _ff_block(self.ff1, self.ff2, h))
 
 
@@ -267,23 +261,12 @@ class TransformerEncoder:
             h = layer(h, mask=mask, cache=cache)
         return h
 
-    def step(self, x: np.ndarray, caches) -> np.ndarray:
-        """One decode step ``(1, 1, dim)`` through the whole stack."""
-        if len(caches) != len(self.layers):
-            raise ValueError(
-                f"expected {len(self.layers)} caches, got {len(caches)}"
-            )
-        h = np.asarray(x, dtype=np.float64)
-        for layer, cache in zip(self.layers, caches):
-            h = layer.step(h, cache)
-        return h
-
     def step_many(self, x: np.ndarray, cache_lists) -> np.ndarray:
         """One decode step for several sequences through the stack.
 
         *x* is ``(n, 1, dim)``; *cache_lists* holds one per-layer cache
         list (:meth:`init_cache`) per sequence.  Each output row is
-        bit-identical to running that sequence's :meth:`step` alone --
+        bit-identical to stepping that sequence alone (``n = 1``) --
         the scheduler's continuous-batching correctness contract.
         """
         for caches in cache_lists:

@@ -23,8 +23,8 @@ v2 closes the loop with two more pieces:
 
 - :mod:`repro.obs.slo` -- declarative :class:`~repro.obs.slo.SLOSpec`
   objectives evaluated by multi-window burn rate with an
-  ``ok -> warn -> page`` state machine; the serving layer subscribes
-  for graceful degradation (shed load before missing the SLO harder).
+  ``ok -> warn -> page`` state machine; the serving layer sheds new
+  admissions while a spec pages and reports ``warn`` without acting.
 - :mod:`repro.obs.profile` -- a wall-clock sampling profiler (folded
   stacks for speedscope/flamegraph) that attributes samples to active
   spans, so uninstrumented time shows up next to engine time.

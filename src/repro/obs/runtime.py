@@ -34,7 +34,7 @@ TRACING = False
 DRIFT = False
 
 #: SLO engine on/off (request outcomes fed to burn-rate windows when
-#: True; serving layers also consult degradation state).
+#: True; serving layers also consult the paging state).
 SLO = False
 
 #: Sampling profiler on/off (a sampler thread is walking

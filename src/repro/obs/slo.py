@@ -1,26 +1,24 @@
-"""SLO engine: declarative objectives, burn-rate alerts, degradation.
+"""SLO engine: declarative objectives and burn-rate alerts.
 
-PR 7 made the serving stack observable; this module makes it *act* on
-what it observes.  A :class:`SLOSpec` declares an objective per served
-model -- a latency quantile ("95% of requests under 50 ms"),
-availability ("99.9% succeed"), or decode throughput ("the continuous
-batcher sustains 500 tokens/s") -- and an :class:`SLOEngine` evaluates
-each spec by the SRE **multi-window burn rate**: the rate at which the
-error budget is being spent over a fast (~5 min) and a slow (~1 h)
-window of monotonic time.  Burning fast on *both* windows means the
-problem is real and sustained, not a blip; each spec carries an alert
-state machine ``ok -> warn -> page`` with hysteresis on the fast
-window so recovery is observable.
+A :class:`SLOSpec` declares an objective per served model -- a latency
+quantile ("95% of requests under 50 ms"), availability ("99.9%
+succeed"), or decode throughput ("the continuous batcher sustains 500
+tokens/s") -- and an :class:`SLOEngine` evaluates each spec by the SRE
+**multi-window burn rate**: the rate at which the error budget is being
+spent over a fast (~5 min) and a slow (~1 h) window of monotonic time.
+Burning fast on *both* windows means the problem is real and
+sustained, not a blip; each spec carries an alert state machine
+``ok -> warn -> page`` with hysteresis on the fast window so recovery
+is observable.
 
-Listeners subscribe to state transitions.  The serving layer uses this
-for **graceful degradation** (see :class:`repro.serve.Server`): on
-``warn`` it shrinks decode admissions and raises the batcher deadline
-toward bigger coalesced ticks -- BiQGEMM's LUT builds amortize across
-a batch, so under pressure the right move is *larger* batches, not
-faster ones; on ``page`` it sheds new admissions with 429 +
-``Retry-After`` while draining live streams.
+Listeners subscribe to state transitions.  The serving layer (see
+:class:`repro.serve.Server`) acts on one state only: on ``page`` it
+sheds new admissions with 429 + ``Retry-After`` while queued requests
+and live streams drain.  ``warn`` is an alert, not an actuator: it is
+reported on ``GET /slo`` and in the transition log line, and changes
+no serving parameter.
 
-Hot-path cost follows the PR 7 contract: request recording guards on
+Hot-path cost: request recording guards on
 :data:`repro.obs.runtime.SLO`, one module-attribute read when off.
 Recording aggregates into per-second buckets, so memory is bounded by
 the slow window, not the request rate.
@@ -294,12 +292,6 @@ class SLOEngine:
         }
         self._throughput: dict[str, _ThroughputWindow] = {}
         self._gen_sources: dict[str, object] = {}
-        # Models the cluster's crash-loop breaker has pulled from
-        # routing (model -> reason).  Folded into :meth:`state` so the
-        # existing per-model shed path applies, but *not* into
-        # :meth:`worst_state`: one quarantined model must not degrade
-        # the server-wide mode for the others.
-        self._quarantined: dict[str, str] = {}
         self._listeners: list = []
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
@@ -447,13 +439,9 @@ class SLOEngine:
 
     def state(self, model: str) -> str:
         """The most severe current state among specs matching *model*
-        (admission checks read this).  A quarantined model is always
-        ``page``: the crash-loop breaker sheds through the same path
-        burn-rate paging does."""
+        (admission checks read this)."""
         worst = 0
         with self._lock:
-            if model in self._quarantined:
-                return "page"
             for spec in self._specs:
                 if spec.matches(model):
                     worst = max(
@@ -461,29 +449,10 @@ class SLOEngine:
                     )
         return STATES[worst]
 
-    # -- quarantine (crash-loop breaker integration) -------------------
-    def quarantine(self, model: str, reason: str = "crash-loop") -> None:
-        """Mark *model* unroutable: :meth:`state` reports ``page`` for
-        it until :meth:`release`.  Driven by the cluster supervisor's
-        crash-loop breaker; rides the existing shed path instead of
-        adding a second admission mechanism."""
-        with self._lock:
-            self._quarantined[model] = reason
-
-    def release(self, model: str) -> None:
-        """Lift *model*'s quarantine (half-open probe succeeded)."""
-        with self._lock:
-            self._quarantined.pop(model, None)
-
-    def quarantined(self, model: str) -> str | None:
-        """The quarantine reason for *model*, or ``None``."""
-        with self._lock:
-            return self._quarantined.get(model)
-
     def worst_state(self) -> str:
         """The most severe current state across *all* specs (the
-        server's degradation mode -- one spec recovering must not undo
-        what another still demands)."""
+        server's SLO mode -- one spec recovering must not hide what
+        another still reports)."""
         worst = 0
         with self._lock:
             for status in self._status.values():
@@ -491,15 +460,9 @@ class SLOEngine:
         return STATES[worst]
 
     def snapshot(self) -> dict:
-        """The ``GET /slo`` payload (evaluates first, so a scrape is
-        never stale)."""
-        with self._lock:
-            quarantined = dict(self._quarantined)
-        return {
-            "enabled": _rt.SLO,
-            "specs": self.evaluate(),
-            "quarantined": quarantined,
-        }
+        """The spec half of the ``GET /slo`` payload (evaluates first,
+        so a scrape is never stale)."""
+        return {"enabled": _rt.SLO, "specs": self.evaluate()}
 
     # -- evaluator thread ----------------------------------------------
     def start(self) -> None:

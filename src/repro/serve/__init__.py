@@ -1,12 +1,12 @@
 """Dynamic-batching inference runtime over compiled model artifacts.
 
-BiQGEMM's advantage is an amortization advantage: lookup-table
-construction is a fixed per-call cost that pays off when many input
-columns share it (paper Section III), and every crossover the
-:mod:`repro.engine` planner prices is batch-dependent.  This package is
-the deployment shape that implies -- a serving runtime that *creates*
-the batches the kernels want by coalescing concurrent single requests
-into power-of-two micro-batches:
+BiQGEMM builds its lookup tables from each input column and amortizes
+them over the output rows (paper Section III), so a batch of requests
+buys no table reuse.  What coalescing concurrent single requests into
+power-of-two micro-batches does amortize is the per-call cost outside
+the kernel -- dispatch, Python glue and, in cluster mode, IPC -- and
+the :mod:`repro.engine` planner's crossovers are batch-dependent too.
+This package is that serving runtime:
 
 - :class:`ModelStore` -- named+versioned compiled models loaded from v3
   artifacts, LRU memory budgeting, atomic hot-swap on reload;
@@ -22,8 +22,9 @@ into power-of-two micro-batches:
 - :class:`Server` -- synchronous in-process frontend plus a stdlib
   ``http.server`` JSON API (``/predict``, streaming ``/generate``,
   ``/models``, ``/healthz``, ``/metrics``, ``/slo``, ``/profile``),
-  with SLO burn-rate degradation and 429 + ``Retry-After`` load
-  shedding when ``ServeConfig.slos`` is set (:mod:`repro.obs.slo`).
+  with SLO burn-rate alerts and 429 + ``Retry-After`` load shedding
+  while an SLO pages, when ``ServeConfig.slos`` is set
+  (:mod:`repro.obs.slo`).
 
 Serving counts have one home: each model's batcher, decode scheduler
 and cluster pool record into their own instruments

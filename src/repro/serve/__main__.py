@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "install a latency SLO: --slo-objective of requests must "
             "finish within MS (enables GET /slo, burn-rate "
-            "degradation and 429+Retry-After load shedding)"
+            "alerts and 429+Retry-After load shedding while paging)"
         ),
     )
     parser.add_argument(

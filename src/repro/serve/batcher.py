@@ -1,11 +1,14 @@
 """Dynamic micro-batching: coalesce requests onto power-of-two buckets.
 
-BiQGEMM builds its lookup tables once per *call* and reuses them for
-every input column, so a batch of 16 coalesced requests pays one table
-build instead of 16 (paper Section III-B).  The planner prices, and
-drift telemetry keys its measurements on, the same power-of-two batch
-buckets (:func:`repro.engine.batch_bucket`), so a batch released on a
-boundary is measured on the key its prediction was recorded under.
+Coalescing amortizes what each model call costs outside the kernel:
+per-call dispatch, Python glue and, in cluster mode, IPC.  It buys no
+lookup-table reuse: BiQGEMM builds its tables from each input column
+and reuses them across the output rows (paper Section III), so a batch
+of 16 requests builds 16 columns' tables either way.  The planner
+prices, and drift telemetry keys its measurements on, the same
+power-of-two batch buckets (:func:`repro.engine.batch_bucket`), so a
+batch released on a boundary is measured on the key its prediction was
+recorded under.
 This module is the queueing policy:
 
 - requests enter a bounded FIFO (admission control: a full queue raises
@@ -207,10 +210,12 @@ _SERVE_COUNTS = (
 class ServeMetrics(MetricSet):
     """One model's serving counts: what the batcher actually bought.
 
-    BiQGEMM's lookup tables cost the same whether 1 or 64 requests
-    share them (paper Section III), so the number that says whether
-    dynamic batching works is the **LUT-amortization ratio**: requests
-    served per model execution, the mean effective batch.  Around it
+    The number that says whether dynamic batching works is the
+    **LUT-amortization ratio** (the metric keeps its historical name):
+    requests served per model execution, the mean effective batch.
+    Each execution pays per-call dispatch, Python glue and IPC once;
+    the lookup tables themselves are built per input column and
+    amortize over output rows, not over batched requests.  Around it
     sit a :class:`~repro.obs.metrics.Counter` per ``_SERVE_COUNTS``
     entry, latency and queue-depth quantiles, and the batch-size
     distribution (JSON only).
@@ -474,22 +479,6 @@ class Batcher:
         """Current queue depth."""
         with self._cond:
             return len(self._queue)
-
-    def set_max_latency(self, max_latency_ms: float) -> None:
-        """Retune the coalescing deadline live.
-
-        SLO degradation raises it: LUT builds amortize across a batch,
-        so under pressure the profitable move is *bigger* coalesced
-        batches, not faster ticks.  A batch already coalescing keeps
-        the deadline it started with; the next one sees the new value.
-        """
-        if max_latency_ms < 0:
-            raise ValueError(
-                f"max_latency_ms must be >= 0, got {max_latency_ms}"
-            )
-        with self._cond:
-            self.max_latency = max_latency_ms / 1e3
-            self._cond.notify_all()
 
     def seal(self, timeout: float = 5.0) -> None:
         """Stop admitting new requests and wait for the queue to drain.

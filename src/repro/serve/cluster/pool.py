@@ -19,9 +19,9 @@ The robustness contract on this side:
   without a reply; first answer wins, the straggler's reply is drained
   by job id.  Identical inputs on identical weights: both answers are
   bit-identical, so racing them is free of semantics.
-* **quarantine** -- when the supervisor's crash-loop breaker trips, new
-  work is refused with :class:`ModelUnroutableError` (HTTP 503) while
-  the server-side SLO hook sheds admissions upstream.
+* **quarantine** -- while the supervisor's crash-loop breaker holds
+  the model, new work is refused with :class:`ModelUnroutableError`
+  (HTTP 503).
 
 :class:`ClusterCompiled` adapts the pool to the
 :class:`~repro.serve.sequences.SequenceScheduler` decode contract:
@@ -84,8 +84,6 @@ class ClusterPool:
         workers: int = 2,
         name: str = "model",
         config: ClusterConfig | None = None,
-        on_quarantine=None,
-        on_release=None,
         fault_plan_json: str | None = None,
     ):
         check_positive_int(workers, "workers")
@@ -94,8 +92,6 @@ class ClusterPool:
         self.workers = workers
         self.config = config or ClusterConfig()
         self._compiled = compiled
-        self._on_quarantine = on_quarantine
-        self._on_release = on_release
         self._fault_plan_json = fault_plan_json
         self._shared: shm_mod.SharedModel | None = None
         self._supervisor: Supervisor | None = None
@@ -125,8 +121,6 @@ class ClusterPool:
             workers=self.workers,
             shm_name=self._shared.name,
             config=self.config,
-            on_quarantine=self._on_quarantine,
-            on_release=self._on_release,
             fault_plan_json=self._fault_plan_json,
             metrics=self.metrics,
         ).start()

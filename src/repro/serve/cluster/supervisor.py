@@ -14,10 +14,11 @@ The supervisor owns the robustness contract of the process pool:
   death, capped at ``respawn_backoff_max_s``);
 * **crash-loop breaker** -- ``crash_loop_threshold`` consecutive deaths
   within ``crash_loop_age_s`` of their spawn quarantines the pool:
-  respawns stop, ``on_quarantine`` fires (the server wires this into
-  the SLO shed path), and every ``probe_interval_s`` one *half-open
-  probe* worker is attempted; a probe that survives ``crash_loop_age_s``
-  releases the quarantine and refills the pool.
+  respawns stop, a ``model_quarantined`` line is logged, and every
+  ``probe_interval_s`` one *half-open probe* worker is attempted; a
+  probe that survives ``crash_loop_age_s`` releases the quarantine
+  (``model_released``) and refills the pool.  The pool refuses work
+  while quarantined.
 
 Handles are generational: each respawn produces a new
 :class:`WorkerHandle`, so anything holding a stale handle observes
@@ -26,6 +27,8 @@ Handles are generational: each respawn produces a new
 
 from __future__ import annotations
 
+import json
+import logging
 import multiprocessing as mp
 import random
 import threading
@@ -42,6 +45,8 @@ from repro.serve.cluster.ipc import decode_error
 from repro.serve.cluster.worker import HEARTBEAT_FIELDS, worker_main
 
 __all__ = ["ClusterConfig", "ClusterMetrics", "Supervisor", "WorkerHandle"]
+
+_LOG = logging.getLogger("repro.serve")
 
 # Each count is exported as repro_cluster_<count>_total: the
 # supervisor's worker lifecycle, then the pool's dispatch.
@@ -190,9 +195,6 @@ class Supervisor:
         workers: int,
         shm_name: str,
         config: ClusterConfig,
-        on_quarantine=None,
-        on_release=None,
-        on_death=None,
         fault_plan_json: str | None = None,
         metrics: ClusterMetrics,
     ):
@@ -203,9 +205,6 @@ class Supervisor:
         self._fault_plan_json = fault_plan_json
         self._ctx = mp.get_context(config.start_method)
         self._rng = random.Random(config.seed)
-        self._on_quarantine = on_quarantine
-        self._on_release = on_release
-        self._on_death = on_death
         self._lock = threading.Lock()
         self._handles: list[WorkerHandle | None] = [None] * workers
         self._generations = count()
@@ -387,7 +386,7 @@ class Supervisor:
         trip the breaker)."""
         now = time.monotonic()
         handle.close()
-        on_quarantine = None
+        quarantined = None
         with self._lock:
             if self._handles[handle.idx] is handle:
                 self._handles[handle.idx] = None
@@ -416,7 +415,7 @@ class Supervisor:
                 self._metrics.quarantines.inc()
                 self._next_probe_at = now + self.config.probe_interval_s
                 self._respawn_at.clear()
-                on_quarantine = self._on_quarantine
+                quarantined = self._quarantined
             elif self._quarantined is None:
                 backoff = min(
                     self.config.respawn_backoff_s
@@ -425,10 +424,14 @@ class Supervisor:
                 )
                 backoff *= 1.0 + self._rng.uniform(0.0, 0.25)
                 self._respawn_at[handle.idx] = now + backoff
-        if self._on_death is not None:
-            self._on_death(handle, reason)
-        if on_quarantine is not None:
-            on_quarantine(self._quarantined)
+        if quarantined is not None:
+            _LOG.error(
+                json.dumps(
+                    {"event": "model_quarantined", "model": self.name,
+                     "reason": quarantined},
+                    sort_keys=True,
+                )
+            )
 
     def _run(self) -> None:
         cfg = self.config
@@ -512,9 +515,12 @@ class Supervisor:
                 for i, h in enumerate(self._handles)
                 if h is None or not h.alive
             ]
-            on_release = self._on_release
         for i in missing:
             self._metrics.respawns.inc()
             self._spawn(i)
-        if on_release is not None:
-            on_release()
+        _LOG.warning(
+            json.dumps(
+                {"event": "model_released", "model": self.name},
+                sort_keys=True,
+            )
+        )

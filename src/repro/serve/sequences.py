@@ -3,8 +3,9 @@
 The dynamic batcher coalesces *whole requests*; generation needs the
 same economics one level lower.  Each live sequence produces one token
 per model pass, so n concurrent streams running alone would pay n
-lookup-table builds per position.  :class:`SequenceScheduler` instead
-drives every stream's next step through one shared
+model calls -- n rounds of per-layer dispatch and Python glue -- per
+position.  :class:`SequenceScheduler` instead drives every stream's
+next step through one shared
 :class:`~repro.serve.batcher.Batcher`: the decode worker pulls a batch
 of ``(token, caches)`` pairs -- whatever subset of sequences is ready
 this tick, each at its own position -- and runs them as one
@@ -507,20 +508,6 @@ class SequenceScheduler:
         """Streams currently live."""
         with self._lock:
             return self._active
-
-    def set_max_sequences(self, max_sequences: int) -> None:
-        """Retune the live-stream admission cap without restarting.
-
-        SLO degradation shrinks it on ``warn`` (fewer concurrent
-        streams = shorter decode queues = faster recovery) and restores
-        it on recovery.  Streams already live are never evicted --
-        only *new* admissions see the new cap; the decode tick's batch
-        cap (the batcher's ``max_batch``) keeps its original value, so
-        coalescing economics are untouched.
-        """
-        check_positive_int(max_sequences, "max_sequences")
-        with self._lock:
-            self.max_sequences = max_sequences
 
     # -- stream plumbing ------------------------------------------------
     def _init_caches(self, reserve: int):

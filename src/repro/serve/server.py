@@ -22,12 +22,15 @@ dependencies, matching this repo's constraint):
   ``Accept: text/plain``
 - ``GET /trace``     retained spans as chrome://tracing trace-event
   JSON (empty unless tracing is enabled, see :mod:`repro.obs`)
+- ``GET /slo``       SLO spec states and burn rates, and the models
+  the cluster crash-loop breaker holds quarantined
 
-Backpressure maps to HTTP 429, unknown models to 404, malformed bodies
-to 400, request timeouts to 504.  Every request gets an id; error
-responses carry it (``request_id``) and each failed request logs one
-structured line on the ``repro.serve`` logger, so rejected traffic is
-attributable instead of silent.  With tracing enabled the id is also
+Backpressure and SLO paging map to HTTP 429, unknown models to 404,
+malformed bodies to 400, a quarantined cluster model to 503, request
+timeouts to 504.  Every request gets an id; error responses carry it
+(``request_id``) and each failed request logs one structured line on
+the ``repro.serve`` logger, so rejected traffic is attributable
+instead of silent.  With tracing enabled the id is also
 the request's trace id -- paste it from a 429 into the trace file to
 see exactly which queue refused it.  The HTTP layer is threaded (one
 thread per connection), which is exactly what the batcher wants:
@@ -99,15 +102,14 @@ class ServeConfig:
     waits for live decode streams to finish before teardown.
 
     ``slos`` installs a :class:`repro.obs.slo.SLOEngine` over the given
-    :class:`~repro.obs.slo.SLOSpec` objectives while the server runs,
-    and subscribes the server for graceful degradation: on ``warn``
-    decode admissions shrink by ``degrade_sequences_factor`` and every
-    batcher's coalescing deadline is multiplied by
-    ``degrade_deadline_factor`` -- BiQGEMM's LUT builds amortize across
-    a coalesced batch, so under pressure the profitable move is
-    *bigger* batches, not faster ones; on ``page`` new admissions are
-    refused with 429 + ``Retry-After: retry_after_s`` while everything
-    already admitted drains.
+    :class:`~repro.obs.slo.SLOSpec` objectives while the server runs.
+    While a spec matching a model pages, that model's new admissions
+    are refused with 429 + ``Retry-After: retry_after_s`` and
+    everything already admitted drains.  ``warn`` is reported on
+    ``/slo`` and in the transition log line; it changes no deadline or
+    admission cap.  Coalescing amortizes per-call dispatch, Python glue
+    and IPC; it buys no lookup-table reuse, since BiQGEMM builds its
+    tables per input column and reuses them across output rows.
     """
 
     workers: int = 2
@@ -124,10 +126,8 @@ class ServeConfig:
     cluster: bool = False
     cluster_config: "object | None" = None  # ClusterConfig
     drain_timeout_s: float = 5.0
-    # SLO-driven degradation (inert while ``slos`` is empty).
+    # SLO alerting and paging (inert while ``slos`` is empty).
     slos: tuple = ()
-    degrade_sequences_factor: float = 0.5
-    degrade_deadline_factor: float = 4.0
     retry_after_s: float = 1.0
     slo_eval_interval_s: float = 0.25
 
@@ -196,12 +196,8 @@ class Server:
         self._started = False
         self._httpd: ThreadingHTTPServer | None = None
         self._http_thread: threading.Thread | None = None
-        # SLO engine (None unless config.slos is non-empty) and the
-        # degradation mode its transitions drive.  _slo_mode is read
-        # unlocked on the admission path (a stale read costs one
-        # request admitted/refused a beat late, never corruption).
+        # SLO engine (None unless config.slos is non-empty).
         self._slo_engine = None
-        self._slo_mode = "ok"
 
     # -- model management ----------------------------------------------
     def add_model(
@@ -294,14 +290,6 @@ class Server:
                 workers=self.config.workers,
                 name=name,
                 config=self.config.cluster_config,
-                on_quarantine=(
-                    lambda reason, _name=name: self._on_pool_quarantine(
-                        _name, reason
-                    )
-                ),
-                on_release=(
-                    lambda _name=name: self._on_pool_release(_name)
-                ),
             )
         else:
             pool = WorkerPool(
@@ -314,31 +302,6 @@ class Server:
         for metrics in runtime.metric_sets:
             metrics.publish(get_registry(), model=name)
         return runtime
-
-    def _on_pool_quarantine(self, name: str, reason: str) -> None:
-        """Supervisor crash-loop breaker tripped: route through the
-        *existing* SLO shed machinery -- the model pages, `/slo` shows
-        why, and :meth:`_check_admission` refuses new work with 503."""
-        _LOG.error(
-            json.dumps(
-                {"event": "model_quarantined", "model": name,
-                 "reason": reason},
-                sort_keys=True,
-            )
-        )
-        engine = self._slo_engine
-        if engine is not None:
-            engine.quarantine(name, reason=reason)
-
-    def _on_pool_release(self, name: str) -> None:
-        _LOG.warning(
-            json.dumps(
-                {"event": "model_released", "model": name}, sort_keys=True
-            )
-        )
-        engine = self._slo_engine
-        if engine is not None:
-            engine.release(name)
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "Server":
@@ -392,7 +355,6 @@ class Server:
             engine.stop()
             if slo_mod.get_engine() is engine:
                 slo_mod.clear_engine()  # flips runtime.SLO off
-            self._slo_mode = "ok"
         with self._lock:
             runtimes, self._runtimes = dict(self._runtimes), {}
             schedulers, self._schedulers = dict(self._schedulers), {}
@@ -410,17 +372,10 @@ class Server:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    # -- SLO-driven degradation ----------------------------------------
+    # -- SLO paging ----------------------------------------------------
     def _on_slo_transition(self, spec, old: str, new: str) -> None:
-        """SLOEngine listener (evaluator thread): re-derive the
-        degradation mode from the *worst* current spec state -- one
-        spec recovering must not undo the degradation another spec
-        still demands."""
-        engine = self._slo_engine
-        if engine is None:
-            return
-        mode = engine.worst_state()
-        self._apply_degradation(mode)
+        """SLOEngine listener (evaluator thread): log the transition
+        with the server-wide mode, the *worst* current spec state."""
         _LOG.warning(
             json.dumps(
                 {
@@ -428,65 +383,24 @@ class Server:
                     "slo": spec.name,
                     "from": old,
                     "to": new,
-                    "mode": mode,
+                    "mode": self.slo_mode,
                 },
                 sort_keys=True,
             )
         )
-
-    def _apply_degradation(self, mode: str) -> None:
-        """Degrade (or restore) every runtime to match *mode*.
-
-        ``warn``/``page``: decode admission caps shrink and batcher
-        deadlines stretch -- with the queue backing up anyway, waiting
-        a few more ms buys bigger coalesced batches, and each LUT
-        build amortizes across more requests (the paper's batch
-        economics, used as a pressure-relief valve).  ``ok`` restores
-        the configured values.  Idempotent per mode.
-        """
-        cfg = self.config
-        if mode == "ok":
-            deadline_ms = cfg.max_latency_ms
-            max_seqs = cfg.max_sequences
-        else:
-            deadline_ms = cfg.max_latency_ms * cfg.degrade_deadline_factor
-            max_seqs = max(
-                1, int(cfg.max_sequences * cfg.degrade_sequences_factor)
-            )
-        with self._lock:
-            self._slo_mode = mode
-            runtimes = dict(self._runtimes)
-            schedulers = dict(self._schedulers)
-        for runtime in runtimes.values():
-            runtime.batcher.set_max_latency(deadline_ms)
-        for scheduler in schedulers.values():
-            scheduler.set_max_sequences(max_seqs)
 
     def _check_admission(self, name: str) -> None:
         """Shed new work while any SLO matching *name* is paging.
 
         Only rejects *admissions*: requests already queued and decode
         streams already live drain normally, which is what lets the
-        burn rate actually recover.
-
-        A *quarantined* model (cluster crash-loop breaker) outranks a
-        paging one: it is refused with 503
-        (:class:`~repro.serve.cluster.ModelUnroutableError`, "the
-        server is broken") rather than 429 ("you are sending too
-        much"), because no client pacing will make a crash-looping
-        pool routable.
+        burn rate actually recover.  A quarantined model answers 503
+        first, even while paging: no client pacing makes a
+        crash-looping pool routable.
         """
+        self._routable(name)
         engine = self._slo_engine
-        if engine is None:
-            return
-        reason = engine.quarantined(name)
-        if reason is not None:
-            from repro.serve.cluster import ModelUnroutableError
-
-            raise ModelUnroutableError(
-                f"model {name!r} is quarantined ({reason})"
-            )
-        if engine.state(name) == "page":
+        if engine is not None and engine.state(name) == "page":
             raise AdmissionShedError(
                 f"model {name!r} is shedding load (SLO page); retry "
                 f"after {self.config.retry_after_s:g}s",
@@ -495,10 +409,45 @@ class Server:
 
     @property
     def slo_mode(self) -> str:
-        """The server-wide degradation mode (worst spec state)."""
-        return self._slo_mode
+        """The server-wide SLO mode: the worst spec state, or ``"ok"``
+        with no SLOs installed."""
+        engine = self._slo_engine
+        return "ok" if engine is None else engine.worst_state()
+
+    def slo(self) -> dict:
+        """The ``GET /slo`` payload: every spec's state and burn rates,
+        and the models the cluster crash-loop breaker holds
+        quarantined (model -> reason)."""
+        engine = self._slo_engine
+        body = (
+            {"enabled": False, "specs": []}
+            if engine is None
+            else engine.snapshot()
+        )
+        with self._lock:
+            runtimes = dict(self._runtimes)
+        body["quarantined"] = quarantined = {}
+        for name, runtime in sorted(runtimes.items()):
+            reason = getattr(runtime.pool, "quarantined", None)
+            if reason is not None:
+                quarantined[name] = reason
+        return body
 
     # -- serving -------------------------------------------------------
+    def _routable(self, name: str) -> _ModelRuntime:
+        """The model's runtime, refusing with
+        :class:`~repro.serve.cluster.ModelUnroutableError` (503) while
+        the cluster crash-loop breaker holds it quarantined."""
+        runtime = self._runtime(name)
+        reason = getattr(runtime.pool, "quarantined", None)
+        if reason is not None:
+            from repro.serve.cluster import ModelUnroutableError
+
+            raise ModelUnroutableError(
+                f"model {name!r} is quarantined ({reason})"
+            )
+        return runtime
+
     def _runtime(self, name: str) -> _ModelRuntime:
         with self._lock:
             if not self._started:
@@ -614,20 +563,8 @@ class Server:
             raise BatcherClosed(f"model {name!r} is shutting down")
         engine = self._slo_engine
         if scheduler is candidate and engine is not None:
-            # tokens_per_s specs rate this model's decode counters; a
-            # scheduler born into a degraded server starts degraded.
+            # tokens_per_s specs rate this model's decode counters.
             engine.attach_gen_source(name, scheduler.metrics.sample)
-            mode = self._slo_mode
-            if mode != "ok":
-                scheduler.set_max_sequences(
-                    max(
-                        1,
-                        int(
-                            self.config.max_sequences
-                            * self.config.degrade_sequences_factor
-                        ),
-                    )
-                )
         return scheduler
 
     def generate(
@@ -645,8 +582,10 @@ class Server:
         :class:`~repro.serve.sequences.GenerationStream` for token ids;
         concurrent streams on one model coalesce into shared decode
         ticks.  Raises :class:`~repro.serve.batcher.QueueFullError`
-        once ``max_sequences`` streams are live and
-        :class:`AdmissionShedError` while a matching SLO is paging.
+        once ``max_sequences`` streams are live,
+        :class:`AdmissionShedError` while a matching SLO is paging and
+        :class:`~repro.serve.cluster.ModelUnroutableError` while the
+        model is quarantined.
         """
         if _obs.SLO:
             self._check_admission(name)
@@ -672,15 +611,8 @@ class Server:
         # is installed before the old one seals, so one retry suffices
         # (bounded anyway in case the server is stopping for real).
         for _ in range(3):
-            runtime = self._runtime(name)
-            # Cluster crash-loop breaker, checked here (not just in
-            # _check_admission) so a server without SLOs still refuses
-            # unroutable work up front instead of queueing it.
-            reason = getattr(runtime.pool, "quarantined", None)
-            if reason is not None:
-                raise ModelUnroutableError(
-                    f"model {name!r} is quarantined ({reason})"
-                )
+            # Refuse unroutable work up front instead of queueing it.
+            runtime = self._routable(name)
             try:
                 return runtime.batcher.submit(
                     x, timeout, request_id=request_id
@@ -726,7 +658,7 @@ class Server:
                 "drift": _obs.DRIFT,
                 "slo": _obs.SLO,
                 "profiling": _obs.PROFILING,
-                "slo_mode": self._slo_mode,
+                "slo_mode": self.slo_mode,
             },
         }
 
@@ -911,13 +843,7 @@ def _make_handler(server: Server):
 
                 self._reply(200, get_tracer().trace_events())
             elif path == "/slo":
-                from repro.obs import slo as slo_mod
-
-                engine = slo_mod.get_engine()
-                if engine is None:
-                    self._reply(200, {"enabled": False, "specs": []})
-                else:
-                    self._reply(200, engine.snapshot())
+                self._reply(200, server.slo())
             elif path == "/profile":
                 from repro.obs.profile import get_profiler
 

@@ -8,6 +8,8 @@ they lean on one tiny encoder/decoder model and small pools.
 
 from __future__ import annotations
 
+import json
+import logging
 import os
 import signal
 import threading
@@ -189,7 +191,9 @@ class TestClusterPool:
         finally:
             pool.stop()
 
-    def test_crash_loop_breaker_quarantines_then_releases(self, compiled):
+    def test_crash_loop_breaker_quarantines_then_releases(
+        self, compiled, caplog
+    ):
         # Every worker process dies on its first job (the per-process
         # plan arms afresh in each spawn): three young deaths trip the
         # breaker; the idle probe survives and releases it.
@@ -204,37 +208,42 @@ class TestClusterPool:
             max_redelivery=8,
             redelivery_wait_s=60.0,
         )
-        events = []
+        caplog.set_level(logging.WARNING, logger="repro.serve")
         pool = make_pool(
-            compiled,
-            config=cfg,
-            fault_plan_json=plan_json,
-            on_quarantine=lambda reason: events.append(("q", reason)),
-            on_release=lambda: events.append(("r",)),
+            compiled, config=cfg, fault_plan_json=plan_json
         ).start()
         try:
             x = np.random.default_rng(3).standard_normal((4, 32))
             with pytest.raises(ModelUnroutableError, match="quarantined"):
                 pool.call_predict(x[None])
-            assert pool.quarantined is not None
+            assert "crash-loop" in pool.quarantined
             stats = pool.cluster_stats()
             assert stats["quarantines"] == 1
+            assert stats["releases"] == 0
             assert stats["deaths"] >= 3
-            assert events and events[0][0] == "q"
-            assert "crash-loop" in events[0][1]
             # the half-open probe never gets a job, survives
             # crash_loop_age_s, and the breaker releases
             assert wait_for(
                 lambda: pool.quarantined is None, timeout=60.0
             ), pool.cluster_stats()
-            # the release callback fires after the pool refills (spawns
-            # take a beat), as does the slot count
-            assert wait_for(lambda: ("r",) in events, timeout=60.0)
+            assert pool.cluster_stats()["releases"] == 1
+            # the pool refills after the release (spawns take a beat)
             assert wait_for(
                 lambda: pool._supervisor.alive_count() == 2, timeout=60.0
             )
         finally:
             pool.stop()
+        # The supervisor logs each breaker edge itself, once.
+        events = [
+            json.loads(record.getMessage())
+            for record in caplog.records
+            if record.name == "repro.serve"
+        ]
+        assert [e["event"] for e in events] == [
+            "model_quarantined", "model_released",
+        ]
+        assert events[0]["model"] == "m"
+        assert "crash-loop" in events[0]["reason"]
 
     def test_stale_heartbeat_escalates_to_kill(self, compiled):
         # A hung worker (parked loop, no beat) must be SIGTERM/SIGKILLed

@@ -1,15 +1,19 @@
 """Server in cluster mode: process-pool serving end to end.
 
 Covers the wiring the unit tests can't: predict/generate through the
-Server facade, the quarantine -> 503 -> SLO-page chain, cluster series
-on /metrics and /healthz, and the drain-then-close shutdown contract
-(a live decode stream finishes across ``Server.stop()``).
+Server facade, quarantine as 503 on both, with and without SLOs,
+cluster series on /metrics and /healthz, and the drain-then-close
+shutdown contract (a live decode stream finishes across
+``Server.stop()``).
 """
 
 from __future__ import annotations
 
+import json
 import threading
 import time
+import urllib.error
+import urllib.request
 
 import numpy as np
 import pytest
@@ -103,81 +107,99 @@ class TestClusterServe:
             assert 'repro_cluster_workers_alive{model="enc"} 2' in text
             assert "repro_cluster_deaths_total" in text
 
-    def test_quarantine_is_503_and_drives_the_slo_page_path(
-        self, encoder, monkeypatch
-    ):
+    def test_quarantine_is_503_with_slos(self, decoder, monkeypatch):
         from repro.obs.slo import SLOSpec
 
-        # every worker dies on its first job -> crash-loop breaker
-        plan_json = faults.plan().kill("worker.job", times=1).to_json()
-        monkeypatch.setenv(faults.ENV_VAR, plan_json)
-        server = cluster_server(
-            cluster_config=ClusterConfig(
-                heartbeat_interval_s=0.1,
-                start_timeout_s=120.0,
-                respawn_backoff_s=0.05,
-                crash_loop_threshold=3,
-                crash_loop_age_s=30.0,  # hold the quarantine all test
-                probe_interval_s=30.0,
-                max_redelivery=8,
-                redelivery_wait_s=60.0,
-            ),
+        server = crash_looping_server(
+            decoder,
+            monkeypatch,
             slos=(
                 SLOSpec(
-                    name="latency",
-                    kind="latency",
-                    threshold_s=30.0,
-                    objective=0.5,
+                    name="availability",
+                    kind="availability",
+                    objective=0.9,
                 ),
             ),
         )
-        server.add_model("enc", encoder)
         with server:
-            x = np.random.default_rng(1).standard_normal((4, 32))
+            # The request that trips the breaker fails, and that one
+            # failure pages the availability SLO ...
             with pytest.raises(ModelUnroutableError) as excinfo:
-                server.predict("enc", x, timeout=120.0)
-            assert excinfo.value.request_id  # satellite: errors carry ids
+                server.predict("lm", np.array([1, 4, 9, 16]), timeout=120.0)
+            assert excinfo.value.request_id  # errors carry ids
+            server._slo_engine.evaluate()
+            assert server.slo_mode == "page"
+            # ... yet quarantine outranks paging: 503, not 429.
+            assert_quarantine_refuses(server)
+            assert server.slo()["specs"][0]["state"] == "page"
 
-            # the breaker drives the EXISTING SLO machinery: the model
-            # pages, /slo says why, and admission refuses instantly
-            engine = server._slo_engine
-            assert engine.state("enc") == "page"
-            assert "crash-loop" in engine.quarantined("enc")
-            assert "enc" in engine.snapshot()["quarantined"]
-            started = time.monotonic()
-            with pytest.raises(ModelUnroutableError):
-                server.predict("enc", x, timeout=120.0)
-            assert time.monotonic() - started < 5.0  # shed, not queued
-
-            health = server.healthz()
-            assert health["status"] == "degraded"
-            assert health["cluster"]["enc"]["quarantined"] is not None
-
-    def test_quarantine_is_503_without_slos_too(self, encoder, monkeypatch):
-        plan_json = faults.plan().kill("worker.job", times=1).to_json()
-        monkeypatch.setenv(faults.ENV_VAR, plan_json)
-        server = cluster_server(
-            cluster_config=ClusterConfig(
-                heartbeat_interval_s=0.1,
-                start_timeout_s=120.0,
-                respawn_backoff_s=0.05,
-                crash_loop_threshold=3,
-                crash_loop_age_s=30.0,
-                probe_interval_s=30.0,
-                max_redelivery=8,
-                redelivery_wait_s=60.0,
-            ),
-        )
-        server.add_model("enc", encoder)
+    def test_quarantine_is_503_without_slos_too(self, decoder, monkeypatch):
+        server = crash_looping_server(decoder, monkeypatch)
         with server:
-            x = np.random.default_rng(2).standard_normal((4, 32))
-            with pytest.raises(ModelUnroutableError):
-                server.predict("enc", x, timeout=120.0)
-            # no SLO engine installed: _submit's direct pool check sheds
-            started = time.monotonic()
-            with pytest.raises(ModelUnroutableError):
-                server.predict("enc", x, timeout=120.0)
-            assert time.monotonic() - started < 5.0
+            # The first stream's prefill crash-loops the workers until
+            # the breaker trips.
+            with pytest.raises(ModelUnroutableError) as excinfo:
+                server.generate("lm", np.array([1, 4, 9, 16]), 4)
+            assert "quarantined" in str(excinfo.value)
+            assert_quarantine_refuses(server)
+            assert server.slo()["enabled"] is False
+
+
+def crash_looping_server(decoder, monkeypatch, **overrides) -> Server:
+    """A cluster server for the decoder whose workers die on their
+    first job, with the breaker held open for the whole test."""
+    plan_json = faults.plan().kill("worker.job", times=1).to_json()
+    monkeypatch.setenv(faults.ENV_VAR, plan_json)
+    server = cluster_server(
+        cluster_config=ClusterConfig(
+            heartbeat_interval_s=0.1,
+            start_timeout_s=120.0,
+            respawn_backoff_s=0.05,
+            crash_loop_threshold=3,
+            crash_loop_age_s=30.0,  # hold the quarantine all test
+            probe_interval_s=30.0,
+            max_redelivery=8,
+            redelivery_wait_s=60.0,
+        ),
+        **overrides,
+    )
+    server.add_model("lm", decoder)
+    return server
+
+
+def assert_quarantine_refuses(server: Server) -> None:
+    """Once the breaker has tripped, ``/predict`` and ``/generate``
+    are 503 at once, in process and over HTTP; ``/slo`` lists the
+    model and ``/healthz`` is degraded."""
+    prompt = np.array([1, 4, 9, 16])
+    started = time.monotonic()
+    with pytest.raises(ModelUnroutableError):
+        server.predict("lm", prompt, timeout=120.0)
+    with pytest.raises(ModelUnroutableError):
+        server.generate("lm", prompt, 4)
+    assert time.monotonic() - started < 5.0  # shed, not queued
+
+    httpd = server.serve_http(port=0)
+    base = f"http://127.0.0.1:{httpd.server_address[1]}"
+    for path, body in (
+        ("/generate", {"model": "lm", "prompt": [1, 4, 9, 16],
+                       "max_new_tokens": 4}),
+        ("/predict", {"model": "lm", "input": [1, 4, 9, 16]}),
+    ):
+        request = urllib.request.Request(
+            base + path, data=json.dumps(body).encode("utf-8")
+        )
+        with pytest.raises(urllib.error.HTTPError) as http_err:
+            urllib.request.urlopen(request, timeout=30)
+        assert http_err.value.code == 503, path
+        assert "quarantined" in json.loads(http_err.value.read())["error"]
+    with urllib.request.urlopen(base + "/slo", timeout=30) as resp:
+        slo_body = json.loads(resp.read())
+    assert "crash-loop" in slo_body["quarantined"]["lm"]
+
+    health = server.healthz()
+    assert health["status"] == "degraded"
+    assert health["cluster"]["lm"]["quarantined"] is not None
 
 
 class TestShutdownDrain:
