@@ -77,8 +77,7 @@ def main() -> None:
             thread.start()
         time.sleep(0.05)
 
-        runtime = server._runtimes["encoder"]
-        victim = runtime.pool._supervisor.handle(0)
+        victim = server._runtimes["encoder"]._supervisor.handle(0)
         print(f"SIGKILL worker 0 (pid {victim.pid}) mid-load...")
         os.kill(victim.pid, signal.SIGKILL)
 

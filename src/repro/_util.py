@@ -13,6 +13,7 @@ import numpy as np
 
 __all__ = [
     "as_2d_float",
+    "batch_bucket",
     "check_binary",
     "check_matmul_out",
     "check_positive_int",
@@ -95,6 +96,18 @@ def check_positive_int(value: int, name: str, *, upper: int | None = None) -> in
     if upper is not None and value > upper:
         raise ValueError(f"{name} must be <= {upper}, got {value}")
     return int(value)
+
+
+def batch_bucket(batch: int) -> int:
+    """Round *batch* up to the next power of two.
+
+    The planner prices a batch at its bucket, so plans (and the drift
+    telemetry keys they are recorded under) stay stable under small
+    batch jitter, at the price of planning for a batch at most 2x the
+    true one -- well inside the cost model's accuracy.
+    """
+    check_positive_int(batch, "batch")
+    return 1 << (batch - 1).bit_length()
 
 
 def ceil_div(a: int, b: int) -> int:

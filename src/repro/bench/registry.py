@@ -1312,7 +1312,7 @@ def serve_cluster_experiment(quick: bool = False) -> Measurement:
 
         def kill_worker() -> None:
             time.sleep(0.02)
-            victim = server._runtimes["zoo"].pool._supervisor.handle(0)
+            victim = server._runtimes["zoo"]._supervisor.handle(0)
             os.kill(victim.pid, signal.SIGKILL)
 
         with server:

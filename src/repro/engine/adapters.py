@@ -117,13 +117,16 @@ class DenseGemmEngine:
     # column through the batch-1 GEMV instead.  At 64 columns that costs
     # 2-8x the GEMM's time (128x128 float64: 125 vs 47 us; 1024x1024:
     # 24.6 vs 3.1 ms, one BLAS thread); at one column it is the GEMV.
+    # Each column is made contiguous first: the GEMV's summation order
+    # also depends on the vector's stride, and a column of a C-ordered
+    # batch is strided where the same column alone is not.
     batch_invariant = True
 
     def matmul(self, x: np.ndarray) -> np.ndarray:
         arr, vector_in = _as_cols(x, self._shape[1])
         dtype = _float_dtype(arr)
-        cols = arr.astype(dtype, copy=False)
-        out = np.matmul(self._weight_for(dtype), cols.T[:, :, None])
+        rows = np.ascontiguousarray(arr.T, dtype=dtype)
+        out = np.matmul(self._weight_for(dtype), rows[:, :, None])
         return out[0, :, 0] if vector_in else out[:, :, 0].T
 
     def op_counts(self, batch: int) -> dict[str, float]:

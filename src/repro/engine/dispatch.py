@@ -25,7 +25,7 @@ that observation into a planner:
 
 from __future__ import annotations
 
-from repro._util import check_positive_int
+from repro._util import batch_bucket, check_positive_int
 from repro.engine.base import AUTO_BACKEND, QuantSpec
 from repro.engine.registry import engine_entry, lossless_engines
 from repro.hw.costmodel import CostEstimate
@@ -66,18 +66,6 @@ def validate_spec(spec: QuantSpec) -> QuantSpec:
             f"{sorted(MACHINES)}"
         )
     return spec
-
-
-def batch_bucket(batch: int) -> int:
-    """Round *batch* up to the next power of two.
-
-    The planner prices a batch at its bucket, so plans (and the drift
-    telemetry keys they are recorded under) stay stable under small
-    batch jitter, at the price of planning for a batch at most 2x the
-    true one -- well inside the cost model's accuracy.
-    """
-    check_positive_int(batch, "batch")
-    return 1 << (batch - 1).bit_length()
 
 
 def batch_buckets(max_batch: int = 1024) -> tuple[int, ...]:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import threading
 
+from repro._util import batch_bucket
 from repro.obs import runtime as _rt
 from repro.obs.metrics import Histogram
 
@@ -45,15 +46,6 @@ __all__ = [
 #: Measured-seconds window per key -- enough for a stable p50 without
 #: letting a long serve run grow memory per shape.
 MEASURE_WINDOW = 512
-
-
-def batch_bucket(batch: int) -> int:
-    """Next power of two -- mirrors
-    :func:`repro.engine.dispatch.batch_bucket` without importing the
-    engine stack (this module must stay a cheap leaf)."""
-    if batch < 1:
-        raise ValueError(f"batch must be positive, got {batch}")
-    return 1 << (batch - 1).bit_length()
 
 
 class _Entry:

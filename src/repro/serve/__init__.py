@@ -13,8 +13,10 @@ This package is that serving runtime:
 - :class:`Batcher` -- bounded request queue with dynamic micro-batching
   toward :func:`repro.engine.batch_buckets` targets (wait at most
   ``max_latency_ms``), backpressure via :class:`QueueFullError`;
-- :class:`WorkerPool` -- worker threads on warmed
-  :meth:`~repro.api.CompiledModel.clone` replicas;
+- :class:`WorkerPool` -- the one batch loop: a thread per slot running
+  each batch on a warmed :meth:`~repro.api.CompiledModel.clone`
+  replica, or, as :class:`repro.serve.cluster.ClusterPool`, on a
+  supervised worker process;
 - :class:`SequenceScheduler` -- continuous batching for autoregressive
   decode: concurrent :class:`GenerationStream` s coalesce their
   per-token steps into shared batched GEMV ticks, with per-sequence

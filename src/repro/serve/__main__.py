@@ -57,16 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--hedge-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help=(
-            "cluster mode: hedge a batch-1 request onto a second "
-            "worker after MS without a reply (straggler mitigation)"
-        ),
-    )
-    parser.add_argument(
         "--drain-timeout-s",
         type=float,
         default=5.0,
@@ -206,11 +196,6 @@ def _names(args: argparse.Namespace) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cluster_config = None
-    if args.cluster and args.hedge_ms is not None:
-        from repro.serve.cluster import ClusterConfig
-
-        cluster_config = ClusterConfig(hedge_ms=args.hedge_ms)
     config = ServeConfig(
         workers=args.workers,
         max_batch=args.max_batch,
@@ -223,7 +208,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
         slos=_slo_specs(args),
         cluster=args.cluster,
-        cluster_config=cluster_config,
         drain_timeout_s=args.drain_timeout_s,
     )
     if args.trace_file or args.drift_file or args.profile:

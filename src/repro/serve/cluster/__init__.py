@@ -6,8 +6,10 @@ predict batches and worker-resident decode sequences
 (:mod:`~repro.serve.cluster.worker`); a supervisor owns health checks,
 escalated kills, backoff respawn and the crash-loop breaker
 (:mod:`~repro.serve.cluster.supervisor`); and the front-process
-:class:`ClusterPool` keeps the existing Batcher/SequenceScheduler path
-while adding redelivery and straggler hedging
+:class:`ClusterPool` is the one serving pool,
+:class:`~repro.serve.pool.WorkerPool`, over runners that hand each batch
+to a worker through one delivery loop -- redelivery after a death,
+failover from a timed-out worker -- which decode prefills share
 (:mod:`~repro.serve.cluster.pool`).
 """
 

@@ -3,8 +3,8 @@
 One duplex :func:`multiprocessing.Pipe` per worker.  The front sends
 ``(op, job_id, payload)`` tuples; the worker replies
 ``(job_id, True, result)`` or ``(job_id, False, (exc_name, message))``.
-Job ids let the front drain stale replies after an abandoned call (a
-hedged primary that lost the race), so the pipe never desyncs.
+Job ids let the front drain stale replies after an abandoned call (one
+that timed out), so the pipe never desyncs.
 
 Ops:
 

@@ -1,27 +1,28 @@
-"""The front-process half of the cluster: dispatch, retry, hedge.
+"""The front-process half of the cluster: shared memory, supervisor,
+delivery.
 
-:class:`ClusterPool` is the process-pool drop-in for
-:class:`~repro.serve.pool.WorkerPool`: same constructor shape, same
-``start``/``stop``/``running`` surface, same
-batcher.  The difference is where batches execute -- one dispatcher
-thread per worker slot pulls coalesced batches from the existing
-:class:`~repro.serve.batcher.Batcher` and round-trips them to its
-worker *process* over a pipe.
+:class:`ClusterPool` is the :class:`~repro.serve.pool.WorkerPool` --
+the same dispatcher threads, batch loop, outcome counting and
+seal-then-close -- over runners that deliver each coalesced batch to a
+worker *process* over a pipe instead of running it in this one.  What
+it adds is the process half: it publishes the model to shared memory,
+starts the :class:`~repro.serve.cluster.supervisor.Supervisor` that
+keeps the workers alive, and delivers jobs.
 
-The robustness contract on this side:
+One delivery loop carries every job that may run on any worker --
+predict batches and decode prefills alike:
 
-* **redelivery** -- predict is a pure function of read-only weights, so
-  a batch in flight on a dying worker is retried on another (up to
-  ``max_redelivery`` times, jittered exponential backoff).  The client
-  sees added latency, never a 5xx.
-* **hedging** -- a batch-1 GEMV (the latency-critical decode shape)
-  optionally fires a second copy at another worker after ``hedge_ms``
-  without a reply; first answer wins, the straggler's reply is drained
-  by job id.  Identical inputs on identical weights: both answers are
-  bit-identical, so racing them is free of semantics.
-* **quarantine** -- while the supervisor's crash-loop breaker holds
-  the model, new work is refused with :class:`ModelUnroutableError`
-  (HTTP 503).
+* it picks a live worker (preferring the dispatcher's own slot), and
+  waits out a respawn when every worker is down at once;
+* on :class:`~repro.serve.batcher.WorkerLost` it backs off with jitter,
+  counts ``redelivered`` and delivers again on another worker (up to
+  ``max_redelivery`` times).  Predict is a pure function of read-only
+  weights and a prefill rebuilds its cache from scratch, so the client
+  sees added latency, never a 5xx;
+* on ``TimeoutError`` (a job past ``job_timeout_s``) it kills the
+  suspect worker and fails over the same way;
+* while the supervisor's crash-loop breaker holds the model, it refuses
+  with :class:`ModelUnroutableError` (HTTP 503).
 
 :class:`ClusterCompiled` adapts the pool to the
 :class:`~repro.serve.sequences.SequenceScheduler` decode contract:
@@ -40,10 +41,9 @@ import uuid
 
 import numpy as np
 
-from repro._util import check_positive_int
 from repro.obs import runtime as _obs
 from repro.resilience import faults as _faults
-from repro.serve.batcher import Batch, Batcher, BatcherClosed, WorkerLost
+from repro.serve.batcher import Batcher, BatcherClosed, WorkerLost
 from repro.serve.cluster.ipc import UnknownSequence
 from repro.serve.cluster.supervisor import (
     ClusterConfig,
@@ -51,7 +51,8 @@ from repro.serve.cluster.supervisor import (
     Supervisor,
 )
 from repro.serve.cluster import shm as shm_mod
-from repro.serve.pool import record_outcome
+from repro.serve.cluster.worker import has_decode_api
+from repro.serve.pool import WorkerPool
 
 __all__ = [
     "ClusterCompiled",
@@ -73,8 +74,10 @@ class ModelUnroutableError(BatcherClosed):
     """
 
 
-class ClusterPool:
+class ClusterPool(WorkerPool):
     """N supervised worker processes serving one model from one batcher."""
+
+    _thread_role = "dispatch"
 
     def __init__(
         self,
@@ -86,17 +89,11 @@ class ClusterPool:
         config: ClusterConfig | None = None,
         fault_plan_json: str | None = None,
     ):
-        check_positive_int(workers, "workers")
-        self.batcher = batcher
-        self.name = name
-        self.workers = workers
+        super().__init__(compiled, batcher, workers=workers, name=name)
         self.config = config or ClusterConfig()
-        self._compiled = compiled
         self._fault_plan_json = fault_plan_json
         self._shared: shm_mod.SharedModel | None = None
         self._supervisor: Supervisor | None = None
-        self._threads: list[threading.Thread] = []
-        self._stop = threading.Event()
         self._lock = threading.Lock()
         self._rr = 0  # round-robin cursor for worker selection
         self.metrics = ClusterMetrics(
@@ -105,17 +102,33 @@ class ClusterPool:
             shared_bytes=self._shared_bytes,
         )
 
+    @property
+    def metric_sets(self) -> tuple:
+        return (self.batcher.metrics, self.metrics)
+
+    @property
+    def quarantined(self) -> str | None:
+        supervisor = self._supervisor
+        return supervisor.quarantined if supervisor is not None else None
+
+    def decode_target(self):
+        """Decode against the worker processes: sequences pin their KV
+        to a worker and survive its death by re-prefill (see
+        :class:`ClusterCompiled`).  A model without the decode API
+        keeps the local compiled handle, so the scheduler's type check
+        still explains what is missing."""
+        if has_decode_api(self._compiled.model):
+            return ClusterCompiled(self)
+        return self._compiled
+
     # -- lifecycle -----------------------------------------------------
-    def start(self) -> "ClusterPool":
-        """Publish the model to shared memory, spawn the workers, start
-        dispatching."""
-        if self._threads:
-            raise RuntimeError("cluster pool is already started")
+    def _open(self) -> list:
+        """Publish the model to shared memory and spawn the workers; a
+        slot's runner delivers its batches to that slot's worker first."""
         from repro.api.artifact import export_parts
 
         manifest, arrays = export_parts(self._compiled)
         self._shared = shm_mod.publish(manifest, arrays)
-        self._stop.clear()
         self._supervisor = Supervisor(
             name=self.name,
             workers=self.workers,
@@ -124,29 +137,14 @@ class ClusterPool:
             fault_plan_json=self._fault_plan_json,
             metrics=self.metrics,
         ).start()
-        for i in range(self.workers):
-            thread = threading.Thread(
-                target=self._run,
-                args=(i,),
-                name=f"repro-dispatch-{self.name}-{i}",
-                daemon=True,
-            )
-            self._threads.append(thread)
-            thread.start()
-        return self
+        return [
+            lambda stacked, slot=slot: self.call_predict(stacked, prefer=slot)
+            for slot in range(self.workers)
+        ]
 
-    def stop(self, timeout: float = 5.0, *, drain: bool = False) -> None:
-        """Drain-then-close, strictly ordered: seal/close the batcher,
-        join the dispatchers (every in-flight job finishes or fails
-        over), stop the workers, and only then -- with no process left
+    def _close(self, timeout: float) -> None:
+        """Stop the workers, and only then -- with no process left
         mapping it -- unlink the shared segment."""
-        if drain:
-            self.batcher.seal(timeout)
-        self._stop.set()
-        self.batcher.close()
-        for thread in self._threads:
-            thread.join(timeout)
-        self._threads = []
         supervisor, self._supervisor = self._supervisor, None
         if supervisor is not None:
             supervisor.stop(timeout)
@@ -154,105 +152,56 @@ class ClusterPool:
         if shared is not None:
             shared.unlink()
 
-    @property
-    def running(self) -> bool:
-        return any(t.is_alive() for t in self._threads)
-
-    @property
-    def quarantined(self) -> str | None:
-        supervisor = self._supervisor
-        return supervisor.quarantined if supervisor is not None else None
-
-    # -- worker selection ----------------------------------------------
-    def _pick(self, *, prefer: int | None = None, avoid=()) -> object:
-        """A live worker handle, preferring slot *prefer*; raises
-        :class:`ModelUnroutableError` when quarantined and
-        :class:`WorkerLost` when nobody is alive right now."""
-        supervisor = self._supervisor
-        if supervisor is None:
-            raise BatcherClosed(f"cluster pool {self.name!r} is stopped")
-        if supervisor.quarantined is not None:
-            raise ModelUnroutableError(
-                f"model {self.name!r} is quarantined "
-                f"({supervisor.quarantined}); unroutable until a probe "
-                "worker survives"
-            )
-        live = supervisor.live_handles()
-        usable = [h for h in live if h.idx not in avoid] or live
-        if not usable:
-            raise WorkerLost(
-                f"no live workers for model {self.name!r} "
-                "(respawn in progress)"
-            )
-        if prefer is not None:
-            for handle in usable:
-                if handle.idx == prefer:
-                    return handle
-        with self._lock:
-            self._rr += 1
-            return usable[self._rr % len(usable)]
-
+    # -- delivery ------------------------------------------------------
     def _await_worker(
-        self, *, prefer: int | None = None, avoid=(), deadline: float
+        self, *, prefer: int | None, avoid, deadline: float
     ) -> object:
-        """Like :meth:`_pick`, but when *nobody* is live (every worker
-        died at once) waits out the respawn until *deadline* instead of
-        failing -- losing the whole pool for a beat is a latency event,
-        not an error.  Quarantine still raises immediately."""
+        """A live worker handle, preferring slot *prefer* and skipping
+        *avoid* while others live.  Raises :class:`ModelUnroutableError`
+        when quarantined.  When *nobody* is live (every worker died at
+        once) it waits out the respawn until *deadline*, then raises
+        :class:`WorkerLost`: losing the whole pool for a beat is a
+        latency event, not an error."""
         while True:
-            try:
-                return self._pick(prefer=prefer, avoid=avoid)
-            except WorkerLost:
-                if self._stop.is_set():
-                    raise BatcherClosed(
-                        f"cluster pool {self.name!r} is stopping"
-                    ) from None
-                if time.monotonic() >= deadline:
-                    raise
-                time.sleep(_IDLE_POLL_SECONDS)
+            supervisor = self._supervisor
+            if supervisor is None:
+                raise BatcherClosed(f"cluster pool {self.name!r} is stopped")
+            reason = supervisor.quarantined
+            if reason is not None:
+                raise ModelUnroutableError(
+                    f"model {self.name!r} is quarantined ({reason}); "
+                    "unroutable until a probe worker survives"
+                )
+            live = supervisor.live_handles()
+            usable = [h for h in live if h.idx not in avoid] or live
+            if usable:
+                for handle in usable:
+                    if handle.idx == prefer:
+                        return handle
+                with self._lock:
+                    self._rr += 1
+                    return usable[self._rr % len(usable)]
+            if self._stop.is_set():
+                raise BatcherClosed(f"cluster pool {self.name!r} is stopping")
+            if time.monotonic() >= deadline:
+                raise WorkerLost(
+                    f"no live workers for model {self.name!r} "
+                    "(respawn in progress)"
+                )
+            time.sleep(_IDLE_POLL_SECONDS)
 
-    # -- dispatch ------------------------------------------------------
-    def _run(self, idx: int) -> None:
-        while not self._stop.is_set():
-            batch = self.batcher.next_batch(timeout=_IDLE_POLL_SECONDS)
-            if batch is None:
-                continue
-            self._execute(batch, prefer=idx)
-
-    def _execute(self, batch: Batch, prefer: int | None = None) -> None:
-        try:
-            outputs = self.call_predict(batch.stacked(), prefer=prefer)
-            done = time.monotonic()
-            batch.resolve(outputs)
-        except BaseException as exc:  # noqa: BLE001 -- must reach callers
-            batch.fail(exc)
-            done = None
-        record_outcome(self.name, self.batcher.metrics, batch, done)
-
-    def call_predict(
-        self, stacked: np.ndarray, *, prefer: int | None = None
-    ) -> np.ndarray:
-        """Execute one stacked batch on some worker, with redelivery
-        (and hedging for batch-1)."""
-        if _obs.TRACING:
-            from repro.obs.trace import span
-
-            with span(
-                "cluster.dispatch", model=self.name, batch=len(stacked)
-            ):
-                return self._call_with_retry(stacked, prefer)
-        return self._call_with_retry(stacked, prefer)
-
-    def _call_with_retry(self, stacked, prefer):
+    def _deliver(self, op: str, payload, prefer: int | None = None):
+        """Run job *op* on some live worker; returns ``(handle,
+        reply)``.  The one delivery loop: a lost worker is redelivered
+        after a jittered backoff, a timed-out one is killed, and either
+        way the job moves to another worker."""
         cfg = self.config
         last: BaseException | None = None
         tried: set[int] = set()
         wait_deadline = time.monotonic() + cfg.redelivery_wait_s
         for attempt in range(cfg.max_redelivery + 1):
             if self._stop.is_set():
-                raise BatcherClosed(
-                    f"cluster pool {self.name!r} is stopping"
-                )
+                raise BatcherClosed(f"cluster pool {self.name!r} is stopping")
             try:
                 handle = self._await_worker(
                     prefer=prefer, avoid=tried, deadline=wait_deadline
@@ -261,18 +210,9 @@ class ClusterPool:
                 last = exc
                 break
             try:
-                if (
-                    cfg.hedge_ms is not None
-                    and stacked.shape[0] == 1
-                ):
-                    return self._call_hedged(handle, stacked)
-                return handle.call(
-                    "predict", stacked, cfg.job_timeout_s
-                )
+                return handle, handle.call(op, payload, cfg.job_timeout_s)
             except WorkerLost as exc:
                 last = exc
-                tried.add(handle.idx)
-                prefer = None
                 self.metrics.redelivered.inc()
                 # Jittered backoff: the supervisor needs a beat to mark
                 # the death and (often) another worker is already live.
@@ -282,111 +222,43 @@ class ClusterPool:
                     * (1.0 + 0.25 * ((hash((self.name, attempt)) % 7) / 7))
                 )
             except TimeoutError as exc:
-                # A job past its budget means the worker is suspect:
-                # hand it to the supervisor's escalation and fail over.
                 last = exc
-                tried.add(handle.idx)
-                prefer = None
-                supervisor = self._supervisor
-                if supervisor is not None and handle.alive:
-                    supervisor.kill(handle, reason="job-timeout")
+                self.kill_stuck(handle)
+            tried.add(handle.idx)
+            prefer = None
         raise WorkerLost(
             f"request failed after {cfg.max_redelivery + 1} deliveries: "
             f"{last}"
         ) from last
 
-    def _call_hedged(self, primary, stacked) -> np.ndarray:
-        """Batch-1 straggler hedging: race a second worker after
-        ``hedge_ms`` of silence; first reply wins."""
-        cfg = self.config
-        result: list = []
-        errors: list[BaseException] = []
-        arrived = threading.Event()
+    def kill_stuck(self, handle) -> None:
+        """A job past its budget means the worker is suspect: hand it
+        to the supervisor's escalation (and so to a respawn)."""
+        supervisor = self._supervisor
+        if supervisor is not None and handle.alive:
+            supervisor.kill(handle, reason="job-timeout")
 
-        def attempt(handle, is_hedge: bool):
-            try:
-                value = handle.call("predict", stacked, cfg.job_timeout_s)
-            except BaseException as exc:  # noqa: BLE001 -- race boundary
-                errors.append(exc)
-            else:
-                with self._lock:
-                    if not result:
-                        if is_hedge:
-                            self.metrics.hedge_wins.inc()
-                        result.append(value)
-            arrived.set()
+    def call_predict(
+        self, stacked: np.ndarray, *, prefer: int | None = None
+    ) -> np.ndarray:
+        """Execute one stacked batch on some worker, preferring slot
+        *prefer*."""
+        if _obs.TRACING:
+            from repro.obs.trace import span
 
-        threading.Thread(
-            target=attempt,
-            args=(primary, False),
-            name=f"repro-dispatch-{self.name}-primary",
-            daemon=True,
-        ).start()
-        expected = 1
-        if not arrived.wait(cfg.hedge_ms / 1e3):
-            # Primary is straggling: fire the hedge at another worker.
-            try:
-                hedge = self._pick(avoid={primary.idx})
-            except (WorkerLost, ModelUnroutableError):
-                hedge = None
-            if hedge is not None and hedge is not primary:
-                self.metrics.hedges.inc()
-                expected = 2
-                threading.Thread(
-                    target=attempt,
-                    args=(hedge, True),
-                    name=f"repro-dispatch-{self.name}-hedge",
-                    daemon=True,
-                ).start()
-        deadline = time.monotonic() + cfg.job_timeout_s
-        while time.monotonic() < deadline:
-            if result:
-                return result[0]
-            if len(errors) >= expected:
-                raise errors[-1]
-            arrived.wait(0.02)
-            arrived.clear()
-        if result:
-            return result[0]
-        if errors:
-            raise errors[-1]
-        raise TimeoutError(
-            f"hedged request got no reply within {cfg.job_timeout_s:g}s"
-        )
+            with span(
+                "cluster.dispatch", model=self.name, batch=len(stacked)
+            ):
+                return self._deliver("predict", stacked, prefer)[1]
+        return self._deliver("predict", stacked, prefer)[1]
 
     # -- decode plumbing (used by ClusterCompiled) ----------------------
     def seq_prefill(self, seq: "RemoteSequence", ids: np.ndarray):
-        """Prefill *seq* on a live worker (pins the sequence there);
-        retried across workers like predict."""
-        cfg = self.config
-        last: BaseException | None = None
-        tried: set[int] = set()
-        wait_deadline = time.monotonic() + cfg.redelivery_wait_s
-        for attempt in range(cfg.max_redelivery + 1):
-            try:
-                handle = self._await_worker(
-                    avoid=tried, deadline=wait_deadline
-                )
-            except WorkerLost as exc:
-                last = exc
-                break
-            try:
-                logits = handle.call(
-                    "prefill",
-                    (seq.seq_id, np.asarray(ids), seq.reserve),
-                    cfg.job_timeout_s,
-                )
-            except WorkerLost as exc:
-                last = exc
-                tried.add(handle.idx)
-                time.sleep(cfg.redelivery_backoff_s * (attempt + 1))
-                continue
-            seq.handle = handle
-            return logits
-        raise WorkerLost(
-            f"prefill failed after {cfg.max_redelivery + 1} deliveries: "
-            f"{last}"
-        ) from last
+        """Prefill *seq* on a live worker and pin the sequence there."""
+        seq.handle, logits = self._deliver(
+            "prefill", (seq.seq_id, np.asarray(ids), seq.reserve)
+        )
+        return logits
 
     def seq_release(self, seq: "RemoteSequence") -> None:
         """Best-effort KV drop on the pinned worker."""
@@ -484,8 +356,9 @@ class ClusterCompiled:
 
     def decode_step_many(self, tokens, cache_lists) -> np.ndarray:
         """One tick across sequences pinned to (possibly) different
-        workers; a dead worker's sequences are transparently recovered
-        by re-prefilling their accepted-token log.
+        workers; the sequences of a dead worker, or of one a timed-out
+        step got killed, are transparently recovered by re-prefilling
+        their accepted-token log.
 
         Bit-identity: a recovered row is the last-position logits of
         ``prefill(log + [token])``, which the prefill==step contract
@@ -517,7 +390,9 @@ class ClusterCompiled:
                 logits = handle.call(
                     "step", batch, self._pool.config.job_timeout_s
                 )
-            except (WorkerLost, UnknownSequence):
+            except (WorkerLost, UnknownSequence, TimeoutError) as exc:
+                if isinstance(exc, TimeoutError):
+                    self._pool.kill_stuck(handle)
                 for i in indices:
                     rows[i] = self._recover(sequences[i], int(tokens[i]))
                 continue

@@ -58,8 +58,6 @@ _COUNTS = (
     ("quarantines", "crash-loop breaker trips"),
     ("releases", "breaker releases (probe survived)"),
     ("redelivered", "in-flight requests retried after a worker death"),
-    ("hedges", "batch-1 requests hedged to a second worker"),
-    ("hedge_wins", "hedged requests won by the hedge"),
 )
 
 
@@ -109,9 +107,6 @@ class ClusterConfig:
     # simultaneous loss of every worker); does not count as a delivery.
     redelivery_wait_s: float = 30.0
     job_timeout_s: float = 30.0
-    # Hedge a batch-1 request onto a second worker after this many ms
-    # without a reply (None disables hedging).
-    hedge_ms: float | None = None
     seed: int = 0
     start_method: str = "spawn"
 

@@ -39,7 +39,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-__all__ = ["worker_main", "HEARTBEAT_FIELDS"]
+__all__ = ["HEARTBEAT_FIELDS", "has_decode_api", "worker_main"]
 
 #: Heartbeat layout: float64[workers, 3] --
 #: [last_beat, busy_deadline, native_kernel_loaded].
@@ -59,7 +59,7 @@ def _attach_heartbeat(name: str, workers: int, idx: int):
     return hb_shm, slots[idx]
 
 
-def _has_decode_api(model) -> bool:
+def has_decode_api(model) -> bool:
     return all(
         getattr(model, attr, None) is not None
         for attr in ("init_cache", "prefill", "step_many", "embedding")
@@ -102,7 +102,7 @@ def worker_main(
         manifest, arrays = shared.load()
         compiled, _ = load_from_parts(manifest, arrays)
         compiled.warmup()
-        decode = _has_decode_api(compiled.model)
+        decode = has_decode_api(compiled.model)
         kv = Workspace(name=f"repro-worker-{name}-{idx}.kv")
         beat[2] = float(native_status()["loaded"])
         conn.send(("ready", os.getpid()))

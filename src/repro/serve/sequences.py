@@ -76,6 +76,7 @@ _GEN_COUNTS = (
     ("sequences", "sequences admitted"),
     ("completed", "sequences finished"),
     ("cancelled", "sequences cancelled mid-stream"),
+    ("errors", "sequences ended by a failed prefill or decode step"),
     ("deadline_expired", "sequences past their deadline"),
     ("rejected", "sequences refused at admission"),
     ("ticks", "batched decode executions"),
@@ -143,6 +144,8 @@ class GenMetrics(MetricSet):
     def record_finish(self, reason: str) -> None:
         if reason == "cancelled":
             self.cancelled.inc()
+        elif reason == "error":
+            self.errors.inc()
         elif reason == "deadline":
             self.deadline_expired.inc()
         else:  # length / eos: the stream ran to its natural end
@@ -201,8 +204,9 @@ class GenerationStream:
     token is enqueued onto the scheduler's shared batcher, so pulling
     concurrently from many streams is what forms decode batches.
     After iteration ends (or :meth:`close`), :attr:`finish_reason` is
-    one of ``"length"``, ``"eos"``, ``"deadline"`` or ``"cancelled"``
-    and the sequence's KV blocks are back in the arena.
+    one of ``"length"``, ``"eos"``, ``"deadline"``, ``"cancelled"`` (the
+    consumer closed it) or ``"error"`` (a decode step raised), and the
+    sequence's KV blocks are back in the arena.
     """
 
     def __init__(
@@ -219,8 +223,9 @@ class GenerationStream:
         self._sampler = sampler
         self._eos_id = eos_id
         self._max_new = max_new_tokens
+        admitted = time.monotonic()
         self._deadline = (
-            time.monotonic() + deadline_s if deadline_s is not None else None
+            admitted + deadline_s if deadline_s is not None else None
         )
         self.tokens: list[int] = []
         self.finish_reason: str | None = None
@@ -245,8 +250,9 @@ class GenerationStream:
             scheduler.metrics.prefill.record(time.monotonic() - started)
             self._pending = self._sampler.sample(logits)
             self._last_token_time = time.monotonic()
+            self._first_token_s = self._last_token_time - admitted
         except BaseException:
-            self._finish("cancelled", record=False)
+            self._finish("error", record=False)
             scheduler._release(self)
             raise
 
@@ -275,7 +281,7 @@ class GenerationStream:
             except TimeoutError:
                 self._finish("deadline")
             except BaseException:
-                self._finish("cancelled")
+                self._finish("error")
                 raise
         return token
 
@@ -328,7 +334,7 @@ class GenerationStream:
         for cache in self.caches:
             cache.close()
         if record:
-            self._scheduler.metrics.record_finish(reason)
+            self._scheduler._record_finish(reason, self._first_token_s)
             self._scheduler._release(self)
 
     def __enter__(self) -> "GenerationStream":
@@ -501,7 +507,7 @@ class SequenceScheduler:
                 deadline_s=deadline_s,
             )
         except BaseException:
-            self.metrics.record_finish("cancelled")
+            self._record_finish("error")
             raise
 
     def active(self) -> int:
@@ -524,6 +530,21 @@ class SequenceScheduler:
             ):
                 return self._compiled.model.prefill(ids, caches)
         return self._compiled.model.prefill(ids, caches)
+
+    def _record_finish(
+        self, reason: str, first_token_s: float = 0.0
+    ) -> None:
+        """Count a finished stream, and feed the SLO windows one request:
+        good with its time to first token when it ran to ``length`` or
+        ``eos``, failed on ``error``.  A cancelled or expired stream
+        feeds them nothing."""
+        self.metrics.record_finish(reason)
+        if _obs.SLO and reason not in ("cancelled", "deadline"):
+            from repro.obs import slo as _slo
+
+            _slo.record_request(
+                self.name, first_token_s, ok=reason != "error"
+            )
 
     def _release(self, stream: GenerationStream) -> None:
         with self._lock:

@@ -2,8 +2,8 @@
 
 :class:`Server` wires the pieces together -- a
 :class:`~repro.serve.store.ModelStore` of compiled models, one
-:class:`~repro.serve.batcher.Batcher` +
-:class:`~repro.serve.pool.WorkerPool` runtime per model -- behind a
+:class:`~repro.serve.pool.WorkerPool` over its own
+:class:`~repro.serve.batcher.Batcher` per model -- behind a
 synchronous :meth:`Server.predict`.  :meth:`Server.serve_http` exposes
 the same surface over a stdlib ``http.server`` JSON API (no third-party
 dependencies, matching this repo's constraint):
@@ -132,31 +132,12 @@ class ServeConfig:
     slo_eval_interval_s: float = 0.25
 
 
-@dataclass
-class _ModelRuntime:
-    """The per-model serving machinery.
-
-    Its metric sets -- the batcher's and, in cluster mode, the pool's
-    -- are in the metrics registry under the model's name from spawn
-    to :meth:`stop`.
-    """
-
-    batcher: Batcher
-    pool: WorkerPool
-
-    @property
-    def metric_sets(self) -> tuple:
-        cluster = getattr(self.pool, "metrics", None)
-        return (self.batcher.metrics,) + (
-            () if cluster is None else (cluster,)
-        )
-
-    def stop(self, *, drain: bool) -> None:
-        """Stop the pool, then take this runtime's series off the
-        scrape (a successor's series under the same name stay)."""
-        self.pool.stop(drain=drain)
-        for metrics in self.metric_sets:
-            metrics.retract(get_registry())
+def _retire(runtime: WorkerPool, *, drain: bool) -> None:
+    """Stop a model's pool, then take its series off the scrape (a
+    successor's series under the same name stay)."""
+    runtime.stop(drain=drain)
+    for metrics in runtime.metric_sets:
+        metrics.retract(get_registry())
 
 
 class Server:
@@ -188,7 +169,9 @@ class Server:
         # keeps firing.
         self._chained_on_evict = self.store.on_evict
         self.store.on_evict = self._on_store_evict
-        self._runtimes: dict[str, _ModelRuntime] = {}
+        # Each model's runtime is its pool: the pool's metric sets are
+        # in the registry under the model's name from spawn to retire.
+        self._runtimes: dict[str, WorkerPool] = {}
         # Decode schedulers, created lazily on the first /generate for a
         # model (most served models have no incremental decode API).
         self._schedulers: dict[str, "SequenceScheduler"] = {}
@@ -242,12 +225,12 @@ class Server:
                     # will ever tear down.
                     unused = runtime
         if unused is not None:
-            unused.stop(drain=False)
+            _retire(unused, drain=False)
         if old is not None:
             # Drain: requests already queued on the old version finish
             # on it; new requests are already routed to the new pool,
             # whose series replaced the old ones at spawn (from zero).
-            old.stop(drain=True)
+            _retire(old, drain=True)
         if runtime is not None or unused is not None:
             # A hot-swap retires the old version's decode scheduler too
             # (its KV arena and worker belong to the old model); the
@@ -258,7 +241,7 @@ class Server:
         with self._lock:
             runtime = self._runtimes.pop(name, None)
         if runtime is not None:
-            runtime.stop(drain=True)
+            _retire(runtime, drain=True)
         self._stop_scheduler(name)
         if self._chained_on_evict is not None:
             self._chained_on_evict(name)
@@ -275,7 +258,7 @@ class Server:
 
     def _spawn_runtime(
         self, name: str, compiled: CompiledModel
-    ) -> _ModelRuntime:
+    ) -> WorkerPool:
         batcher = Batcher(
             max_batch=self.config.max_batch,
             max_latency_ms=self.config.max_latency_ms,
@@ -296,12 +279,11 @@ class Server:
                 compiled, batcher, workers=self.config.workers, name=name
             )
         pool.start()
-        runtime = _ModelRuntime(batcher=batcher, pool=pool)
         # Published fresh: on a hot-swap these replace the old
         # version's series, so the scrape restarts from zero.
-        for metrics in runtime.metric_sets:
+        for metrics in pool.metric_sets:
             metrics.publish(get_registry(), model=name)
-        return runtime
+        return pool
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "Server":
@@ -363,7 +345,7 @@ class Server:
             scheduler.stop()
             scheduler.metrics.retract(get_registry())
         for runtime in runtimes.values():
-            runtime.stop(drain=True)
+            _retire(runtime, drain=True)
         get_registry().unregister_collector(self.store.collect_metrics)
 
     def __enter__(self) -> "Server":
@@ -426,20 +408,21 @@ class Server:
         )
         with self._lock:
             runtimes = dict(self._runtimes)
-        body["quarantined"] = quarantined = {}
-        for name, runtime in sorted(runtimes.items()):
-            reason = getattr(runtime.pool, "quarantined", None)
-            if reason is not None:
-                quarantined[name] = reason
+        reasons = {name: r.quarantined for name, r in runtimes.items()}
+        body["quarantined"] = {
+            name: reason
+            for name, reason in sorted(reasons.items())
+            if reason is not None
+        }
         return body
 
     # -- serving -------------------------------------------------------
-    def _routable(self, name: str) -> _ModelRuntime:
+    def _routable(self, name: str) -> WorkerPool:
         """The model's runtime, refusing with
         :class:`~repro.serve.cluster.ModelUnroutableError` (503) while
         the cluster crash-loop breaker holds it quarantined."""
         runtime = self._runtime(name)
-        reason = getattr(runtime.pool, "quarantined", None)
+        reason = runtime.quarantined
         if reason is not None:
             from repro.serve.cluster import ModelUnroutableError
 
@@ -448,7 +431,7 @@ class Server:
             )
         return runtime
 
-    def _runtime(self, name: str) -> _ModelRuntime:
+    def _runtime(self, name: str) -> WorkerPool:
         with self._lock:
             if not self._started:
                 raise RuntimeError(
@@ -533,21 +516,8 @@ class Server:
             scheduler = self._schedulers.get(name)
         if scheduler is not None:
             return scheduler
-        compiled = self.store.get(name)  # raises ModelNotFound
-        if self.config.cluster and all(
-            getattr(compiled.model, attr, None) is not None
-            for attr in ("init_cache", "prefill", "step_many", "embedding")
-        ):
-            # Decode against the worker processes: sequences pin their
-            # KV to a worker and survive its death by re-prefill (see
-            # ClusterCompiled).  Non-decode models keep the local
-            # compiled handle so the scheduler's type check still
-            # explains what is missing.
-            from repro.serve.cluster import ClusterCompiled
-
-            compiled = ClusterCompiled(self._runtime(name).pool)
         candidate = SequenceScheduler(
-            compiled,
+            self._runtime(name).decode_target(),
             max_sequences=self.config.max_sequences,
             max_latency_ms=self.config.decode_latency_ms,
             name=name,
@@ -639,9 +609,9 @@ class Server:
         models = {}
         for name, runtime in sorted(runtimes.items()):
             snapshot = runtime.batcher.metrics.snapshot()
-            cluster_stats = getattr(runtime.pool, "cluster_stats", None)
+            cluster_stats = runtime.cluster_stats()
             if cluster_stats is not None:
-                snapshot["cluster"] = cluster_stats()
+                snapshot["cluster"] = cluster_stats
             scheduler = schedulers.get(name)
             if scheduler is not None:
                 snapshot["generation"] = scheduler.metrics.snapshot()
@@ -667,7 +637,7 @@ class Server:
             runtimes = dict(self._runtimes)
             started = self._started
         workers = {
-            name: runtime.pool.running for name, runtime in runtimes.items()
+            name: runtime.running for name, runtime in runtimes.items()
         }
         ok = started and all(workers.values())
         out = {
@@ -679,10 +649,9 @@ class Server:
         }
         cluster = {}
         for name, runtime in runtimes.items():
-            stats_fn = getattr(runtime.pool, "cluster_stats", None)
-            if stats_fn is None:
+            stats = runtime.cluster_stats()
+            if stats is None:
                 continue
-            stats = stats_fn()
             cluster[name] = {
                 "alive": sum(1 for w in stats["workers"] if w["alive"]),
                 "workers": len(stats["workers"]),

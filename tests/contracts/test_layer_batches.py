@@ -75,6 +75,12 @@ def test_layer_rows_match_alone(
     **{k: v for k, v in CROSSOVER.items() if k not in ("m", "n")},
     "backend": "int8",
 })
+# The 10->1 layer plans onto ``dense`` and gets its input as a
+# transposed view of the first layer's output: strided columns.
+@example(
+    dims=[5, 10, 1], backend="auto", batch_hint=None, dtype=np.float32,
+    bits=1, batch=2, seed=0,
+)
 def test_uncompiled_model_rows_match_alone(
     dims, backend, batch_hint, dtype, bits, batch, seed
 ):

@@ -1,6 +1,6 @@
 """repro.serve.cluster: shared-memory publication, the supervised
-process pool, redelivery, hedging, the crash-loop breaker, and decode
-recovery.
+process pool, redelivery, failover from a hung worker, the crash-loop
+breaker, and decode recovery.
 
 These tests spawn real worker processes (the ``spawn`` context), so
 they lean on one tiny encoder/decoder model and small pools.
@@ -24,13 +24,13 @@ from repro.nn import build_encoder
 from repro.resilience import faults
 from repro.serve.batcher import Batcher, WorkerLost
 from repro.serve.cluster import (
-    ClusterCompiled,
     ClusterConfig,
     ClusterPool,
     ModelUnroutableError,
     attach,
     publish,
 )
+from repro.serve.sequences import SequenceScheduler
 
 CFG = ClusterConfig(
     heartbeat_interval_s=0.1,
@@ -170,27 +170,6 @@ class TestClusterPool:
         finally:
             pool.stop()
 
-    def test_hedging_races_a_second_worker(self, compiled):
-        plan_json = faults.plan().delay(
-            "worker.job", 0.5, times=1
-        ).to_json()
-        cfg = ClusterConfig(
-            heartbeat_interval_s=0.1,
-            start_timeout_s=120.0,
-            redelivery_wait_s=60.0,
-            hedge_ms=50.0,
-        )
-        pool = make_pool(
-            compiled, config=cfg, fault_plan_json=plan_json
-        ).start()
-        try:
-            x = np.random.default_rng(2).standard_normal((4, 32))
-            got = pool.call_predict(x[None])
-            assert np.array_equal(got, compiled(x[None]))
-            assert pool.cluster_stats()["hedges"] >= 1
-        finally:
-            pool.stop()
-
     def test_crash_loop_breaker_quarantines_then_releases(
         self, compiled, caplog
     ):
@@ -273,14 +252,12 @@ class TestClusterPool:
 
 class TestClusterDecode:
     def test_stream_survives_killing_every_worker(self, decoder):
-        from repro.serve.sequences import SequenceScheduler
-
         prompt = np.array([1, 4, 9, 16, 2], dtype=np.int64)
         reference = decoder.generate(prompt, 12, temperature=0.8, seed=3)
 
         pool = make_pool(decoder).start()
         sched = SequenceScheduler(
-            ClusterCompiled(pool), max_sequences=4, max_latency_ms=1.0,
+            pool.decode_target(), max_sequences=4, max_latency_ms=1.0,
             name="lm",
         ).start()
         try:
@@ -294,6 +271,46 @@ class TestClusterDecode:
             # bit-identical despite losing every worker: the facade
             # re-prefilled prompt + accepted tokens (prefill == step)
             assert got == reference
+        finally:
+            sched.stop()
+            pool.stop()
+
+    @pytest.mark.parametrize("hung_job", [0, 1], ids=["prefill", "step"])
+    def test_hung_job_fails_over(self, decoder, hung_job):
+        # A prefill, or a decode step, that outlives job_timeout_s gets
+        # its worker killed, and the sequence moves to another worker.
+        # Each worker process counts its own jobs, so the plan hangs
+        # the stream's first (prefill) or second (first step) job after
+        # ``primed`` pings on the only worker; its replacement starts
+        # counting afresh, well short of that.
+        primed = 20
+        plan_json = faults.plan().hang(
+            "worker.job", after=primed + hung_job, times=1
+        ).to_json()
+        cfg = ClusterConfig(
+            heartbeat_interval_s=0.1,
+            start_timeout_s=120.0,
+            respawn_backoff_s=0.05,
+            redelivery_wait_s=60.0,
+            job_timeout_s=1.0,
+        )
+        prompt = np.array([1, 4, 9, 16, 2], dtype=np.int64)
+        reference = decoder.generate(prompt, 6)
+        pool = make_pool(
+            decoder, workers=1, config=cfg, fault_plan_json=plan_json
+        ).start()
+        sched = SequenceScheduler(
+            pool.decode_target(), max_sequences=2, max_latency_ms=1.0,
+            name="lm",
+        ).start()
+        try:
+            hung = pool._supervisor.handle(0)
+            for _ in range(primed):
+                assert hung.call("ping", None, 30.0) == "pong"
+            assert list(sched.generate(prompt, 6)) == reference
+            assert pool.cluster_stats()["kills"] >= 1
+            assert not hung.alive
+            assert pool._supervisor.handle(0) is not hung
         finally:
             sched.stop()
             pool.stop()

@@ -26,10 +26,10 @@ from repro.serve import ServeConfig, Server
 
 SERVE_COUNTS = ("requests", "served", "errors", "rejected", "cancelled",
                 "batches")
-GEN_COUNTS = ("sequences", "completed", "cancelled", "deadline_expired",
-              "rejected", "tokens", "ticks")
+GEN_COUNTS = ("sequences", "completed", "cancelled", "errors",
+              "deadline_expired", "rejected", "tokens", "ticks")
 CLUSTER_COUNTS = ("spawns", "deaths", "respawns", "kills", "quarantines",
-                  "releases", "redelivered", "hedges", "hedge_wins")
+                  "releases", "redelivered")
 LINE = re.compile(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (\S+)")
 
 

@@ -4,7 +4,8 @@ Covered here: the decode busy-clock regression (a cancelled zero-token
 stream or a double finish must not wedge the tokens/s denominator),
 cross-thread exemplar capture (a request admitted on the caller thread
 and executed on a worker must stamp its own trace id -- exactly one,
-never a neighbour's), and the SLO state machine on a live server:
+never a neighbour's), failed decode steps reaching the SLO windows, and
+the SLO state machine on a live server:
 ok -> warn -> page, 429 + ``Retry-After`` shedding while paging, live
 streams bit-identical throughout, ``warn`` changing no serving
 parameter, and recovery -- with tracing and the sampling profiler
@@ -34,6 +35,7 @@ from repro.nn.transformer import TransformerConfig
 from repro.obs import slo as slo_mod
 from repro.obs.slo import SLOSpec, clear_engine, get_engine
 from repro.obs.trace import get_tracer
+from repro.resilience import faults
 from repro.serve import (
     AdmissionShedError,
     SequenceScheduler,
@@ -508,3 +510,58 @@ class TestLatencySpike:
             assert profiler is not None and profiler.stats()["samples"] > 0
         finally:
             server.stop()
+
+
+class TestDecodeFailures:
+    def test_failed_ticks_page_an_availability_slo(self, lm, slo_clock):
+        """A decode tick that raises ends its stream as ``error``: one
+        count on ``GenMetrics.errors`` and one failed request in the SLO
+        windows, so an availability spec pages on ``/generate`` traffic
+        alone.  A stream that runs to its length counts as a good
+        request."""
+        spec = SLOSpec(
+            name="availability",
+            kind="availability",
+            objective=0.9,
+            fast_window_s=1.0,
+            slow_window_s=2.0,
+            warn_burn=1.5,
+            page_burn=6.0,
+            min_events=5,
+        )
+        server = Server(
+            config=ServeConfig(
+                workers=1,
+                max_sequences=4,
+                decode_latency_ms=1.0,
+                slos=(spec,),
+                slo_eval_interval_s=NO_EVAL_THREAD_S,
+            )
+        )
+        server.add_model("lm", lm)
+        prompt = np.array([1, 4, 9, 16])
+        reference = lm.generate(prompt, 4)
+        with server:
+            for _ in range(5):
+                assert list(server.generate("lm", prompt, 4)) == reference
+            assert step_to(server, slo_clock, 1000.0) == "ok"
+            assert server.slo()["specs"][0]["events_fast"] == 5
+
+            slo_clock.now = 1010.0
+            with faults.plan().fail("gen.tick", times=None):
+                for _ in range(6):
+                    stream = server.generate("lm", prompt, 4)
+                    with pytest.raises(faults.FaultError):
+                        list(stream)
+                    assert stream.finish_reason == "error"
+            assert step_to(server, slo_clock, 1010.0) == "page"
+            generation = server.metrics()["models"]["lm"]["generation"]
+            assert generation["errors"] == 6
+            assert generation["completed"] == 5
+            assert generation["cancelled"] == 0
+            with pytest.raises(AdmissionShedError):
+                server.generate("lm", prompt, 4)
+
+            # The failures have left both windows.
+            assert step_to(server, slo_clock, 1013.0) == "ok"
+            assert list(server.generate("lm", prompt, 4)) == reference
